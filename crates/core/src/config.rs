@@ -272,11 +272,10 @@ impl DriverConfig {
     ///
     /// Deliberately excluded, because they cannot change the event
     /// stream: `threads`, `shards`, and `bytecode` (bit-identical by
-    /// construction),
-    /// the trace/observability sinks (`event_trace`, `query_log`,
-    /// `trace`, `validity.smt.trace` — announcement-only or
-    /// env-dependent), and the wall-clock `Deadline` carriers inside the
-    /// solver configs (schedule state, not configuration). Deadline
+    /// construction), the trace/observability sinks (`event_trace`,
+    /// `query_log`, `trace` — announcement-only), and the wall-clock
+    /// `Deadline` carriers inside the solver configs (schedule state, not
+    /// configuration). Deadline
     /// *durations* are included: resuming under a different budget is a
     /// behavioural change.
     pub fn resume_digest(&self) -> u64 {

@@ -7,6 +7,14 @@
 //! (program constants and path-constraint coefficients), so `i128`
 //! numerators/denominators with overflow checks are sufficient; overflow is
 //! reported by panicking with a descriptive message rather than wrapping.
+//!
+//! Most values the simplex core touches are integers (every coefficient
+//! and bound arrives integral), so `+`, `*` and `cmp` take integer fast
+//! paths that skip the gcd normalization, and when the denominators agree
+//! `+` adds the numerators and `cmp` compares them. Every fast path returns
+//! exactly the normalized value the general path would, and `+` and `*`
+//! overflow exactly when, and with the message with which, the general
+//! path does.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -55,6 +63,9 @@ impl Rat {
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "rational with zero denominator");
+        if den == 1 {
+            return Rat { num, den };
+        }
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
         if g == 0 {
@@ -172,6 +183,11 @@ impl From<i32> for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        // Equal denominators (integers included): (a + c) / b, which is
+        // what the general path computes when gcd(b, d) = b = d.
+        if self.den == rhs.den {
+            return Rat::checked(self.num.checked_add(rhs.num), Some(self.den), "addition");
+        }
         // a/b + c/d = (a*d + c*b) / (b*d), reduced via gcd of denominators
         // first to keep intermediates small.
         let g = gcd(self.den, rhs.den);
@@ -196,6 +212,10 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        // Integers: nothing to reduce (both gcds below are 1).
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::checked(self.num.checked_mul(rhs.num), Some(1), "multiplication");
+        }
         // Cross-reduce before multiplying.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
@@ -249,6 +269,11 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        // Equal (positive) denominators, integers included: compare
+        // numerators.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // a/b <=> c/d  compares a*d <=> c*b (denominators positive).
         let lhs = self
             .num

@@ -62,6 +62,123 @@ proptest! {
     }
 }
 
+/// The normalized `num / den` by the textbook definition (sign on the
+/// numerator, gcd divided out), as a `(numer, denom)` pair. The reference
+/// for the fast paths of `Rat`'s operators.
+fn normalized(num: i128, den: i128) -> (i128, i128) {
+    fn gcd(a: i128, b: i128) -> i128 {
+        if b == 0 {
+            a.abs()
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let g = gcd(num, den) * den.signum();
+    (num / g, den / g)
+}
+
+fn parts(r: Rat) -> (i128, i128) {
+    (r.numer(), r.denom())
+}
+
+/// A denominator shared by both operands: a prime, so a numerator that is
+/// not a multiple of it keeps it after normalization.
+const PRIMES: [i128; 6] = [2, 3, 5, 7, 11, 13];
+
+/// Operand pairs in the three shapes `Rat`'s operators distinguish:
+/// two integers, two fractions over the same denominator, and a general
+/// pair (integer/fraction mixes and unequal denominators included).
+fn arb_pair() -> impl Strategy<Value = (Rat, Rat)> {
+    let int = -100_000i64..=100_000;
+    prop_oneof![
+        (int.clone(), int.clone()).prop_map(|(a, b)| (Rat::from(a), Rat::from(b))),
+        (
+            -1000i64..=1000,
+            -1000i64..=1000,
+            0usize..6,
+            1i64..=12,
+            1i64..=12
+        )
+            .prop_map(|(a, b, p, ra, rb)| {
+                // k·d + r with 0 < r < d: never a multiple of d.
+                let d = PRIMES[p];
+                let frac =
+                    |k: i64, r: i64| Rat::new(i128::from(k) * d + i128::from(r) % (d - 1) + 1, d);
+                (frac(a, ra), frac(b, rb))
+            }),
+        (arb_rat(), arb_rat()),
+        (int, arb_rat()).prop_map(|(a, b)| (Rat::from(a), b)),
+    ]
+}
+
+proptest! {
+    /// `+` and `-` equal the cross-multiplied sum, normalized.
+    #[test]
+    fn rat_add_sub_match_general_path(pair in arb_pair()) {
+        let (a, b) = pair;
+        let (an, ad, bn, bd) = (a.numer(), a.denom(), b.numer(), b.denom());
+        prop_assert_eq!(parts(a + b), normalized(an * bd + bn * ad, ad * bd));
+        prop_assert_eq!(parts(a - b), normalized(an * bd - bn * ad, ad * bd));
+        let mut acc = a;
+        acc += b;
+        prop_assert_eq!(acc, a + b);
+    }
+
+    /// `*` equals the plain product, normalized.
+    #[test]
+    fn rat_mul_matches_general_path(pair in arb_pair()) {
+        let (a, b) = pair;
+        let expected = normalized(a.numer() * b.numer(), a.denom() * b.denom());
+        prop_assert_eq!(parts(a * b), expected);
+        prop_assert_eq!(parts(b * a), expected);
+    }
+
+    /// `cmp` agrees with comparing the cross products.
+    #[test]
+    fn rat_cmp_matches_general_path(pair in arb_pair()) {
+        let (a, b) = pair;
+        let expected = (a.numer() * b.denom()).cmp(&(b.numer() * a.denom()));
+        prop_assert_eq!(a.cmp(&b), expected);
+        prop_assert_eq!(b.cmp(&a), expected.reverse());
+        prop_assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
+    }
+}
+
+/// Operand pairs whose sum or product leaves `i128`, in each operator
+/// shape: integers, equal denominators, unequal denominators.
+fn overflowing_pairs() -> [(Rat, Rat); 3] {
+    let pairs = [
+        (Rat::from(i128::MAX), Rat::from(i128::MAX)),
+        (Rat::new(i128::MAX, 7), Rat::new(i128::MAX - 2, 7)),
+        (Rat::new(i128::MAX, 7), Rat::new(i128::MAX, 11)),
+    ];
+    let dens = pairs.map(|(a, b)| (a.denom(), b.denom()));
+    assert_eq!(dens, [(1, 1), (7, 7), (7, 11)], "operand shapes");
+    pairs
+}
+
+#[test]
+fn rat_add_overflow_panics_in_every_shape() {
+    for (a, b) in overflowing_pairs() {
+        let err = std::panic::catch_unwind(|| a + b).expect_err("sum overflows");
+        let msg = err.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(msg, Some("rational overflow in addition"), "{a:?} + {b:?}");
+    }
+}
+
+#[test]
+fn rat_mul_overflow_panics_in_every_shape() {
+    for (a, b) in overflowing_pairs() {
+        let err = std::panic::catch_unwind(|| a * b).expect_err("product overflows");
+        let msg = err.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(
+            msg,
+            Some("rational overflow in multiplication"),
+            "{a:?} * {b:?}"
+        );
+    }
+}
+
 /// Random linear terms over two variables (no UF applications, no
 /// division), paired with a model, so that linearization can be compared
 /// against direct evaluation.

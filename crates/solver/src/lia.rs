@@ -15,10 +15,20 @@
 //! whenever the simplex explanation involves only tagged constraint
 //! bounds (no artificial global bounds, no branch splits); otherwise
 //! `core` is `None` and callers fall back to weaker conflict clauses.
+//!
+//! Each call interns its keys once (a sorted key universe, and every
+//! constraint's terms as indices into it), and each branch-and-bound
+//! search — the full-range one and each preference box — builds its root
+//! tableau once and clones it per node, adding only that node's branch
+//! bounds. A clone is the tableau a per-node rebuild would produce, so
+//! the nodes, pivots, cores and models are exactly those of rebuilding
+//! (the kernel contract in `DESIGN.md`, pinned by
+//! `tests/kernel_golden.rs`).
 
 use crate::deadline::Deadline;
 use crate::simplex::{BoundKind, Simplex, SimplexResult};
 use hotg_logic::{LinKey, Rat};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Relation kind of a normalized integer constraint.
@@ -150,7 +160,7 @@ fn core_from_explanation(expl: &[Option<u32>]) -> Option<Vec<usize>> {
 /// };
 /// assert!(solve_int(&[c], &LiaConfig::default()).is_unsat());
 /// ```
-pub fn solve_int(constraints: &[IntConstraint], config: &LiaConfig) -> LiaResult {
+pub fn solve_int<C: Borrow<IntConstraint>>(constraints: &[C], config: &LiaConfig) -> LiaResult {
     let mut budget = config.node_budget;
     solve_int_budgeted(constraints, config, &mut budget)
 }
@@ -159,11 +169,15 @@ pub fn solve_int(constraints: &[IntConstraint], config: &LiaConfig) -> LiaResult
 /// pool instead of a per-call allowance. Callers that issue many theory
 /// checks in a refinement loop (the SMT solver) use one shared pool so a
 /// single hard query cannot multiply its cost by the number of rounds.
-pub fn solve_int_budgeted(
-    constraints: &[IntConstraint],
+///
+/// Both entry points take owned constraints or references, so a caller
+/// holding its constraints elsewhere need not clone them per call.
+pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
+    constraints: &[C],
     config: &LiaConfig,
     budget: &mut u64,
 ) -> LiaResult {
+    let constraints: Vec<&IntConstraint> = constraints.iter().map(Borrow::borrow).collect();
     // GCD pre-test: Σ aᵢxᵢ = -c is integer-infeasible when gcd(aᵢ) ∤ c.
     for (i, con) in constraints.iter().enumerate() {
         if con.kind == ConKind::Eq && !con.coeffs.is_empty() {
@@ -187,20 +201,8 @@ pub fn solve_int_budgeted(
         }
     }
 
-    // Key universe.
-    let mut keys: Vec<LinKey> = Vec::new();
-    for con in constraints {
-        for (k, _) in &con.coeffs {
-            if !keys.contains(k) {
-                keys.push(k.clone());
-            }
-        }
-    }
-    keys.sort();
-
-    let extra: Vec<(usize, BoundKind, Rat)> = Vec::new();
-
-    let full = branch(constraints, &keys, config, extra.clone(), budget);
+    let (keys, rows) = intern(&constraints);
+    let full = branch(&constraints, &keys, &rows, config, budget);
     if config.prefer_small {
         if let LiaResult::Sat(ref fallback) = full {
             // The problem is feasible; look for a small-magnitude model
@@ -221,8 +223,7 @@ pub fn solve_int_budgeted(
                     prefer_small: false,
                     ..*config
                 };
-                if let LiaResult::Sat(m) = branch(constraints, &keys, &boxed, extra.clone(), budget)
-                {
+                if let LiaResult::Sat(m) = branch(&constraints, &keys, &rows, &boxed, budget) {
                     return LiaResult::Sat(m);
                 }
             }
@@ -231,20 +232,89 @@ pub fn solve_int_budgeted(
     full
 }
 
+/// Interns the constraints' keys: returns the sorted key universe and,
+/// per constraint, its terms over indices into that universe (which are
+/// also the keys' simplex variables). Built once per [`solve_int`] call,
+/// so branch-and-bound never compares `LinKey` terms.
+fn intern(constraints: &[&IntConstraint]) -> (Vec<LinKey>, Vec<Vec<(usize, Rat)>>) {
+    let mut occurrences: Vec<(&LinKey, usize, usize)> = Vec::new();
+    for (ci, con) in constraints.iter().enumerate() {
+        for (j, (k, _)) in con.coeffs.iter().enumerate() {
+            occurrences.push((k, ci, j));
+        }
+    }
+    occurrences.sort_by(|a, b| a.0.cmp(b.0));
+    let mut keys: Vec<LinKey> = Vec::new();
+    let mut rows: Vec<Vec<(usize, Rat)>> = constraints
+        .iter()
+        .map(|con| vec![(0, Rat::ZERO); con.coeffs.len()])
+        .collect();
+    for (k, ci, j) in occurrences {
+        if keys.last() != Some(k) {
+            keys.push(k.clone());
+        }
+        rows[ci][j] = (keys.len() - 1, Rat::from(constraints[ci].coeffs[j].1));
+    }
+    (keys, rows)
+}
+
+/// The root tableau of one branch-and-bound search: a variable per key
+/// under the global bounds, and a tagged slack row per constraint.
+/// Every node starts from a clone of it, which is the same tableau a
+/// per-node rebuild would produce. `Err` carries the outcome of a
+/// tableau whose bounds already conflict.
+fn root_tableau(
+    constraints: &[&IntConstraint],
+    n_keys: usize,
+    rows: &[Vec<(usize, Rat)>],
+    config: &LiaConfig,
+) -> Result<Simplex, NodeOutcome> {
+    let mut s = Simplex::new();
+    for _ in 0..n_keys {
+        let v = s.new_var();
+        if s.assert_bound(v, BoundKind::Lower, Rat::from(config.var_min), None)
+            .is_err()
+            || s.assert_bound(v, BoundKind::Upper, Rat::from(config.var_max), None)
+                .is_err()
+        {
+            return Err(NodeOutcome::Infeasible);
+        }
+    }
+    for (ci, (con, terms)) in constraints.iter().zip(rows).enumerate() {
+        if terms.is_empty() {
+            continue; // validated in solve_int
+        }
+        let tag = Some(ci as u32);
+        let slack = s.add_row(terms);
+        let target = Rat::from(-con.constant);
+        let result = match con.kind {
+            ConKind::Eq => s
+                .assert_bound(slack, BoundKind::Lower, target, tag)
+                .and_then(|()| s.assert_bound(slack, BoundKind::Upper, target, tag)),
+            ConKind::Le => s.assert_bound(slack, BoundKind::Upper, target, tag),
+        };
+        if let Err(expl) = result {
+            return Err(unsat_node(&expl));
+        }
+    }
+    Ok(s)
+}
+
 /// Branch-and-bound over the rational relaxation, depth-first with an
 /// explicit worklist: recursion depth is bounded by the node budget
 /// (20k by default), which overflows the thread stack on hard
 /// instances, so the search must not use the call stack.
 fn branch(
-    constraints: &[IntConstraint],
+    constraints: &[&IntConstraint],
     keys: &[LinKey],
+    rows: &[Vec<(usize, Rat)>],
     config: &LiaConfig,
-    extra_bounds: Vec<(usize, BoundKind, Rat)>,
     budget: &mut u64,
 ) -> LiaResult {
-    let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![extra_bounds];
+    let root = root_tableau(constraints, keys.len(), rows, config);
+    let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![Vec::new()];
     while let Some(bounds) = work.pop() {
-        match branch_node(constraints, keys, config, &bounds, budget) {
+        match branch_node(&root, keys, config, &bounds, budget) {
             NodeOutcome::Done(result) => return result,
             NodeOutcome::Infeasible => {}
             NodeOutcome::Split { index, floor } => {
@@ -266,6 +336,7 @@ fn branch(
 }
 
 /// Outcome of evaluating a single branch-and-bound node.
+#[derive(Clone)]
 enum NodeOutcome {
     /// The whole search is decided: Sat, Unknown, or Unsat with a core
     /// independent of the branch bounds (hence sound globally).
@@ -279,7 +350,7 @@ enum NodeOutcome {
 }
 
 fn branch_node(
-    constraints: &[IntConstraint],
+    root: &Result<Simplex, NodeOutcome>,
     keys: &[LinKey],
     config: &LiaConfig,
     extra_bounds: &[(usize, BoundKind, Rat)],
@@ -297,49 +368,13 @@ fn branch_node(
     }
     *budget -= 1;
 
-    let mut s = Simplex::new();
-    let idx: Vec<usize> = keys.iter().map(|_| s.new_var()).collect();
-    for (i, _) in keys.iter().enumerate() {
-        let v = idx[i];
-        if s.assert_bound(v, BoundKind::Lower, Rat::from(config.var_min), None)
-            .is_err()
-            || s.assert_bound(v, BoundKind::Upper, Rat::from(config.var_max), None)
-                .is_err()
-        {
-            return NodeOutcome::Infeasible;
-        }
-    }
-    for (ci, con) in constraints.iter().enumerate() {
-        if con.coeffs.is_empty() {
-            continue; // validated in solve_int
-        }
-        let tag = Some(ci as u32);
-        let mut terms: Vec<(usize, Rat)> = Vec::with_capacity(con.coeffs.len());
-        for (k, c) in &con.coeffs {
-            // `keys` is the universe collected from these same constraints,
-            // so a miss is an internal invariant break — degrade to Unknown
-            // (routed into the engine's degradation ladder) rather than
-            // panicking a campaign worker.
-            let Ok(i) = keys.binary_search(k) else {
-                debug_assert!(false, "constraint key missing from universe");
-                return NodeOutcome::Done(LiaResult::Unknown);
-            };
-            terms.push((idx[i], Rat::from(*c)));
-        }
-        let slack = s.add_row(&terms);
-        let target = Rat::from(-con.constant);
-        let result = match con.kind {
-            ConKind::Eq => s
-                .assert_bound(slack, BoundKind::Lower, target, tag)
-                .and_then(|()| s.assert_bound(slack, BoundKind::Upper, target, tag)),
-            ConKind::Le => s.assert_bound(slack, BoundKind::Upper, target, tag),
-        };
-        if let Err(expl) = result {
-            return unsat_node(&expl);
-        }
-    }
+    // Key `i` is simplex variable `i` (allocated first, in key order).
+    let mut s = match root {
+        Ok(s) => s.clone(),
+        Err(outcome) => return outcome.clone(),
+    };
     for &(i, kind, c) in extra_bounds {
-        if let Err(expl) = s.assert_bound(idx[i], kind, c, None) {
+        if let Err(expl) = s.assert_bound(i, kind, c, None) {
             return unsat_node(&expl);
         }
     }
@@ -348,19 +383,10 @@ fn branch_node(
         SimplexResult::Unsat(expl) => unsat_node(&expl),
         SimplexResult::Sat(values) => {
             // Find a fractional key.
-            let mut fractional: Option<(usize, Rat)> = None;
-            for (i, _) in keys.iter().enumerate() {
-                let v = values[idx[i]];
-                if !v.is_integer() {
-                    fractional = Some((i, v));
-                    break;
-                }
-            }
-            match fractional {
+            match values[..keys.len()].iter().position(|v| !v.is_integer()) {
                 None => {
                     let mut out = BTreeMap::new();
-                    for (i, k) in keys.iter().enumerate() {
-                        let v = values[idx[i]];
+                    for (k, v) in keys.iter().zip(&values) {
                         // Integral but outside i64 (exact rationals are
                         // i128-backed): the model is unrepresentable in the
                         // engine's i64 input domain, so report Unknown
@@ -372,9 +398,9 @@ fn branch_node(
                     }
                     NodeOutcome::Done(LiaResult::Sat(out))
                 }
-                Some((i, v)) => NodeOutcome::Split {
+                Some(i) => NodeOutcome::Split {
                     index: i,
-                    floor: v.floor(),
+                    floor: values[i].floor(),
                 },
             }
         }
@@ -427,7 +453,8 @@ mod tests {
 
     #[test]
     fn empty_is_sat() {
-        assert!(matches!(solve_int(&[], &cfg()), LiaResult::Sat(_)));
+        let none: [IntConstraint; 0] = [];
+        assert!(matches!(solve_int(&none, &cfg()), LiaResult::Sat(_)));
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! returns the tags of the bounds participating in the conflict (the
 //! standard row explanation), which the SMT layer turns into strong
 //! blocking clauses.
+//!
+//! Rows are sparse and kept sorted by variable index: a coefficient is
+//! found by binary search, and a pivot substitutes the entering variable
+//! into another row with one linear merge. The pivot *order* is fixed by
+//! Bland's rule over variable indices and the values are exact, so the
+//! tableau's data layout never shows in an answer: every assignment and
+//! explanation is bit-identical to a dense or map-based tableau's (see
+//! the kernel contract in `DESIGN.md`).
 
 use hotg_logic::Rat;
 
@@ -49,8 +57,77 @@ struct VarState {
 struct Row {
     /// The basic variable this row defines.
     basic: usize,
-    /// `basic = Σ coeff · nonbasic` (only nonbasic vars appear).
+    /// `basic = Σ coeff · nonbasic` (only nonbasic vars appear), sorted
+    /// by variable index, no zero coefficients.
     terms: Vec<(usize, Rat)>,
+}
+
+impl Row {
+    /// Coefficient of `var` in this row, if present.
+    fn coeff(&self, var: usize) -> Option<Rat> {
+        self.terms
+            .binary_search_by_key(&var, |&(w, _)| w)
+            .ok()
+            .map(|i| self.terms[i].1)
+    }
+}
+
+/// Sums the coefficients of equal variables in `terms` (sorted by
+/// variable; equal variables summed in their order of appearance) and
+/// drops the zeros.
+fn collapse(terms: Vec<(usize, Rat)>) -> Vec<(usize, Rat)> {
+    let mut out: Vec<(usize, Rat)> = Vec::with_capacity(terms.len());
+    for (v, c) in terms {
+        match out.last_mut() {
+            Some((w, sum)) if *w == v => *sum += c,
+            _ => out.push((v, c)),
+        }
+    }
+    out.retain(|(_, c)| !c.is_zero());
+    out
+}
+
+/// `row + c · other` over rows sorted by variable index, dropping zeros.
+/// `skip` (the variable being eliminated) is left out of `row`.
+fn merge_scaled(
+    row: &[(usize, Rat)],
+    skip: usize,
+    c: Rat,
+    other: &[(usize, Rat)],
+) -> Vec<(usize, Rat)> {
+    let mut out = Vec::with_capacity(row.len() + other.len());
+    let mut a = row.iter().filter(|&&(w, _)| w != skip).peekable();
+    let mut b = other.iter().peekable();
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&&(wa, ca)), Some(&&(wb, cb))) => {
+                if wa < wb {
+                    a.next();
+                    (wa, ca)
+                } else if wb < wa {
+                    b.next();
+                    (wb, c * cb)
+                } else {
+                    a.next();
+                    b.next();
+                    (wa, ca + c * cb)
+                }
+            }
+            (Some(&&(wa, ca)), None) => {
+                a.next();
+                (wa, ca)
+            }
+            (None, Some(&&(wb, cb))) => {
+                b.next();
+                (wb, c * cb)
+            }
+            (None, None) => break,
+        };
+        if !next.1.is_zero() {
+            out.push(next);
+        }
+    }
+    out
 }
 
 /// A simplex tableau over rationals.
@@ -79,8 +156,6 @@ struct Row {
 pub struct Simplex {
     vars: Vec<VarState>,
     rows: Vec<Row>,
-    /// Number of pivots performed (for budget accounting).
-    pivots: u64,
 }
 
 impl Simplex {
@@ -105,11 +180,6 @@ impl Simplex {
         self.vars.len()
     }
 
-    /// Pivot count so far (budget accounting for branch-and-bound).
-    pub fn pivots(&self) -> u64 {
-        self.pivots
-    }
-
     /// Introduces a slack variable `s = Σ coeff·var` and returns it.
     ///
     /// The referenced variables may themselves be basic; their rows are
@@ -120,24 +190,20 @@ impl Simplex {
     /// Panics if a referenced variable is out of range.
     pub fn add_row(&mut self, terms: &[(usize, Rat)]) -> usize {
         let s = self.new_var();
-        // Expand any basic variables through their rows.
-        let mut expanded: Vec<Rat> = vec![Rat::ZERO; self.vars.len()];
+        // Expand any basic variables through their rows, then sum per
+        // variable (the sort is stable, so each variable's contributions
+        // add up in input order).
+        let mut expanded: Vec<(usize, Rat)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             assert!(v < self.vars.len(), "row references unknown variable");
             if let Some(r) = self.vars[v].row {
-                for &(w, cw) in &self.rows[r].terms {
-                    expanded[w] += c * cw;
-                }
+                expanded.extend(self.rows[r].terms.iter().map(|&(w, cw)| (w, c * cw)));
             } else {
-                expanded[v] += c;
+                expanded.push((v, c));
             }
         }
-        let row_terms: Vec<(usize, Rat)> = expanded
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_zero())
-            .map(|(v, c)| (v, *c))
-            .collect();
+        expanded.sort_by_key(|&(w, _)| w);
+        let row_terms = collapse(expanded);
         // Value of the slack under current assignment.
         let value = row_terms.iter().map(|&(v, c)| self.vars[v].value * c).sum();
         self.vars[s].value = value;
@@ -207,14 +273,9 @@ impl Simplex {
         if delta.is_zero() {
             return;
         }
-        for r in 0..self.rows.len() {
-            let coeff = self.rows[r]
-                .terms
-                .iter()
-                .find(|&&(w, _)| w == var)
-                .map(|&(_, c)| c);
-            if let Some(c) = coeff {
-                let b = self.rows[r].basic;
+        for row in &self.rows {
+            if let Some(c) = row.coeff(var) {
+                let b = row.basic;
                 let nv = self.vars[b].value + c * delta;
                 self.vars[b].value = nv;
             }
@@ -247,13 +308,9 @@ impl Simplex {
     /// Pivots basic variable of row `r` with nonbasic `nj`, then sets the
     /// old basic variable's value to `target`.
     fn pivot_and_update(&mut self, r: usize, nj: usize, target: Rat) {
-        self.pivots += 1;
         let bi = self.rows[r].basic;
         let a_ij = self.rows[r]
-            .terms
-            .iter()
-            .find(|&&(w, _)| w == nj)
-            .map(|&(_, c)| c)
+            .coeff(nj)
             // Invariant: `nj` was selected as the entering variable *from*
             // this row's terms, so its column is present by construction.
             .expect("pivot column must appear in row");
@@ -263,12 +320,12 @@ impl Simplex {
         self.vars[bi].value = target;
         let new_nj = self.vars[nj].value + theta;
         self.vars[nj].value = new_nj;
-        for rr in 0..self.rows.len() {
+        for (rr, row) in self.rows.iter().enumerate() {
             if rr == r {
                 continue;
             }
-            if let Some(&(_, c)) = self.rows[rr].terms.iter().find(|&&(w, _)| w == nj) {
-                let b = self.rows[rr].basic;
+            if let Some(c) = row.coeff(nj) {
+                let b = row.basic;
                 let nv = self.vars[b].value + c * theta;
                 self.vars[b].value = nv;
             }
@@ -276,43 +333,31 @@ impl Simplex {
 
         // Tableau pivot: express nj from row r:
         //   bi = Σ terms  ⇒  nj = (bi - Σ_{w≠nj} a_iw·w) / a_ij
+        // `bi` is basic, so it is absent from the row: insert it in order.
         let old_terms = std::mem::take(&mut self.rows[r].terms);
         let inv = a_ij.recip();
-        let mut nj_terms: Vec<(usize, Rat)> = vec![(bi, inv)];
+        let mut nj_terms: Vec<(usize, Rat)> = Vec::with_capacity(old_terms.len());
         for &(w, c) in &old_terms {
             if w != nj {
                 nj_terms.push((w, -(c * inv)));
             }
         }
-        self.rows[r].basic = nj;
-        self.rows[r].terms = nj_terms.clone();
+        let at = nj_terms.partition_point(|&(w, _)| w < bi);
+        nj_terms.insert(at, (bi, inv));
         self.vars[nj].row = Some(r);
         self.vars[bi].row = None;
 
         // Substitute nj in all other rows.
-        for rr in 0..self.rows.len() {
+        for (rr, row) in self.rows.iter_mut().enumerate() {
             if rr == r {
                 continue;
             }
-            let coeff = self.rows[rr]
-                .terms
-                .iter()
-                .find(|&&(w, _)| w == nj)
-                .map(|&(_, c)| c);
-            if let Some(c) = coeff {
-                let mut merged: std::collections::BTreeMap<usize, Rat> = self.rows[rr]
-                    .terms
-                    .iter()
-                    .filter(|&&(w, _)| w != nj)
-                    .map(|&(w, cc)| (w, cc))
-                    .collect();
-                for &(w, cw) in &nj_terms {
-                    let slot = merged.entry(w).or_insert(Rat::ZERO);
-                    *slot += c * cw;
-                }
-                self.rows[rr].terms = merged.into_iter().filter(|(_, c)| !c.is_zero()).collect();
+            if let Some(c) = row.coeff(nj) {
+                row.terms = merge_scaled(&row.terms, nj, c, &nj_terms);
             }
         }
+        self.rows[r].basic = nj;
+        self.rows[r].terms = nj_terms;
     }
 
     /// Builds the conflict explanation for row `r` whose basic variable is
@@ -386,10 +431,10 @@ impl Simplex {
             };
             // Entering variable: smallest-index nonbasic var that can move
             // the basic variable in the needed direction.
+            // Rows are sorted by variable, so the first candidate is the
+            // smallest.
             let mut entering: Option<usize> = None;
-            let mut terms: Vec<(usize, Rat)> = self.rows[r].terms.clone();
-            terms.sort_by_key(|&(w, _)| w);
-            for &(w, c) in &terms {
+            for &(w, c) in &self.rows[r].terms {
                 let ok = if below {
                     // need to increase bi
                     (c.is_positive() && self.can_increase(w))

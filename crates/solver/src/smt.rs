@@ -8,6 +8,13 @@
 //! `args₁ = args₂ → f(args₁) = f(args₂)` is conjoined to the input. The
 //! result is a pure LIA problem solved by CDCL over the boolean
 //! abstraction with simplex + branch-and-bound as the theory oracle.
+//!
+//! Each theory atom is registered once with the boolean abstraction,
+//! together with its negation (for `≤` atoms); a refinement round hands
+//! the LIA layer references to the asserted constraints instead of
+//! copies. The order of atoms and constraints is the registration order
+//! either way, so the models are those the kernel contract in
+//! `DESIGN.md` pins.
 
 use crate::atoms::{eq_split, negate_le, normalize, NormAtom, Prim};
 use crate::backend::{BackendStats, Cascade, ModelVerdict, PreVerdict};
@@ -76,11 +83,6 @@ pub struct SmtConfig {
     /// a hard query can pay the full per-round LIA budget `max_rounds`
     /// times — hours of wall clock — before conceding `Unknown`.
     pub total_node_budget: u64,
-    /// Emit an `eprintln!` trace line for slow queries. Resolved from the
-    /// `HOTG_SMT_TRACE` environment variable **once**, at configuration
-    /// construction time — `check` sits on the campaign hot path and must
-    /// not pay an env lookup per query.
-    pub trace: bool,
     /// Cooperative wall-clock cutoff, polled between refinement rounds and
     /// (via [`LiaConfig::deadline`]) between branch-and-bound nodes. An
     /// expired deadline makes `check` concede [`SmtResult::Unknown`]; such
@@ -111,7 +113,6 @@ impl SmtConfig {
             lia: LiaConfig::default(),
             max_rounds: 100_000,
             total_node_budget: 120_000,
-            trace: std::env::var_os("HOTG_SMT_TRACE").is_some(),
             deadline: Deadline::NONE,
             incremental: false,
             pre_solve: true,
@@ -176,17 +177,31 @@ impl Default for SmtSolver {
     }
 }
 
+/// A theory atom registered with the boolean abstraction.
+#[derive(Debug)]
+struct TheoryAtom {
+    /// The primitive, asserted when `var` is true.
+    prim: IntConstraint,
+    /// For `Le` atoms, the negation asserted when `var` is false (built
+    /// once here rather than on every refinement round).
+    negated: Option<IntConstraint>,
+    var: u32,
+}
+
 #[derive(Debug)]
 struct Encoder {
     sat: SatSolver,
-    prim_vars: HashMap<Prim, u32>,
-    prims: Vec<(Prim, u32)>,
+    /// Primitive → index into `atoms`.
+    prim_atoms: HashMap<Prim, usize>,
+    /// Registered theory atoms, in registration order.
+    atoms: Vec<TheoryAtom>,
     true_var: Option<u32>,
-    /// Theory atoms referenced since the last [`Encoder::begin_query`],
-    /// in first-touch order. A fresh per-query encoder touches exactly
-    /// its `prims`; a persistent (session) encoder uses this to assert
-    /// only the current query's atoms against the theory.
-    touched: Vec<(Prim, u32)>,
+    /// Indices into `atoms` referenced since the last
+    /// [`Encoder::begin_query`], in first-touch order. A fresh per-query
+    /// encoder touches exactly its `atoms`; a persistent (session) encoder
+    /// uses this to assert only the current query's atoms against the
+    /// theory.
+    touched: Vec<usize>,
     touched_vars: HashSet<u32>,
 }
 
@@ -194,8 +209,8 @@ impl Encoder {
     fn new() -> Encoder {
         Encoder {
             sat: SatSolver::new(),
-            prim_vars: HashMap::new(),
-            prims: Vec::new(),
+            prim_atoms: HashMap::new(),
+            atoms: Vec::new(),
             true_var: None,
             touched: Vec::new(),
             touched_vars: HashSet::new(),
@@ -209,9 +224,9 @@ impl Encoder {
         self.touched_vars.clear();
     }
 
-    fn touch(&mut self, prim: &Prim, v: u32) {
-        if self.touched_vars.insert(v) {
-            self.touched.push((prim.clone(), v));
+    fn touch(&mut self, atom: usize) {
+        if self.touched_vars.insert(self.atoms[atom].var) {
+            self.touched.push(atom);
         }
     }
 
@@ -231,8 +246,8 @@ impl Encoder {
     }
 
     fn prim_var(&mut self, prim: Prim) -> u32 {
-        if let Some(&v) = self.prim_vars.get(&prim) {
-            self.touch(&prim, v);
+        if let Some(&atom) = self.prim_atoms.get(&prim) {
+            self.touch(atom);
             if prim.0.kind == ConKind::Eq {
                 // Re-touch the split companions: an assigned-false Eq is
                 // decided through them, so the theory pass must see them
@@ -241,18 +256,23 @@ impl Encoder {
                 self.prim_var(Prim(lt));
                 self.prim_var(Prim(gt));
             }
-            return v;
+            return self.atoms[atom].var;
         }
         let v = self.sat.new_var();
-        self.prim_vars.insert(prim.clone(), v);
-        self.prims.push((prim.clone(), v));
-        self.touch(&prim, v);
-        if prim.0.kind == ConKind::Eq {
+        let split = (prim.0.kind == ConKind::Eq).then(|| eq_split(&prim.0));
+        let negated = (prim.0.kind == ConKind::Le).then(|| negate_le(&prim.0));
+        self.prim_atoms.insert(prim.clone(), self.atoms.len());
+        self.atoms.push(TheoryAtom {
+            prim: prim.0,
+            negated,
+            var: v,
+        });
+        self.touch(self.atoms.len() - 1);
+        if let Some((lt, gt)) = split {
             // Eager case split: ¬(e = 0) → (e < 0 ∨ e > 0), plus mutual
             // exclusions for fast propagation. Root clauses: the atom→var
             // map outlives session frames, so the definitional clauses
             // must as well (they are theory-valid, not query-local).
-            let (lt, gt) = eq_split(&prim.0);
             let lv = self.prim_var(Prim(lt));
             let gv = self.prim_var(Prim(gt));
             self.sat
@@ -463,7 +483,6 @@ impl SmtSolver {
     /// concretization or uninterpreted functions first — that is the whole
     /// point of the paper.
     pub fn check(&self, formula: &Formula) -> Result<SmtResult, NonLinearError> {
-        let start = std::time::Instant::now();
         // Normalization (flatten/dedup/fold) is a logical equivalence over
         // the same atoms, so the memoized result — including a SAT model —
         // transfers to every formula with the same normal form. The arena
@@ -513,18 +532,6 @@ impl SmtSolver {
             if !deadline_unknown {
                 self.cache.insert(key, r.clone());
             }
-        }
-        if self.config.trace && start.elapsed().as_millis() > 200 {
-            eprintln!(
-                "[smt] {}ms apps={} result={:?}",
-                start.elapsed().as_millis(),
-                full.apps().len(),
-                result.as_ref().map(|r| match r {
-                    SmtResult::Sat(_) => "sat",
-                    SmtResult::Unsat => "unsat",
-                    SmtResult::Unknown => "unknown",
-                })
-            );
         }
         result
     }
@@ -630,31 +637,23 @@ impl SmtSolver {
                 SatResult::Sat(bmodel) => {
                     // Gather asserted theory constraints, remembering the
                     // boolean literal that asserted each.
-                    let mut constraints: Vec<IntConstraint> = Vec::new();
+                    let mut constraints: Vec<&IntConstraint> = Vec::new();
                     let mut asserting: Vec<Lit> = Vec::new();
-                    let relevant = if session { &enc.touched } else { &enc.prims };
-                    for (prim, var) in relevant {
-                        let assigned = bmodel[*var as usize];
-                        match prim.0.kind {
-                            ConKind::Eq => {
-                                if assigned {
-                                    constraints.push(prim.0.clone());
-                                    asserting.push(Lit::neg(*var));
-                                }
-                                // Negative equality contributes nothing:
-                                // the eager split clauses force one of the
-                                // strict sides instead.
-                            }
-                            ConKind::Le => {
-                                if assigned {
-                                    constraints.push(prim.0.clone());
-                                    asserting.push(Lit::neg(*var));
-                                } else {
-                                    constraints.push(negate_le(&prim.0));
-                                    asserting.push(Lit::pos(*var));
-                                }
-                            }
+                    // A fresh encoder has touched every atom, in
+                    // registration order; a session's only this query's.
+                    for &i in &enc.touched {
+                        let atom = &enc.atoms[i];
+                        let var = atom.var;
+                        if bmodel[var as usize] {
+                            constraints.push(&atom.prim);
+                            asserting.push(Lit::neg(var));
+                        } else if let Some(negated) = &atom.negated {
+                            constraints.push(negated);
+                            asserting.push(Lit::pos(var));
                         }
+                        // A negative equality contributes nothing: the
+                        // eager split clauses force one of the strict
+                        // sides instead.
                     }
                     let lia = LiaConfig {
                         node_budget: self.config.lia.node_budget.min(pool),
@@ -710,7 +709,7 @@ impl SmtSolver {
     /// unsatisfiable. Small cores make the blocking clauses strong, which
     /// keeps the lazy refinement loop from enumerating exponentially many
     /// boolean assignments.
-    fn minimize_core(&self, constraints: &[IntConstraint]) -> Vec<usize> {
+    fn minimize_core(&self, constraints: &[&IntConstraint]) -> Vec<usize> {
         let mut core: Vec<usize> = (0..constraints.len()).collect();
         // Cap the minimization work on very large assertion sets.
         if constraints.len() > 96 {
@@ -729,11 +728,11 @@ impl SmtSolver {
         };
         let mut i = 0;
         while i < core.len() {
-            let candidate: Vec<IntConstraint> = core
+            let candidate: Vec<&IntConstraint> = core
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
-                .map(|(_, &k)| constraints[k].clone())
+                .map(|(_, &k)| constraints[k])
                 .collect();
             if solve_int(&candidate, &lia).is_unsat() {
                 core.remove(i);
