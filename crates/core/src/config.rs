@@ -1,10 +1,11 @@
 //! Driver configuration.
 
 use crate::chaos::FaultPlan;
-use crate::trace::{fnv64, TraceConfig};
+use crate::trace::TraceConfig;
 use hotg_concolic::SymbolicMode;
-use hotg_logic::Formula;
-use hotg_solver::ValidityConfig;
+use hotg_logic::{Formula, StableHasher};
+use hotg_solver::lia::LiaConfig;
+use hotg_solver::{SmtConfig, ValidityConfig};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -145,24 +146,28 @@ pub struct DriverConfig {
     /// automatically. Default `true`; turn off to A/B the reference
     /// interpreter.
     pub bytecode: bool,
-    /// Worker threads for the generational directed search. Each
-    /// generation's targets are solved and executed concurrently against a
-    /// snapshot of the sample table, and merged back in deterministic
-    /// target order — so the resulting [`Report`](crate::Report) is
-    /// identical for every thread count (only the cache hit/miss counters
-    /// may differ). `1` processes targets inline on the calling thread;
-    /// the default is the machine's available parallelism.
+    /// Worker threads **per shard** for the generational directed
+    /// search: each shard's share of a generation is solved and executed
+    /// concurrently against a snapshot of the sample table, and merged
+    /// back in deterministic target order — so the resulting
+    /// [`Report`](crate::Report) is identical for every thread count
+    /// (only the cache hit/miss counters may differ). With `shards = 1`,
+    /// `1` processes targets inline on the calling thread, one per merge
+    /// step, so no target is solved after the campaign stops. The
+    /// default is the machine's available parallelism.
     pub threads: usize,
     /// Shards for the directed search: the campaign's branch-flip
-    /// targets are partitioned across this many shard schedulers by
-    /// stable path-key hash, each writing its own durable trace, with
+    /// targets are partitioned across this many shard passes by stable
+    /// path-key hash, one scoped thread per shard (each running
+    /// `threads` workers), each writing its own durable trace, with
     /// campaign state exchanged at generation boundaries. The merged
     /// result is **bit-identical** to a single-shard run for every
     /// shard count (see the `engine::shard` module docs for the
     /// determinism argument), so — like `threads` — this field is
     /// excluded from [`resume_digest`](DriverConfig::resume_digest).
-    /// `1` (the default) runs the classic single-scheduler campaign;
-    /// the random baseline has no targets to partition and ignores it.
+    /// `1` (the default) is the same loop with no partitioning, no
+    /// state exchange and no shard traces; the random baseline has no
+    /// targets to partition and ignores it.
     pub shards: usize,
     /// Wall-clock budget for one search target (solver queries, strategy
     /// interpretation, probes, degradation attempts). The cutoff is
@@ -279,45 +284,66 @@ impl DriverConfig {
     /// *durations* are included: resuming under a different budget is a
     /// behavioural change.
     pub fn resume_digest(&self) -> u64 {
-        let v = &self.validity;
-        let s = &v.smt;
-        let l = &s.lia;
+        // Exhaustive destructures (no `..`): a new field does not compile
+        // until it is classified as behavioural (rendered) or excluded.
+        let DriverConfig {
+            max_runs,
+            fuel,
+            validity,
+            seed,
+            random_range,
+            cross_run_samples,
+            max_probes_per_target,
+            initial_inputs,
+            seed_corpus,
+            static_pruning,
+            bytecode: _,
+            threads: _,
+            shards: _,
+            target_deadline,
+            campaign_deadline,
+            retry_escalation,
+            degradation_ladder,
+            fault_plan,
+            event_trace: _,
+            trace: _,
+            query_log: _,
+        } = self;
+        let ValidityConfig {
+            smt,
+            max_cubes,
+            max_candidates,
+            counter_shifts,
+        } = validity;
+        let SmtConfig {
+            lia,
+            max_rounds,
+            total_node_budget,
+            deadline: _,
+            incremental,
+            pre_solve,
+        } = smt;
+        let LiaConfig {
+            var_min,
+            var_max,
+            node_budget,
+            prefer_small,
+            deadline: _,
+        } = lia;
         let rendered = format!(
-            "max_runs={} fuel={} seed={} random_range={:?} cross_run_samples={} \
-             max_probes_per_target={} initial_inputs={:?} seed_corpus={:?} \
-             static_pruning={} retry_escalation={} degradation_ladder={} \
-             fault_plan={:?} target_deadline={:?} campaign_deadline={:?} \
-             validity.max_cubes={} validity.max_candidates={} \
-             validity.counter_shifts={:?} smt.max_rounds={} \
-             smt.total_node_budget={} smt.incremental={} smt.pre_solve={} \
-             lia.var_min={} lia.var_max={} lia.node_budget={} lia.prefer_small={}",
-            self.max_runs,
-            self.fuel,
-            self.seed,
-            self.random_range,
-            self.cross_run_samples,
-            self.max_probes_per_target,
-            self.initial_inputs,
-            self.seed_corpus,
-            self.static_pruning,
-            self.retry_escalation,
-            self.degradation_ladder,
-            self.fault_plan,
-            self.target_deadline,
-            self.campaign_deadline,
-            v.max_cubes,
-            v.max_candidates,
-            v.counter_shifts,
-            s.max_rounds,
-            s.total_node_budget,
-            s.incremental,
-            s.pre_solve,
-            l.var_min,
-            l.var_max,
-            l.node_budget,
-            l.prefer_small,
+            "max_runs={max_runs} fuel={fuel} seed={seed} random_range={random_range:?} \
+             cross_run_samples={cross_run_samples} \
+             max_probes_per_target={max_probes_per_target} initial_inputs={initial_inputs:?} \
+             seed_corpus={seed_corpus:?} static_pruning={static_pruning} \
+             retry_escalation={retry_escalation} degradation_ladder={degradation_ladder} \
+             fault_plan={fault_plan:?} target_deadline={target_deadline:?} \
+             campaign_deadline={campaign_deadline:?} validity.max_cubes={max_cubes} \
+             validity.max_candidates={max_candidates} validity.counter_shifts={counter_shifts:?} \
+             smt.max_rounds={max_rounds} smt.total_node_budget={total_node_budget} \
+             smt.incremental={incremental} smt.pre_solve={pre_solve} lia.var_min={var_min} \
+             lia.var_max={var_max} lia.node_budget={node_budget} lia.prefer_small={prefer_small}",
         );
-        fnv64(rendered.as_bytes())
+        StableHasher::digest(rendered.as_bytes())
     }
 }
 
@@ -414,5 +440,15 @@ mod tests {
         let mut d = DriverConfig::default();
         d.fault_plan = Some(FaultPlan::uniform(1, 0.5));
         assert_ne!(a.resume_digest(), d.resume_digest());
+    }
+
+    /// Pins the rendered digest: a refactor of `resume_digest` that
+    /// moves it would refuse every trace recorded before it.
+    #[test]
+    fn default_resume_digest_is_pinned() {
+        assert_eq!(
+            DriverConfig::default().resume_digest(),
+            0x9713_9fc3_4ac8_60f8
+        );
     }
 }

@@ -29,6 +29,7 @@ use crate::report::Report;
 use crate::strategy;
 use crate::trace::{
     program_digest, recover, shard_digest, shard_trace_path, Recovery, RecoveryReport, ResumeError,
+    TraceHeader,
 };
 use hotg_analysis::{analyze, AnalysisResult};
 use hotg_concolic::ConcolicContext;
@@ -125,7 +126,9 @@ impl<'p> Driver<'p> {
     /// [`CampaignEvent`]: crate::CampaignEvent
     pub fn run_with_sink(&self, technique: Technique, sink: &mut dyn EventSink) -> Report {
         let start = std::time::Instant::now();
-        let mut report = self.engine().run(strategy::for_technique(technique), sink);
+        let (mut report, _) =
+            self.engine()
+                .run(strategy::for_technique(technique), sink, Vec::new());
         report.elapsed = start.elapsed();
         report
     }
@@ -168,7 +171,10 @@ impl<'p> Driver<'p> {
     /// deterministically under the configuration that recorded it. A
     /// trace that already ends in `CampaignFinished` short-circuits: the
     /// report is folded straight from the recorded events and the file
-    /// is left untouched.
+    /// is left untouched. A sharded campaign (`DriverConfig::shards` > 1)
+    /// otherwise resumes from its per-shard traces, each salvaged and
+    /// header-checked the same way; the counts in the [`RecoveryReport`]
+    /// are then summed over the shards.
     pub fn resume_with_sink(
         &self,
         technique: Technique,
@@ -180,40 +186,20 @@ impl<'p> Driver<'p> {
             .trace
             .as_ref()
             .ok_or(ResumeError::NoTraceConfigured)?;
-        let sharded = self.config.shards > 1;
-        let rec = match recover(&tc.path) {
-            Ok(rec) => rec,
+        let shards = self.config.shards.max(1);
+        let cdigest = self.config.resume_digest();
+        let canonical = match recover(&tc.path) {
+            Ok(rec) => {
+                self.check_header(&rec.header, technique, cdigest)?;
+                Some(rec)
+            }
             // A sharded campaign's real checkpoints are its shard
             // traces: a canonical trace that is lost or unreadable only
             // forfeits the complete-trace fast path below.
-            Err(_) if sharded => return self.resume_sharded(technique, sink, start),
+            Err(_) if shards > 1 => None,
             Err(e) => return Err(e),
         };
-        if rec.header.technique != technique {
-            return Err(ResumeError::HeaderMismatch {
-                field: "technique",
-                expected: rec.header.technique.name().to_string(),
-                found: technique.name().to_string(),
-            });
-        }
-        let pdigest = program_digest(self.program);
-        if rec.header.program_digest != pdigest {
-            return Err(ResumeError::HeaderMismatch {
-                field: "program_digest",
-                expected: format!("{:016x}", rec.header.program_digest),
-                found: format!("{pdigest:016x}"),
-            });
-        }
-        let cdigest = self.config.resume_digest();
-        if rec.header.config_digest != cdigest {
-            return Err(ResumeError::HeaderMismatch {
-                field: "config_digest",
-                expected: format!("{:016x}", rec.header.config_digest),
-                found: format!("{cdigest:016x}"),
-            });
-        }
-        let frames_salvaged = rec.events.len();
-        if rec.complete {
+        if let Some(rec) = canonical.as_ref().filter(|rec| rec.complete) {
             // The trace records a finished campaign: the report is its
             // fold. Nothing re-runs and the file is left untouched.
             let mut report = fold_report(&rec.events);
@@ -224,130 +210,98 @@ impl<'p> Driver<'p> {
             return Ok(Resumed {
                 report,
                 recovery: RecoveryReport {
-                    frames_salvaged,
-                    events_replayed: frames_salvaged,
+                    frames_salvaged: rec.events.len(),
+                    events_replayed: rec.events.len(),
                     bytes_discarded: rec.bytes_discarded,
                     frames_discarded: rec.frames_discarded,
                     complete: true,
-                    damage: rec.damage,
+                    damage: rec.damage.clone(),
                 },
             });
         }
-        if sharded {
-            // An incomplete canonical trace of a sharded campaign is
-            // discarded (it is rewritten live on the resumed run); the
-            // shard traces are the checkpoints replay works from.
-            return self.resume_sharded(technique, sink, start);
-        }
-        let resume = ResumeData {
-            events: rec.events,
-            ends: rec.ends,
-            header_end: rec.header_end,
+        // The checkpoints replay works from: the canonical trace at
+        // N = 1; at N > 1 the shard traces, each recovered and
+        // header-checked on its own (an incomplete canonical trace is
+        // rewritten live). A shard whose trace is lost outright re-runs
+        // live; a header mismatch is refused — it means the trace
+        // belongs to a different campaign shape.
+        let recs: Vec<Option<Recovery>> = if shards == 1 {
+            vec![canonical]
+        } else {
+            (0..shards)
+                .map(|i| match recover(&shard_trace_path(&tc.path, i, shards)) {
+                    Ok(rec) => self
+                        .check_header(&rec.header, technique, shard_digest(cdigest, i, shards))
+                        .map(|()| Some(rec)),
+                    Err(ResumeError::Io(_)) => Ok(None),
+                    Err(e) => Err(e),
+                })
+                .collect::<Result<_, _>>()?
         };
-        let (mut report, events_replayed) = self.engine().run_resumable(
-            strategy::for_technique(technique),
-            sink,
-            Some(resume),
-            Vec::new(),
-        );
+        let mut recovery = RecoveryReport::default();
+        let resume = recs
+            .into_iter()
+            .map(|rec| {
+                rec.map(|rec| {
+                    recovery.frames_salvaged += rec.events.len();
+                    recovery.bytes_discarded += rec.bytes_discarded;
+                    recovery.frames_discarded += rec.frames_discarded;
+                    recovery.damage = recovery.damage.take().or(rec.damage);
+                    ResumeData {
+                        events: rec.events,
+                        ends: rec.ends,
+                        header_end: rec.header_end,
+                    }
+                })
+            })
+            .collect();
+        let (mut report, events_replayed) =
+            self.engine()
+                .run(strategy::for_technique(technique), sink, resume);
         report.elapsed = start.elapsed();
-        Ok(Resumed {
-            report,
-            recovery: RecoveryReport {
-                frames_salvaged,
-                events_replayed,
-                bytes_discarded: rec.bytes_discarded,
-                frames_discarded: rec.frames_discarded,
-                complete: false,
-                damage: rec.damage,
-            },
-        })
+        recovery.events_replayed = events_replayed;
+        Ok(Resumed { report, recovery })
     }
 
-    /// Resumes a sharded campaign from its per-shard traces. Each shard
-    /// trace is recovered and header-checked independently; a shard
-    /// whose trace is lost outright simply re-runs live (its salvaged
-    /// prefix is empty), while a header mismatch is refused — it means
-    /// the trace belongs to a different campaign shape. The canonical
-    /// trace is rewritten from scratch by the resumed run.
-    fn resume_sharded(
+    /// Refuses a trace recorded by a different campaign: its technique,
+    /// program digest and config digest (`config_digest`: the resume
+    /// digest, or a shard's derived one) must all match.
+    fn check_header(
         &self,
+        header: &TraceHeader,
         technique: Technique,
-        sink: &mut dyn EventSink,
-        start: std::time::Instant,
-    ) -> Result<Resumed, ResumeError> {
-        let tc = self.config.trace.as_ref().expect("checked by caller");
-        let shards = self.config.shards;
-        let cdigest = self.config.resume_digest();
-        let pdigest = program_digest(self.program);
-        let mut frames_salvaged = 0;
-        let mut bytes_discarded = 0;
-        let mut frames_discarded = 0;
-        let mut damage = None;
-        let mut shard_resume: Vec<Option<ResumeData>> = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let path = shard_trace_path(&tc.path, i, shards);
-            let rec: Recovery = match recover(&path) {
-                Ok(rec) => rec,
-                // Lost shard checkpoint: the shard re-runs live.
-                Err(ResumeError::Io(_)) => {
-                    shard_resume.push(None);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if rec.header.technique != technique {
-                return Err(ResumeError::HeaderMismatch {
-                    field: "technique",
-                    expected: rec.header.technique.name().to_string(),
-                    found: technique.name().to_string(),
-                });
-            }
-            if rec.header.program_digest != pdigest {
-                return Err(ResumeError::HeaderMismatch {
-                    field: "program_digest",
-                    expected: format!("{:016x}", rec.header.program_digest),
-                    found: format!("{pdigest:016x}"),
-                });
-            }
-            let expected = shard_digest(cdigest, i, shards);
-            if rec.header.config_digest != expected {
-                return Err(ResumeError::HeaderMismatch {
-                    field: "config_digest",
-                    expected: format!("{:016x}", rec.header.config_digest),
-                    found: format!("{expected:016x}"),
-                });
-            }
-            frames_salvaged += rec.events.len();
-            bytes_discarded += rec.bytes_discarded;
-            frames_discarded += rec.frames_discarded;
-            if damage.is_none() {
-                damage = rec.damage;
-            }
-            shard_resume.push(Some(ResumeData {
-                events: rec.events,
-                ends: rec.ends,
-                header_end: rec.header_end,
-            }));
+        config_digest: u64,
+    ) -> Result<(), ResumeError> {
+        let mismatch = |field, expected, found| {
+            Err(ResumeError::HeaderMismatch {
+                field,
+                expected,
+                found,
+            })
+        };
+        if header.technique != technique {
+            return mismatch(
+                "technique",
+                header.technique.name().to_string(),
+                technique.name().to_string(),
+            );
         }
-        let (mut report, events_replayed) = self.engine().run_resumable(
-            strategy::for_technique(technique),
-            sink,
-            None,
-            shard_resume,
-        );
-        report.elapsed = start.elapsed();
-        Ok(Resumed {
-            report,
-            recovery: RecoveryReport {
-                frames_salvaged,
-                events_replayed,
-                bytes_discarded,
-                frames_discarded,
-                complete: false,
-                damage,
-            },
-        })
+        let pdigest = program_digest(self.program);
+        if header.program_digest != pdigest {
+            return mismatch(
+                "program_digest",
+                format!("{:016x}", header.program_digest),
+                format!("{pdigest:016x}"),
+            );
+        }
+        if header.config_digest != config_digest {
+            return mismatch(
+                "config_digest",
+                format!("{:016x}", header.config_digest),
+                format!("{config_digest:016x}"),
+            );
+        }
+        Ok(())
     }
 }
 

@@ -4,11 +4,11 @@
 //! durable trace — its checkpoint and interchange format) plus the
 //! coordinator's canonical stream. Both merges live here:
 //!
-//! * **online** — the coordinator collects each generation's per-target
-//!   [`ShardBlock`]s from the shard schedulers and [`interleave`]s them
-//!   back into canonical target order before re-emitting, so
-//!   [`fold_report`](crate::fold_report) and every sink observe exactly
-//!   the stream a single-shard run would have emitted;
+//! * **online** — the coordinator puts each generation's per-target
+//!   blocks from the shard passes back into canonical target order
+//!   before re-emitting, so [`fold_report`](crate::fold_report) and
+//!   every sink observe exactly the stream a single-shard run would have
+//!   emitted;
 //! * **offline** — [`merge_shard_streams`] folds N recorded shard
 //!   streams into one canonical stream after the fact, using the
 //!   canonical ordinals stamped into
@@ -16,8 +16,8 @@
 //!   enough to reconstruct the canonical stream (minus campaign-level
 //!   telemetry that lives outside any shard).
 //!
-//! [`outcome_block`] is the shared emission-order truth: the scheduler's
-//! merge step, the shard schedulers, and the resume replay's
+//! [`outcome_block`] is the shared emission-order truth: the
+//! coordinator's merge step, the shard traces, and the resume replay's
 //! verification gate all derive a target's event block from it, so the
 //! three can never drift apart.
 
@@ -28,8 +28,7 @@ use crate::report::Origin;
 
 /// The event unit one executed run contributes to the stream: optional
 /// static-pruning count, optional injected interpreter fault, optional
-/// origin announcement, then the record. Shared by the seed phase
-/// ([`Engine::merge_run`](super::Engine::merge_run)) and
+/// origin announcement, then the record. Shared by the seed phase and
 /// [`outcome_block`].
 pub(crate) fn run_unit(run: &WorkerRun) -> Vec<CampaignEvent> {
     let mut unit = Vec::new();
@@ -104,27 +103,21 @@ pub(crate) fn outcome_block(job: &Job, out: &TargetOutcome) -> Vec<CampaignEvent
     block
 }
 
-/// One processed target handed back by a shard scheduler: its canonical
-/// position within the generation, the event block the shard emitted
-/// into its own trace, and the outcome whose state effects the
-/// coordinator still has to fold.
-pub(crate) struct ShardBlock {
+/// One target block of a recorded shard stream: its canonical position
+/// within the generation and the events the shard recorded for it.
+struct ShardBlock {
     /// The target's position in the generation's canonical job order.
-    pub(crate) ordinal: usize,
+    ordinal: usize,
     /// The block events, exactly as the shard recorded them
     /// ([`outcome_block`] output).
-    pub(crate) events: Vec<CampaignEvent>,
-    /// The outcome, for [`CampaignState::fold_outcome`].
-    ///
-    /// [`CampaignState::fold_outcome`]: super::state::CampaignState::fold_outcome
-    pub(crate) outcome: TargetOutcome,
+    events: Vec<CampaignEvent>,
 }
 
 /// Interleaves each shard's blocks back into canonical generation order.
 /// The ordinals must partition `0..width` exactly — the partitioner
-/// assigns every job to exactly one shard, so anything else is a merge
-/// bug, reported rather than silently reordered.
-pub(crate) fn interleave(
+/// assigns every job to exactly one shard, so anything else is a
+/// corrupt stream, reported rather than silently reordered.
+fn interleave(
     per_shard: Vec<Vec<ShardBlock>>,
     width: usize,
 ) -> Result<Vec<ShardBlock>, MergeError> {
@@ -278,7 +271,6 @@ impl<'a> Cursor<'a> {
             blocks.push(ShardBlock {
                 ordinal,
                 events: self.events[start..self.pos].to_vec(),
-                outcome: TargetOutcome::default(),
             });
         }
         Ok(Some((index, scheduled, blocks)))

@@ -1,7 +1,7 @@
 //! The strategy-pluggable campaign engine.
 //!
 //! The engine owns everything a test-generation campaign shares across
-//! techniques — the generational scheduler ([`scheduler`]), the
+//! techniques — the generational search ([`shard`]), the
 //! degradation ladder ([`ladder`]), chaos injection, panic isolation,
 //! escalated-budget retries, and the merge of worker results — while
 //! the technique-specific behavior (path-constraint production, flip
@@ -16,26 +16,31 @@
 //!
 //! # Parallel generational search
 //!
-//! Each generation is processed in two phases. First, its targets are
-//! filtered through the dedup set in deterministic order; then every
-//! surviving target is processed as a *pure function* of the target and a
-//! snapshot of the sample table taken at generation start — solver
-//! queries, strategy interpretation, and probe executions all run against
-//! thread-local state. A `std::thread::scope` worker pool (size
-//! [`DriverConfig::threads`]) pulls targets off an atomic cursor; the
-//! per-target outcomes are merged back into the report, the sample table,
-//! and the next generation's worklist **in target order** on the calling
-//! thread. Because the per-target computation never observes shared
-//! mutable state and the merge order is fixed, the resulting [`Report`]
-//! is identical for every thread count (only the solver-cache hit/miss
-//! counters can differ — racing workers may each miss a key one of them
-//! is about to fill, but the cached values are pure functions of the key).
+//! One loop ([`shard`]) runs the directed search for every shard count;
+//! a single-shard campaign is its N = 1 case. Each generation is
+//! processed in two phases. First, its targets are filtered through the
+//! dedup set in deterministic order; then every surviving target is
+//! processed as a *pure function* of the target and a snapshot of the
+//! sample table taken at generation start — solver queries, strategy
+//! interpretation, and probe executions all run against thread-local
+//! state. [`DriverConfig::shards`] splits the targets across shard
+//! passes (one scoped thread per shard when N > 1), and each pass runs
+//! its targets on a `std::thread::scope` pool of [`DriverConfig::threads`]
+//! workers pulling off an atomic cursor; at N = 1 with one thread the
+//! pass runs inline, one target per merge step. The per-target outcomes
+//! are merged back into the report, the sample table, and the next
+//! generation's worklist **in target order** on the calling thread.
+//! Because the per-target computation never observes shared mutable
+//! state and the merge order is fixed, the resulting [`Report`] is
+//! identical for every shard and thread count (only the solver-cache
+//! hit/miss counters can differ — racing workers may each miss a key one
+//! of them is about to fill, but the cached values are pure functions of
+//! the key).
 
 pub(crate) mod ladder;
 pub(crate) mod merge;
 pub(crate) mod outcome;
 pub(crate) mod resume;
-pub(crate) mod scheduler;
 pub(crate) mod shard;
 pub(crate) mod state;
 
@@ -44,7 +49,10 @@ use crate::config::DriverConfig;
 use crate::events::{CampaignEvent, EventSink, JsonlSink};
 use crate::report::{Origin, Report, RunRecord};
 use crate::strategy::{Strategy, TargetCx};
-use crate::trace::{program_digest, TraceConfig, TraceErrorPolicy, TraceHeader, TraceWriter};
+use crate::trace::{
+    program_digest, shard_digest, shard_trace_path, TraceConfig, TraceErrorPolicy, TraceHeader,
+    TraceWriter,
+};
 use hotg_analysis::AnalysisResult;
 use hotg_concolic::{
     diverged, execute_compiled_profiled, execute_profiled, ConcolicContext, ConcolicRun,
@@ -149,12 +157,12 @@ struct Replay {
 /// permanently disables that sink, is tallied into `sink_errors`, and
 /// the campaign continues. The durable trace can opt into
 /// [`TraceErrorPolicy::FailFast`] instead, which additionally trips a
-/// flag the scheduler checks at merge boundaries.
+/// flag the directed search checks at merge boundaries.
 pub(crate) struct Emitter<'s> {
     pub(crate) report: Report,
     trace: Option<JsonlSink>,
-    external: &'s mut dyn EventSink,
-    external_dead: bool,
+    /// The caller's sink (`None` for shard streams, or once it failed).
+    external: Option<&'s mut dyn EventSink>,
     durable: Durable,
     replay: Option<Replay>,
     /// Chaos plan handed to writers opened mid-campaign (resume).
@@ -209,9 +217,11 @@ impl Emitter<'_> {
                 self.trace = None;
             }
         }
-        if !self.external_dead && self.external.emit(event).is_err() {
-            self.sink_errors += 1;
-            self.external_dead = true;
+        if let Some(external) = &mut self.external {
+            if external.emit(event).is_err() {
+                self.sink_errors += 1;
+                self.external = None;
+            }
         }
     }
 
@@ -278,11 +288,6 @@ impl Emitter<'_> {
         }
     }
 
-    /// Whether recorded events remain to be consumed by the replay.
-    pub(crate) fn replay_active(&self) -> bool {
-        self.replay.as_ref().is_some_and(|r| r.pos < r.events.len())
-    }
-
     /// The not-yet-consumed recorded events (empty when no replay).
     pub(crate) fn replay_rest(&self) -> &[CampaignEvent] {
         match &self.replay {
@@ -343,107 +348,100 @@ impl Emitter<'_> {
 }
 
 impl<'a> Engine<'a> {
-    /// Runs one campaign under `strategy`, streaming events into the
-    /// report fold, the configured traces, and `external`.
-    pub(crate) fn run(&self, strategy: &dyn Strategy, external: &mut dyn EventSink) -> Report {
-        self.run_resumable(strategy, external, None, Vec::new()).0
-    }
-
-    /// Runs one campaign, optionally replaying a salvaged trace prefix
-    /// (resume). A sharded campaign (`DriverConfig::shards` > 1) resumes
-    /// from its per-shard traces instead: `shard_resume[i]` carries
-    /// shard `i`'s salvaged prefix (`None` for a shard whose trace was
-    /// lost entirely — that shard simply re-runs live). Returns the
-    /// report plus the number of recorded events the replays consumed
-    /// (summed across shards for a sharded campaign).
-    pub(crate) fn run_resumable(
+    /// Opens an event funnel on the canonical stream (`shard: None`, fed
+    /// to `external` and the optional JSONL trace) or on shard `i`'s
+    /// stream (`Some(i)`), then emits the campaign preamble. The durable
+    /// trace is created with a fresh header — for a shard, at the shard
+    /// path with the [`shard_digest`]-derived config digest — or, when
+    /// `resume` carries a salvaged prefix, left in place behind a replay
+    /// cursor. A trace that cannot be created counts as a sink error
+    /// (and trips fail-fast under that policy).
+    fn open_emitter<'s>(
         &self,
         strategy: &dyn Strategy,
-        external: &mut dyn EventSink,
+        shard: Option<usize>,
         resume: Option<ResumeData>,
-        shard_resume: Vec<Option<ResumeData>>,
-    ) -> (Report, usize) {
-        let trace = self.config.event_trace.as_ref().and_then(|path| {
-            JsonlSink::create(path)
-                .map_err(|e| {
-                    eprintln!("hotg: cannot open event trace {}: {e}", path.display());
-                })
-                .ok()
-        });
+        external: Option<&'s mut dyn EventSink>,
+    ) -> Emitter<'s> {
+        let trace = self
+            .config
+            .event_trace
+            .as_ref()
+            .filter(|_| shard.is_none())
+            .and_then(|path| {
+                JsonlSink::create(path)
+                    .map_err(|e| {
+                        eprintln!("hotg: cannot open event trace {}: {e}", path.display());
+                    })
+                    .ok()
+            });
         let policy = self
             .config
             .trace
             .as_ref()
             .map(|t| t.on_error)
             .unwrap_or_default();
+        let shards = self.config.shards;
+        let config = self.config.trace.as_ref().map(|tc| TraceConfig {
+            path: match shard {
+                Some(i) => shard_trace_path(&tc.path, i, shards),
+                None => tc.path.clone(),
+            },
+            // The kill-switch chaos arms on the shard the plan names, or
+            // on the canonical trace when it names none.
+            chaos_kill_at_event: tc
+                .chaos_kill_at_event
+                .filter(|_| tc.chaos_kill_shard == shard),
+            chaos_kill_shard: None,
+            ..tc.clone()
+        });
         let mut startup_errors = 0;
-        let (durable, replay) = match resume {
-            Some(rd) => {
-                let config = self
-                    .config
-                    .trace
-                    .clone()
-                    .expect("resume requires a configured durable trace");
-                (
-                    Durable::Pending {
-                        config,
-                        ends: rd.ends,
-                        header_end: rd.header_end,
-                    },
-                    Some(Replay {
-                        events: rd.events,
-                        pos: 0,
-                    }),
-                )
-            }
-            None => {
-                let durable = match &self.config.trace {
-                    Some(tc) => {
-                        let header = TraceHeader {
-                            program: self.program.name.clone(),
-                            program_digest: program_digest(self.program),
-                            config_digest: self.config.resume_digest(),
-                            technique: strategy.technique(),
-                            seed: self.config.seed,
-                            fsync: tc.fsync,
-                        };
-                        // When the kill-switch chaos names a shard, it
-                        // arms on that shard's writer only; the
-                        // canonical trace keeps it when no shard is
-                        // named.
-                        let kill_at = if tc.chaos_kill_shard.is_some() {
-                            None
-                        } else {
-                            tc.chaos_kill_at_event
-                        };
-                        match TraceWriter::create(
-                            &tc.path,
-                            &header,
-                            tc.fsync,
-                            self.config.fault_plan.clone(),
-                            kill_at,
-                        ) {
-                            Ok(w) => Durable::Writing(w),
-                            Err(e) => {
-                                eprintln!(
-                                    "hotg: cannot create durable trace {}: {e}",
-                                    tc.path.display()
-                                );
-                                startup_errors = 1;
-                                Durable::Off
-                            }
-                        }
-                    }
-                    None => Durable::Off,
+        let (durable, replay) = match (config, resume) {
+            (Some(config), Some(rd)) => (
+                Durable::Pending {
+                    config,
+                    ends: rd.ends,
+                    header_end: rd.header_end,
+                },
+                Some(Replay {
+                    events: rd.events,
+                    pos: 0,
+                }),
+            ),
+            (Some(config), None) => {
+                let digest = self.config.resume_digest();
+                let header = TraceHeader {
+                    program: self.program.name.clone(),
+                    program_digest: program_digest(self.program),
+                    config_digest: shard.map_or(digest, |i| shard_digest(digest, i, shards)),
+                    technique: strategy.technique(),
+                    seed: self.config.seed,
+                    fsync: config.fsync,
                 };
-                (durable, None)
+                match TraceWriter::create(
+                    &config.path,
+                    &header,
+                    config.fsync,
+                    self.config.fault_plan.clone(),
+                    config.chaos_kill_at_event,
+                ) {
+                    Ok(w) => (Durable::Writing(w), None),
+                    Err(e) => {
+                        eprintln!(
+                            "hotg: cannot create durable trace {}: {e}",
+                            config.path.display()
+                        );
+                        startup_errors = 1;
+                        (Durable::Off, None)
+                    }
+                }
             }
+            (None, _) => (Durable::Off, None),
         };
         let mut em = Emitter {
             report: Report::empty(),
             trace,
             external,
-            external_dead: false,
             durable,
             replay,
             plan: self.config.fault_plan.clone(),
@@ -464,12 +462,30 @@ impl<'a> Engine<'a> {
                 reason: reason.to_string(),
             });
         }
+        em
+    }
+
+    /// Runs one campaign under `strategy`, streaming events into the
+    /// report fold, the configured traces, and `external`. `resume`
+    /// carries the salvaged prefixes of the campaign's checkpoints when
+    /// it resumes (empty otherwise): the canonical trace's at N = 1,
+    /// shard `i`'s at index `i` when N > 1 (`None` for a shard whose
+    /// trace was lost — that shard re-runs live). Returns the report
+    /// plus the number of recorded events the replays consumed.
+    pub(crate) fn run(
+        &self,
+        strategy: &dyn Strategy,
+        external: &mut dyn EventSink,
+        resume: Vec<Option<ResumeData>>,
+    ) -> (Report, usize) {
+        let (canonical, shard_resume) = if self.config.shards > 1 {
+            (None, resume)
+        } else {
+            (resume.into_iter().next().flatten(), Vec::new())
+        };
+        let mut em = self.open_emitter(strategy, None, canonical, Some(external));
         if strategy.is_directed() {
-            if self.config.shards > 1 {
-                self.directed_sharded(strategy, &mut em, shard_resume);
-            } else {
-                self.directed(strategy, &mut em);
-            }
+            self.directed(strategy, &mut em, shard_resume);
         } else {
             // The random baseline has no branch-flip targets to
             // partition; `shards` is a no-op for it.
@@ -591,14 +607,8 @@ impl<'a> Engine<'a> {
     fn random_campaign(&self, em: &mut Emitter<'_>) {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let campaign_end = self.campaign_end();
-        for i in 0..self.config.max_runs {
-            if em.fail_fast_tripped() {
-                break;
-            }
-            if campaign_end.expired() {
-                em.emit(CampaignEvent::CampaignTimedOut);
-                break;
-            }
+        while !self.should_stop(em, campaign_end) {
+            let i = em.report.runs.len();
             let inputs = if i == 0 {
                 self.initial_inputs(&mut rng)
             } else {
@@ -633,8 +643,8 @@ impl<'a> Engine<'a> {
 
     /// Executes one concolic run under `profile` and expands its
     /// branch-flip targets. Pure with respect to the campaign state:
-    /// safe to call from worker threads; the result is folded in by
-    /// [`Engine::merge_run`].
+    /// safe to call from worker threads; the result is folded in by the
+    /// coordinator's in-order merge.
     pub(crate) fn execute_run(
         &self,
         inputs: Vec<i64>,

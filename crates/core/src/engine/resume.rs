@@ -7,7 +7,7 @@
 //! everything except `process_target` — per-target solver and validity
 //! queries dominate campaign time — so while the salvaged prefix still
 //! covers whole per-target blocks (delimited by
-//! [`CampaignEvent::TargetClosed`]), the scheduler calls
+//! [`CampaignEvent::TargetClosed`]), the shard pass calls
 //! [`reconstruct_outcome`] to rebuild the [`TargetOutcome`] from the
 //! recorded events:
 //!
@@ -25,7 +25,7 @@
 //! step will emit for the reconstructed outcome is simulated and
 //! compared against the recorded block. Any inconsistency — corruption
 //! that survived CRC framing, a semantics drift between versions —
-//! returns `None`, and the scheduler falls back to live processing
+//! returns `None`, and the shard pass falls back to live processing
 //! (which abandons the replay at the first diverging event and truncates
 //! the trace there). A wrong report is never produced: reconstruction
 //! either reproduces the recorded facts exactly or steps aside.
@@ -41,14 +41,15 @@ use hotg_concolic::SymbolicMode;
 use hotg_solver::Samples;
 
 /// Rebuilds the [`TargetOutcome`] of `job` from the recorded events at
-/// the head of `prefix`, or `None` if the prefix does not begin with a
-/// complete, consistent block for this target.
+/// the head of `prefix`, returned with the length of its block, or
+/// `None` if the prefix does not begin with a complete, consistent block
+/// for this target.
 pub(crate) fn reconstruct_outcome(
     engine: &Engine<'_>,
     strategy: &dyn Strategy,
     job: &Job,
     prefix: &[CampaignEvent],
-) -> Option<TargetOutcome> {
+) -> Option<(TargetOutcome, usize)> {
     let close = prefix
         .iter()
         .position(|e| matches!(e, CampaignEvent::TargetClosed { .. }))?;
@@ -59,7 +60,7 @@ pub(crate) fn reconstruct_outcome(
     let mut out = TargetOutcome::default();
     let mut i = 0;
 
-    // Header counters, in merge_outcome's fixed emission order.
+    // Header counters, in outcome_block's fixed emission order.
     if let Some(CampaignEvent::SolverQueries { count }) = block.get(i) {
         out.solver_calls = *count;
         i += 1;
@@ -175,7 +176,7 @@ pub(crate) fn reconstruct_outcome(
 
     // Final gate: derive exactly what the merge step will emit for this
     // outcome ([`super::merge::outcome_block`], the single emission
-    // truth shared with the scheduler and the shard coordinator) and
+    // truth shared with the coordinator's merge loop) and
     // require it to equal the recorded block. Guarantees the replay
     // cursor consumes the whole block (so a parse that drifted from the
     // recorded stream can never merge, then diverge mid-block into a
@@ -183,7 +184,7 @@ pub(crate) fn reconstruct_outcome(
     if super::merge::outcome_block(job, &out) != prefix[..=close] {
         return None;
     }
-    Some(out)
+    Some((out, close + 1))
 }
 
 /// Probe and strategy runs always evaluate with uninterpreted

@@ -1,457 +1,303 @@
-//! The sharded campaign coordinator.
+//! The generational directed search: one coordinator for every shard
+//! count.
 //!
-//! A sharded campaign (`DriverConfig::shards` > 1) splits each
-//! generation's branch-flip targets across N shard schedulers by stable
-//! path-key hash ([`Partitioner`]) and merges their results back into
-//! the canonical event stream — **bit-identical** to the stream a
-//! single-shard run emits (modulo the announcement-only
-//! [`CampaignEvent::ShardStats`] tail).
+//! Every whitebox strategy runs SAGE's generational search — seed runs,
+//! then breadth-first generations of branch-flip targets — through one
+//! loop, [`Engine::directed`]. `DriverConfig::shards` = N splits each
+//! generation's targets across N shards by stable path-key hash
+//! ([`Partitioner`]); N = 1 is the degenerate case of the same loop,
+//! with no partitioning, no state exchange and no shard traces. The
+//! loop runs, in order:
 //!
-//! # Roles
+//! 1. the seed phase;
+//! 2. per generation: the stop test ([`Engine::should_stop`]), the
+//!    dedup filter, then `GenerationStarted` / `TargetScheduled`;
+//! 3. only when N > 1: the [`StateDelta`] broadcast, the partition, and
+//!    each shard's generation header in its own trace;
+//! 4. one pass per shard: stage-A reconstruction from the shard's
+//!    salvaged trace tail while it lasts, live `process_target` after;
+//! 5. the in-order merge, with the stop test before every block;
+//! 6. one solver-stats tail summed over the shards' solvers
+//!    ([`CampaignEvent::ShardStats`] only when N > 1).
 //!
-//! The **coordinator** (this module, merge thread) does every piece of
-//! canonically-ordered sequential work itself: the seed phase, dedup
-//! filtering, generation/target scheduling events, stop checks, and the
-//! in-order fold of target outcomes into [`CampaignState`]. **Shards**
-//! only ever do the embarrassingly parallel part — processing a target
-//! as a pure function of `(target, sample-table snapshot)` — exactly
-//! the work the single-shard worker pool distributes across threads.
+//! The **coordinator** (merge thread) does every piece of
+//! canonically-ordered sequential work: steps 1–3, 5 and 6, and the
+//! in-order fold of target outcomes into [`CampaignState`]. **Shard
+//! passes** only do the embarrassingly parallel part — processing a
+//! target as a pure function of `(target, sample-table snapshot)`.
+//!
+//! # Scheduling
+//!
+//! With N = 1 and `threads = 1`, shard 0's pass runs on the calling
+//! thread and the merge loop pulls it one target at a time, so the stop
+//! test runs before each target is processed and no target is solved
+//! after a stop. Otherwise every pass processes its whole share up
+//! front — on a pool of `threads` workers per shard, one scoped thread
+//! per shard when N > 1 — and the merge loop stop-tests the finished
+//! outcomes in order: a stop then wastes work but never changes the
+//! canonical stream.
 //!
 //! # State exchange
 //!
-//! Each shard holds a [`CampaignState`] *replica* (dedup set + sample
-//! table; the frontier stays with the coordinator). At every generation
-//! boundary the coordinator broadcasts one [`StateDelta`] — the sample
-//! pairs recorded since the last broadcast plus the dedup keys the
-//! canonical filter just claimed — and every replica joins it in.
-//! Because each replica's content is then exactly the canonical state,
-//! the snapshot a shard hands its targets equals the snapshot the
-//! single-shard path would have taken, and per-target outcomes are
-//! identical. Deltas are lattice joins (order-insensitive, idempotent;
-//! see [`super::state`]), which is what makes the exchange protocol
-//! safe to extend to out-of-order transports.
+//! At N > 1 each shard holds a [`CampaignState`] *replica* (dedup set +
+//! sample table; the frontier stays with the coordinator). At every
+//! generation boundary the coordinator broadcasts one [`StateDelta`] —
+//! the sample pairs recorded since the last broadcast plus the dedup
+//! keys the canonical filter just claimed — and every replica joins it
+//! in. Because each replica's content is then exactly the canonical
+//! state, the snapshot a shard hands its targets equals the N = 1
+//! snapshot, and per-target outcomes are identical. Deltas are lattice
+//! joins (order-insensitive, idempotent; see [`super::state`]), which is
+//! what makes the exchange protocol safe to extend to out-of-order
+//! transports.
 //!
 //! # Shard traces
 //!
-//! Each shard writes its own durable trace (header digest
-//! [`shard_digest`], path [`shard_trace_path`]): the campaign preamble
+//! At N > 1 each shard writes its own durable trace (header digest
+//! [`shard_digest`](crate::trace::shard_digest), path
+//! [`shard_trace_path`](crate::shard_trace_path)): the campaign preamble
 //! (broadcast verbatim to every shard), then per generation a local
 //! `GenerationStarted` + the shard's `TargetScheduled` events carrying
-//! their *canonical* ordinals, then the shard's target blocks. The
-//! trace is the shard's checkpoint: resume replays it through the
-//! standard stage-A reconstruction, and the offline
-//! [`merge`](super::merge) folds N completed shard traces back into the
-//! canonical stream using the recorded ordinals.
+//! their *canonical* ordinals, then the shard's target blocks. The trace
+//! is the shard's checkpoint: resume replays it through the standard
+//! stage-A reconstruction, and the offline [`merge`](super::merge) folds
+//! N completed shard traces back into the canonical stream using the
+//! recorded ordinals. At N = 1 the canonical trace is the checkpoint.
 //!
 //! # Determinism argument
 //!
-//! Solver verdicts cannot differ across shard counts: the SMT node
-//! budget is a per-`check` pool, caches are pure functions of their
+//! Solver verdicts cannot differ across shard or thread counts: the SMT
+//! node budget is a per-`check` pool, caches are pure functions of their
 //! keys, and chaos rolls are keyed by target path / inputs — none of it
-//! depends on which solver instance runs the query. Stop checks
-//! (max-runs, deadline, fail-fast) run on the coordinator against the
-//! canonical report at the same per-target merge boundaries as the
-//! single-shard path, after shards processed their whole assignment —
-//! mirroring how the single-shard worker pool also processes every live
-//! target before its outcomes are stop-checked in order.
+//! depends on which solver instance or thread runs the query. The stop
+//! test runs on the coordinator against the canonical report at the same
+//! per-target merge boundaries for every N, so a mid-generation stop
+//! truncates the canonical stream at the same block. Only the
+//! announcement-only telemetry (cache hit/miss split, session and
+//! backend counters, `ExecStats`) may vary with the schedule.
 
 use super::outcome::{Job, TargetOutcome};
 use super::state::{CampaignState, ExchangeStats, Partitioner, StateDelta};
-use super::{merge, resume, Durable, Emitter, Engine, Replay, ResumeData};
-use crate::events::{CampaignEvent, NullSink};
-use crate::report::Report;
+use super::{merge, resume, Emitter, Engine, ResumeData};
+use crate::events::CampaignEvent;
+use crate::report::Origin;
 use crate::strategy::Strategy;
 use crate::summaries::{SummaryConfig, SummaryTable};
-use crate::trace::{
-    program_digest, shard_digest, shard_trace_path, TraceConfig, TraceErrorPolicy, TraceHeader,
-    TraceWriter,
+use hotg_solver::{
+    BackendStats, CacheStats, Deadline, Samples, SmtSession, SmtSolver, ValidityChecker,
 };
-use hotg_solver::{Deadline, Samples, SmtSession, SmtSolver, ValidityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// One shard's long-lived campaign context: its solver pair (sharing
-/// the campaign arena), its state replica, its trace emitter, and its
-/// session-reuse accounting.
-struct ShardCx<'s> {
+/// One shard's solver pair; both intern through the campaign arena.
+struct Solvers {
     smt: SmtSolver,
     validity: ValidityChecker,
-    replica: CampaignState,
-    em: Emitter<'s>,
-    session_queries: u64,
-    session_clauses_reused: u64,
 }
 
-/// A shard's view of the durable-trace configuration: the path gains
-/// the shard suffix, and the kill-switch chaos only arms on the shard
-/// the plan names (the canonical writer keeps it when no shard is
-/// named — see `run_resumable`).
-fn shard_trace_config(tc: &TraceConfig, index: usize, shards: usize) -> TraceConfig {
-    TraceConfig {
-        path: shard_trace_path(&tc.path, index, shards),
-        chaos_kill_at_event: if tc.chaos_kill_shard == Some(index) {
-            tc.chaos_kill_at_event
-        } else {
-            None
-        },
-        chaos_kill_shard: None,
-        ..tc.clone()
+impl Solvers {
+    fn cache_stats(&self) -> CacheStats {
+        self.smt.cache_stats().merged(self.validity.cache_stats())
+    }
+
+    /// Pre-solver cascade totals: the SMT solver's and validity
+    /// checker's cascades are distinct (the checker wraps its own
+    /// solver), so their counters are summed.
+    fn backend_stats(&self) -> Option<BackendStats> {
+        join_backend(self.smt.backend_stats(), self.validity.backend_stats())
     }
 }
 
-impl Engine<'_> {
-    /// Builds shard `index`'s context: fresh solvers on the campaign
-    /// arena, an empty replica, and an emitter wired to the shard's own
-    /// durable trace (resuming its salvaged prefix when one was
-    /// recovered).
-    fn shard_cx<'s>(
-        &self,
-        strategy: &dyn Strategy,
-        index: usize,
-        shards: usize,
-        sink: &'s mut NullSink,
-        resume: Option<ResumeData>,
-        policy: TraceErrorPolicy,
-    ) -> ShardCx<'s> {
-        let smt =
-            SmtSolver::with_config(self.config.validity.smt).with_arena(Arc::clone(self.arena));
-        let smt = match &self.config.query_log {
-            Some(log) => smt.with_recorder(Arc::clone(log)),
-            None => smt,
-        };
-        let validity =
-            ValidityChecker::with_config(self.config.validity).with_arena(Arc::clone(self.arena));
-        let mut startup_errors = 0;
-        let (durable, replay) = match (resume, &self.config.trace) {
-            (Some(rd), Some(tc)) => (
-                Durable::Pending {
-                    config: shard_trace_config(tc, index, shards),
-                    ends: rd.ends,
-                    header_end: rd.header_end,
-                },
-                Some(Replay {
-                    events: rd.events,
-                    pos: 0,
-                }),
-            ),
-            (None, Some(tc)) => {
-                let config = shard_trace_config(tc, index, shards);
-                let header = TraceHeader {
-                    program: self.program.name.clone(),
-                    program_digest: program_digest(self.program),
-                    config_digest: shard_digest(self.config.resume_digest(), index, shards),
-                    technique: strategy.technique(),
-                    seed: self.config.seed,
-                    fsync: tc.fsync,
-                };
-                match TraceWriter::create(
-                    &config.path,
-                    &header,
-                    config.fsync,
-                    self.config.fault_plan.clone(),
-                    config.chaos_kill_at_event,
-                ) {
-                    Ok(w) => (Durable::Writing(w), None),
-                    Err(e) => {
-                        eprintln!(
-                            "hotg: cannot create shard trace {}: {e}",
-                            config.path.display()
-                        );
-                        startup_errors = 1;
-                        (Durable::Off, None)
-                    }
-                }
+fn join_backend(a: Option<BackendStats>, b: Option<BackendStats>) -> Option<BackendStats> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.merged(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// The campaign-constant inputs of every shard pass.
+#[derive(Clone, Copy)]
+struct PassCx<'e> {
+    engine: &'e Engine<'e>,
+    strategy: &'e dyn Strategy,
+    summaries: Option<&'e SummaryTable>,
+    campaign_end: Deadline,
+}
+
+/// One shard's pass over its share of a generation: stage-A
+/// reconstruction from the shard's salvaged trace tail while it lasts,
+/// live processing after, all against one solver session and the
+/// generation's sample-table snapshot.
+struct ShardPass<'e> {
+    cx: PassCx<'e>,
+    solvers: &'e Solvers,
+    session: SmtSession,
+    snapshot: &'e Samples,
+    /// Stage A is still on for the lazily pulled pass: every target so
+    /// far was reconstructed.
+    replaying: bool,
+}
+
+impl<'e> ShardPass<'e> {
+    fn new(cx: PassCx<'e>, solvers: &'e Solvers, snapshot: &'e Samples) -> ShardPass<'e> {
+        ShardPass {
+            cx,
+            solvers,
+            session: SmtSession::for_solver(&solvers.smt),
+            snapshot,
+            replaying: true,
+        }
+    }
+
+    /// Rebuilds `job`'s outcome from the recorded events at the head of
+    /// `tail`, with the length of its block.
+    fn reconstruct(&self, job: &Job, tail: &[CampaignEvent]) -> Option<(TargetOutcome, usize)> {
+        resume::reconstruct_outcome(self.cx.engine, self.cx.strategy, job, tail)
+    }
+
+    fn live(&self, job: &Job) -> TargetOutcome {
+        self.cx.engine.process_target(
+            self.cx.strategy,
+            job,
+            self.snapshot,
+            self.cx.summaries,
+            &self.solvers.smt,
+            &self.session,
+            &self.solvers.validity,
+            self.cx.campaign_end,
+        )
+    }
+
+    /// The next target of a lazily pulled pass; `tail` is what remains
+    /// of the recorded stream. The first target that cannot be
+    /// reconstructed ends stage A for the rest of the generation.
+    fn next(&mut self, job: &Job, tail: &[CampaignEvent]) -> TargetOutcome {
+        if self.replaying {
+            if let Some((out, _)) = self.reconstruct(job, tail) {
+                return out;
             }
-            (_, None) => (Durable::Off, None),
-        };
-        ShardCx {
-            smt,
-            validity,
-            replica: CampaignState::default(),
-            em: Emitter {
-                report: Report::empty(),
-                trace: None,
-                external: sink,
-                external_dead: false,
-                durable,
-                replay,
-                plan: self.config.fault_plan.clone(),
-                policy,
-                sink_errors: startup_errors,
-                fail_fast: startup_errors > 0 && policy == TraceErrorPolicy::FailFast,
-                absorbed_short_writes: 0,
-                absorbed_fsync_fails: 0,
-                replayed: 0,
+            self.replaying = false;
+        }
+        self.live(job)
+    }
+
+    /// Processes the whole share up front: stage A in order, then the
+    /// live rest on a pool of `threads` workers. Returns the outcomes in
+    /// share order.
+    fn run(
+        &self,
+        jobs: &[Job],
+        share: &[usize],
+        tail: &[CampaignEvent],
+        threads: usize,
+    ) -> Vec<TargetOutcome> {
+        let mut outs = Vec::with_capacity(share.len());
+        let mut pos = 0;
+        while let Some(&ordinal) = share.get(outs.len()) {
+            let Some((out, len)) = self.reconstruct(&jobs[ordinal], &tail[pos..]) else {
+                break;
+            };
+            pos += len;
+            outs.push(out);
+        }
+        let live = &share[outs.len()..];
+        outs.extend(run_pool(threads, live, |&ordinal| {
+            self.live(&jobs[ordinal])
+        }));
+        outs
+    }
+}
+
+/// What N > 1 adds to the loop: per-shard state replicas and trace
+/// emitters, the partitioner, and the exchange accounting.
+struct Exchange {
+    partitioner: Partitioner,
+    stats: ExchangeStats,
+    /// Lockstep copy of what every replica has been sent so far; the
+    /// next broadcast is the canonical table diffed against it.
+    broadcast: Samples,
+    replicas: Vec<CampaignState>,
+    ems: Vec<Emitter<'static>>,
+}
+
+impl Exchange {
+    /// Opens every shard's trace emitter (resuming `resume[i]` when
+    /// shard `i`'s salvaged prefix was recovered; missing entries re-run
+    /// live) and empty replicas.
+    fn open(
+        engine: &Engine<'_>,
+        strategy: &dyn Strategy,
+        resume: Vec<Option<ResumeData>>,
+    ) -> Exchange {
+        let shards = engine.config.shards;
+        let mut resume = resume.into_iter();
+        Exchange {
+            partitioner: Partitioner::new(shards),
+            stats: ExchangeStats {
+                per_shard_targets: vec![0; shards],
+                ..ExchangeStats::default()
             },
-            session_queries: 0,
-            session_clauses_reused: 0,
+            broadcast: Samples::new(),
+            replicas: (0..shards).map(|_| CampaignState::default()).collect(),
+            ems: (0..shards)
+                .map(|i| engine.open_emitter(strategy, Some(i), resume.next().flatten(), None))
+                .collect(),
         }
     }
 
-    /// The sharded directed search: canonical scheduling and merging on
-    /// the coordinator, per-target processing on N shard schedulers.
-    /// `shard_resume[i]` carries shard `i`'s salvaged trace prefix on
-    /// resume (`None` — including a short vector — re-runs that shard
-    /// live).
-    pub(crate) fn directed_sharded(
-        &self,
-        strategy: &dyn Strategy,
-        em: &mut Emitter<'_>,
-        mut shard_resume: Vec<Option<ResumeData>>,
-    ) {
-        let shards = self.config.shards;
-        shard_resume.resize_with(shards, || None);
-        let profile = strategy.profile();
-        let summaries = if profile.summarize_calls && !self.program.functions.is_empty() {
-            Some(SummaryTable::compute(
-                self.program,
-                self.natives,
-                &SummaryConfig::default(),
-            ))
-        } else {
-            None
+    /// Brings every replica up to the canonical state with one
+    /// [`StateDelta`], partitions the generation by stable path-key
+    /// hash, and records each shard's generation header (every shard
+    /// records every generation, even an empty one — the offline merger
+    /// keeps the streams generation-synced). Returns each shard's share
+    /// as canonical ordinals.
+    fn distribute(
+        &mut self,
+        samples: &Samples,
+        fresh_keys: BTreeSet<u64>,
+        jobs: &[Job],
+        index: usize,
+    ) -> Vec<Vec<usize>> {
+        let delta = StateDelta {
+            samples: samples.diff(&self.broadcast),
+            seen: fresh_keys,
         };
-        let summaries = summaries.as_ref();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut st = CampaignState::default();
-        let campaign_end = self.campaign_end();
-        let partitioner = Partitioner::new(shards);
-        let mut stats = ExchangeStats {
-            per_shard_targets: vec![0; shards],
-            ..ExchangeStats::default()
-        };
-        // Lockstep copy of what every replica has been sent so far; the
-        // next broadcast is the canonical table diffed against it.
-        let mut broadcast = Samples::new();
-        let policy = self
-            .config
-            .trace
-            .as_ref()
-            .map(|t| t.on_error)
-            .unwrap_or_default();
-        let mut sinks: Vec<NullSink> = (0..shards).map(|_| NullSink).collect();
-        let mut cxs: Vec<ShardCx<'_>> = sinks
-            .iter_mut()
-            .zip(shard_resume)
-            .enumerate()
-            .map(|(i, (sink, resume))| self.shard_cx(strategy, i, shards, sink, resume, policy))
-            .collect();
-
-        // Campaign preamble, broadcast verbatim into every shard trace
-        // (each is a self-contained checkpoint) as well as the canonical
-        // stream. The canonical emitter already carries CampaignStarted
-        // and the fallback announcement (run_resumable emits them before
-        // dispatch), so only the shards need those two here.
-        let started = CampaignEvent::CampaignStarted {
-            technique: strategy.technique(),
-            program: self.program.name.clone(),
-            branch_sites: self.program.branch_count,
-        };
-        for cx in &mut cxs {
-            cx.em.emit(started.clone());
-            if let Some(reason) = self.compile_error {
-                cx.em.emit(CampaignEvent::BytecodeFallback {
-                    reason: reason.to_string(),
-                });
-            }
+        let (ds, dk) = delta.exchange_size();
+        self.stats.samples += ds;
+        self.stats.keys += dk;
+        self.broadcast.apply_delta(&delta.samples);
+        let mut shares = vec![Vec::new(); self.ems.len()];
+        for (ordinal, job) in jobs.iter().enumerate() {
+            let s = self.partitioner.shard_of_job(job);
+            self.stats.per_shard_targets[s] += 1;
+            shares[s].push(ordinal);
         }
-        self.seed_phase(strategy, &mut rng, &mut st, |e| {
-            for cx in cxs.iter_mut() {
-                cx.em.emit(e.clone());
-            }
-            em.emit(e);
-        });
-
-        'search: while !st.pending.is_empty() && em.report.runs.len() < self.config.max_runs {
-            if em.fail_fast_tripped() {
-                break;
-            }
-            if campaign_end.expired() {
-                em.emit(CampaignEvent::CampaignTimedOut);
-                break;
-            }
-            let (jobs, fresh_keys) = st.filter_generation();
-            if jobs.is_empty() {
-                break;
-            }
-            let index = em.report.generation_widths.len();
-            let width = jobs.len();
-            em.emit(CampaignEvent::GenerationStarted { index, width });
-            for (ordinal, job) in jobs.iter().enumerate() {
+        for ((replica, em), share) in self.replicas.iter_mut().zip(&mut self.ems).zip(&shares) {
+            replica.absorb(&delta);
+            em.emit(CampaignEvent::GenerationStarted {
+                index,
+                width: share.len(),
+            });
+            for &ordinal in share {
                 em.emit(CampaignEvent::TargetScheduled {
-                    target: job.id,
+                    target: jobs[ordinal].id,
                     ordinal,
                 });
             }
-            // Broadcast: bring every replica up to the canonical state.
-            let delta = StateDelta {
-                samples: st.samples.diff(&broadcast),
-                seen: fresh_keys,
-            };
-            let (ds, dk) = delta.exchange_size();
-            stats.samples += ds;
-            stats.keys += dk;
-            broadcast.apply_delta(&delta.samples);
-            // Partition the generation by stable path-key hash, keeping
-            // each job's canonical ordinal for the merge.
-            let mut assignment: Vec<Vec<(usize, &Job)>> = (0..shards).map(|_| Vec::new()).collect();
-            for (ordinal, job) in jobs.iter().enumerate() {
-                let s = partitioner.shard_of_job(job);
-                stats.per_shard_targets[s] += 1;
-                assignment[s].push((ordinal, job));
-            }
-            // Shard-local generation headers (every shard records every
-            // generation, even an empty one — the offline merger keeps
-            // the streams generation-synced) and replica catch-up; the
-            // snapshot a shard's targets see is its replica's table,
-            // equal to the canonical table by the exchange invariant.
-            let mut tails: Vec<Vec<CampaignEvent>> = Vec::with_capacity(shards);
-            let mut snapshots: Vec<Samples> = Vec::with_capacity(shards);
-            for (cx, local) in cxs.iter_mut().zip(&assignment) {
-                cx.replica.absorb(&delta);
-                cx.em.emit(CampaignEvent::GenerationStarted {
-                    index,
-                    width: local.len(),
-                });
-                for &(ordinal, job) in local {
-                    cx.em.emit(CampaignEvent::TargetScheduled {
-                        target: job.id,
-                        ordinal,
-                    });
-                }
-                tails.push(cx.em.replay_rest().to_vec());
-                snapshots.push(cx.replica.samples.clone());
-            }
-            // Parallel processing pass: one scoped thread per shard runs
-            // only the pure per-target work (plus stage-A reconstruction
-            // against the shard's salvaged tail on resume). Emitters
-            // never cross threads.
-            type ShardYield = (Vec<(usize, TargetOutcome)>, u64, u64);
-            let results: Vec<ShardYield> = std::thread::scope(|scope| {
-                let handles: Vec<_> = cxs
-                    .iter()
-                    .zip(&assignment)
-                    .zip(tails.iter().zip(&snapshots))
-                    .map(|((cx, local), (tail, snapshot))| {
-                        let (smt, validity) = (&cx.smt, &cx.validity);
-                        scope.spawn(move || {
-                            shard_generation(
-                                self,
-                                strategy,
-                                summaries,
-                                smt,
-                                validity,
-                                snapshot,
-                                local,
-                                tail,
-                                campaign_end,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard thread panicked"))
-                    .collect()
-            });
-            // Record each shard's blocks into its own trace, then
-            // interleave everything back into canonical target order.
-            let mut per_shard_blocks: Vec<Vec<merge::ShardBlock>> = Vec::with_capacity(shards);
-            for (cx, (outs, queries, clauses)) in cxs.iter_mut().zip(results) {
-                cx.session_queries += queries;
-                cx.session_clauses_reused += clauses;
-                let mut blocks = Vec::with_capacity(outs.len());
-                for (ordinal, out) in outs {
-                    let events = merge::outcome_block(&jobs[ordinal], &out);
-                    for e in &events {
-                        cx.em.emit(e.clone());
-                    }
-                    blocks.push(merge::ShardBlock {
-                        ordinal,
-                        events,
-                        outcome: out,
-                    });
-                }
-                per_shard_blocks.push(blocks);
-            }
-            let blocks = merge::interleave(per_shard_blocks, width)
-                .expect("partitioner assigns every target exactly once");
-            // Canonical re-emission with the single-shard stop checks,
-            // applied before each target's block exactly as the
-            // single-shard merge loop does.
-            let mut stop = false;
-            for block in blocks {
-                if em.report.runs.len() >= self.config.max_runs {
-                    stop = true;
-                    break;
-                }
-                if campaign_end.expired() {
-                    em.emit(CampaignEvent::CampaignTimedOut);
-                    stop = true;
-                    break;
-                }
-                if em.fail_fast_tripped() {
-                    stop = true;
-                    break;
-                }
-                for e in block.events {
-                    em.emit(e);
-                }
-                st.fold_outcome(block.outcome);
-            }
-            // A shard's trace I/O fail-fast stops the canonical campaign
-            // at the same merge-boundary granularity as its own.
-            if cxs.iter().any(|cx| cx.em.fail_fast_tripped()) {
-                em.fail_fast = true;
-            }
-            if stop {
-                break 'search;
-            }
         }
+        shares
+    }
 
-        // Canonical campaign tail: the shard solver totals sum to the
-        // campaign totals (the coordinator issues no solver queries of
-        // its own), followed by the exchange accounting.
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let (mut queries, mut clauses) = (0u64, 0u64);
-        let mut backend: Option<hotg_solver::BackendStats> = None;
-        for cx in &cxs {
-            let cs = cx.smt.cache_stats().merged(cx.validity.cache_stats());
-            hits += cs.hits;
-            misses += cs.misses;
-            queries += cx.session_queries;
-            clauses += cx.session_clauses_reused;
-            let b = match (cx.smt.backend_stats(), cx.validity.backend_stats()) {
-                (Some(x), Some(y)) => Some(x.merged(y)),
-                (x, y) => x.or(y),
-            };
-            backend = match (backend, b) {
-                (Some(x), Some(y)) => Some(x.merged(y)),
-                (x, y) => x.or(y),
-            };
-        }
-        em.emit(CampaignEvent::CacheStats { hits, misses });
-        em.emit(CampaignEvent::SolverSessionStats {
-            queries,
-            intern_hits: self.arena.stats().intern_hits,
-            clauses_reused: clauses,
-        });
-        if let Some(b) = backend {
-            em.emit(CampaignEvent::BackendStats {
-                backend: b.backend.to_string(),
-                queries: b.queries,
-                unsat_short_circuits: b.unsat_short_circuits,
-                valid_short_circuits: b.valid_short_circuits,
-                sat_short_circuits: b.sat_short_circuits,
-            });
-        }
-        em.emit(stats.event(shards));
-        // Shard stream tails + trace close; each shard's I/O accounting
-        // folds into the canonical emitter.
-        for cx in cxs {
-            let cs = cx.smt.cache_stats().merged(cx.validity.cache_stats());
-            let mut shard_em = cx.em;
+    /// Announces the exchange accounting, closes every shard stream
+    /// with its own cache totals, and folds each shard's I/O accounting
+    /// into the canonical emitter.
+    fn finish(self, solvers: &[Solvers], em: &mut Emitter<'_>) {
+        em.emit(self.stats.event(self.ems.len()));
+        for (mut shard_em, s) in self.ems.into_iter().zip(solvers) {
+            let cs = s.cache_stats();
             shard_em.emit(CampaignEvent::CacheStats {
                 hits: cs.hits,
                 misses: cs.misses,
@@ -462,59 +308,293 @@ impl Engine<'_> {
     }
 }
 
-/// One shard's generation pass, run on its own thread: stage-A
-/// reconstruction from the shard's salvaged trace tail while it lasts,
-/// live processing after. Returns the per-target outcomes (with their
-/// canonical ordinals) plus the generation session's reuse counters.
-#[allow(clippy::too_many_arguments)]
-fn shard_generation(
-    engine: &Engine<'_>,
-    strategy: &dyn Strategy,
-    summaries: Option<&SummaryTable>,
-    smt: &SmtSolver,
-    validity: &ValidityChecker,
-    snapshot: &Samples,
-    local: &[(usize, &Job)],
-    tail: &[CampaignEvent],
-    campaign_end: Deadline,
-) -> (Vec<(usize, TargetOutcome)>, u64, u64) {
-    let session = SmtSession::for_solver(smt);
-    let mut outs = Vec::with_capacity(local.len());
-    let mut pos = 0usize;
-    let mut replaying = !tail.is_empty();
-    for &(ordinal, job) in local {
-        let reconstructed = if replaying && pos < tail.len() {
-            resume::reconstruct_outcome(engine, strategy, job, &tail[pos..])
-        } else {
-            None
+impl Engine<'_> {
+    /// The generational directed search shared by every whitebox
+    /// strategy, for every shard count (see the [module docs](self)).
+    /// `shard_resume[i]` carries shard `i`'s salvaged trace prefix when
+    /// a campaign with N > 1 resumes; at N = 1 the replay rides on `em`.
+    pub(crate) fn directed(
+        &self,
+        strategy: &dyn Strategy,
+        em: &mut Emitter<'_>,
+        shard_resume: Vec<Option<ResumeData>>,
+    ) {
+        let shards = self.config.shards.max(1);
+        let threads = self.config.threads.max(1);
+        let summaries = (strategy.profile().summarize_calls && !self.program.functions.is_empty())
+            .then(|| SummaryTable::compute(self.program, self.natives, &SummaryConfig::default()));
+        let cx = PassCx {
+            engine: self,
+            strategy,
+            summaries: summaries.as_ref(),
+            campaign_end: self.campaign_end(),
         };
-        let out = match reconstructed {
-            Some(out) => {
-                // Advance past the reconstructed (and verified) block;
-                // the coordinator's later re-emission consumes the same
-                // frames from the shard's replay cursor.
-                let close = tail[pos..]
-                    .iter()
-                    .position(|e| matches!(e, CampaignEvent::TargetClosed { .. }))
-                    .expect("a reconstructed block contains its close");
-                pos += close + 1;
-                out
+        let solvers: Vec<Solvers> = (0..shards).map(|_| self.solvers()).collect();
+        let shard_ids: Vec<usize> = (0..shards).collect();
+        let mut exchange = (shards > 1).then(|| Exchange::open(self, strategy, shard_resume));
+        let mut st = CampaignState::default();
+        let (mut session_queries, mut session_clauses_reused) = (0u64, 0u64);
+
+        // At N > 1 the preamble also goes verbatim into every shard
+        // trace: each is a self-contained checkpoint.
+        self.seed_phase(strategy, &mut st, |e| {
+            for shard_em in exchange.iter_mut().flat_map(|x| &mut x.ems) {
+                shard_em.emit(e.clone());
             }
-            None => {
-                replaying = false;
-                engine.process_target(
-                    strategy,
-                    job,
-                    snapshot,
-                    summaries,
-                    smt,
-                    &session,
-                    validity,
-                    campaign_end,
-                )
+            em.emit(e);
+        });
+
+        while !st.pending.is_empty() {
+            if self.should_stop(em, cx.campaign_end) {
+                break;
             }
-        };
-        outs.push((ordinal, out));
+            let (jobs, fresh_keys) = st.filter_generation();
+            if jobs.is_empty() {
+                break;
+            }
+            let index = em.report.generation_widths.len();
+            em.emit(CampaignEvent::GenerationStarted {
+                index,
+                width: jobs.len(),
+            });
+            for (ordinal, job) in jobs.iter().enumerate() {
+                em.emit(CampaignEvent::TargetScheduled {
+                    target: job.id,
+                    ordinal,
+                });
+            }
+            let shares = match &mut exchange {
+                Some(x) => x.distribute(&st.samples, fresh_keys, &jobs, index),
+                None => vec![(0..jobs.len()).collect()],
+            };
+            // The sample table every target of this generation is
+            // checked against (probe runs extend a thread-local copy).
+            let snapshots: Vec<Samples> = match &exchange {
+                Some(x) => x.replicas.iter().map(|r| r.samples.clone()).collect(),
+                None => vec![st.samples.clone()],
+            };
+            let mut passes: Vec<ShardPass<'_>> = solvers
+                .iter()
+                .zip(&snapshots)
+                .map(|(s, snapshot)| ShardPass::new(cx, s, snapshot))
+                .collect();
+            // Every pass runs up front unless N = 1 and `threads = 1`,
+            // where the merge loop pulls shard 0's pass one target at a
+            // time. Blocks come back in canonical target order.
+            let mut ready = (shards > 1 || threads > 1).then(|| {
+                let tails: Vec<&[CampaignEvent]> = match &exchange {
+                    Some(x) => x.ems.iter().map(Emitter::replay_rest).collect(),
+                    None => vec![em.replay_rest()],
+                };
+                let results = run_pool(shards, &shard_ids, |&i| {
+                    passes[i].run(&jobs, &shares[i], tails[i], threads)
+                });
+                let mut blocks = Vec::with_capacity(jobs.len());
+                for (i, outs) in results.into_iter().enumerate() {
+                    for (&ordinal, out) in shares[i].iter().zip(outs) {
+                        let events = merge::outcome_block(&jobs[ordinal], &out);
+                        if let Some(x) = &mut exchange {
+                            for e in &events {
+                                x.ems[i].emit(e.clone());
+                            }
+                        }
+                        blocks.push((ordinal, events, out));
+                    }
+                }
+                blocks.sort_unstable_by_key(|b| b.0);
+                blocks.into_iter()
+            });
+            let mut stop = false;
+            for job in &jobs {
+                if self.should_stop(em, cx.campaign_end) {
+                    stop = true;
+                    break;
+                }
+                let (events, out) = match &mut ready {
+                    Some(blocks) => {
+                        let (_, events, out) = blocks.next().expect("one block per target");
+                        (events, out)
+                    }
+                    None => {
+                        let out = passes[0].next(job, em.replay_rest());
+                        (merge::outcome_block(job, &out), out)
+                    }
+                };
+                for e in events {
+                    em.emit(e);
+                }
+                st.fold_outcome(out);
+            }
+            for pass in &passes {
+                session_queries += pass.session.queries();
+                session_clauses_reused += pass.session.clauses_reused();
+            }
+            // A shard's trace I/O fail-fast stops the canonical campaign
+            // at the same merge-boundary granularity as its own.
+            if let Some(x) = &exchange {
+                if x.ems.iter().any(Emitter::fail_fast_tripped) {
+                    em.fail_fast = true;
+                }
+            }
+            if stop {
+                break;
+            }
+        }
+
+        // The shards' solver totals are the campaign totals: the
+        // coordinator issues no solver queries of its own.
+        let cache = solvers
+            .iter()
+            .fold(CacheStats::default(), |acc, s| acc.merged(s.cache_stats()));
+        em.emit(CampaignEvent::CacheStats {
+            hits: cache.hits,
+            misses: cache.misses,
+        });
+        em.emit(CampaignEvent::SolverSessionStats {
+            queries: session_queries,
+            intern_hits: self.arena.stats().intern_hits,
+            clauses_reused: session_clauses_reused,
+        });
+        let backend = solvers
+            .iter()
+            .fold(None, |acc, s| join_backend(acc, s.backend_stats()));
+        if let Some(b) = backend {
+            em.emit(CampaignEvent::BackendStats {
+                backend: b.backend.to_string(),
+                queries: b.queries,
+                unsat_short_circuits: b.unsat_short_circuits,
+                valid_short_circuits: b.valid_short_circuits,
+                sat_short_circuits: b.sat_short_circuits,
+            });
+        }
+        if let Some(x) = exchange {
+            x.finish(&solvers, em);
+        }
     }
-    (outs, session.queries(), session.clauses_reused())
+
+    /// The directed search's one stop test, run before every generation
+    /// and before every merged target block (and by the random
+    /// baseline before every run): the run budget is spent, a trace I/O
+    /// error under fail-fast asked to stop, or the campaign deadline
+    /// expired — the last is announced as
+    /// [`CampaignEvent::CampaignTimedOut`].
+    pub(crate) fn should_stop(&self, em: &mut Emitter<'_>, campaign_end: Deadline) -> bool {
+        if em.report.runs.len() >= self.config.max_runs || em.fail_fast_tripped() {
+            return true;
+        }
+        if campaign_end.expired() {
+            em.emit(CampaignEvent::CampaignTimedOut);
+            return true;
+        }
+        false
+    }
+
+    /// A fresh solver pair on the campaign arena (plus the optional
+    /// query tap).
+    fn solvers(&self) -> Solvers {
+        let smt =
+            SmtSolver::with_config(self.config.validity.smt).with_arena(Arc::clone(self.arena));
+        let smt = match &self.config.query_log {
+            Some(log) => smt.with_recorder(Arc::clone(log)),
+            None => smt,
+        };
+        let validity =
+            ValidityChecker::with_config(self.config.validity).with_arena(Arc::clone(self.arena));
+        Solvers { smt, validity }
+    }
+
+    /// The campaign preamble every directed campaign shares, emitted
+    /// through `emit` (at N > 1 into every shard trace as well):
+    ///
+    /// * UF-placement oracle: native call sites whose arguments are
+    ///   statically constant always evaluate the same application, so
+    ///   their input/output pair is put into the `IOF` table before the
+    ///   first run — a validity proof may then use the pair without a
+    ///   probe execution (Figure 3's sampled table, filled eagerly);
+    /// * the initial run and the seed-corpus runs, which populate the
+    ///   first generation's frontier.
+    fn seed_phase(
+        &self,
+        strategy: &dyn Strategy,
+        st: &mut CampaignState,
+        mut emit: impl FnMut(CampaignEvent),
+    ) {
+        let profile = strategy.profile();
+        if self.config.static_pruning {
+            for site in self.analysis.native_sites() {
+                let hotg_analysis::SiteClass::ConstArgs(args) = &site.class else {
+                    continue;
+                };
+                let Some(fsym) = self.ctx.native_sym(&site.name) else {
+                    continue;
+                };
+                if let Ok(out) = self.natives.call(&site.name, args) {
+                    st.samples.record(fsym, args.clone(), out);
+                    emit(CampaignEvent::SitePresampled);
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let initial = self.initial_inputs(&mut rng);
+        let run = self.execute_run(initial, Origin::Initial, None, profile);
+        for event in merge::run_unit(&run) {
+            emit(event);
+        }
+        st.samples.merge(&run.samples);
+        st.pending.extend(run.children);
+        for seed_inputs in &self.config.seed_corpus {
+            let run = self.execute_run(seed_inputs.clone(), Origin::Seed, None, profile);
+            for event in merge::run_unit(&run) {
+                emit(event);
+            }
+            st.samples.merge(&run.samples);
+            st.pending.extend(run.children);
+        }
+    }
+}
+
+/// Maps `process` over `items` on a scoped pool of `threads` workers.
+/// Worker `w` takes item `w` first and then pulls the rest off an atomic
+/// cursor, so with a worker per item (one thread per shard) every item
+/// runs on its own thread. Each result goes into its item's slot, so
+/// the result order is independent of worker scheduling. One worker or
+/// one item runs inline on the calling thread.
+fn run_pool<T: Sync, R: Send + Sync>(
+    threads: usize,
+    items: &[T],
+    process: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(process).collect();
+    }
+    let workers = threads.min(items.len());
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|first| {
+                let (slots, cursor, process) = (&slots, &cursor, &process);
+                scope.spawn(move || {
+                    let mut i = first;
+                    while let Some(item) = items.get(i) {
+                        slots[i]
+                            .set(process(item))
+                            .unwrap_or_else(|_| unreachable!("each slot has exactly one owner"));
+                        i = cursor.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        // An explicit join waits until the OS thread has exited and
+        // handed its allocator arena back; leaving the scope alone only
+        // waits for the closures, so the next generation's workers
+        // could find the arenas still taken and open new ones.
+        for h in handles {
+            h.join().expect("worker thread panicked");
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("worker populated slot"))
+        .collect()
 }

@@ -13,7 +13,7 @@
 //! Strategies are shard-oblivious: a target is processed as a pure
 //! function of the [`Job`] and the generation's [`Samples`] snapshot,
 //! so the engine is free to hand the same target to a worker thread or
-//! to a shard scheduler's replica (whose snapshot is reconstructed
+//! to a shard pass's replica (whose snapshot is reconstructed
 //! from broadcast state deltas) and obtain the identical
 //! [`TargetOutcome`].
 

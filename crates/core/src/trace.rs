@@ -45,6 +45,7 @@ use crate::config::Technique;
 use crate::events::CampaignEvent;
 use crate::report::{DegradationLevel, DegradationReason, DegradationRecord, Origin, RunRecord};
 use hotg_lang::{BranchId, Fault, FaultKind, Outcome, Program};
+use hotg_logic::StableHasher;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -100,21 +101,11 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     c ^ 0xffff_ffff
 }
 
-/// FNV-1a 64-bit hash, used for the header's program/config digests.
-pub(crate) fn fnv64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Digest of a program's full structure. `Program` derives a complete
 /// `Debug` (every statement, parameter, and native declaration), so the
 /// digest changes whenever the program under test does.
 pub(crate) fn program_digest(program: &Program) -> u64 {
-    fnv64(format!("{program:?}").as_bytes())
+    StableHasher::digest(format!("{program:?}").as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +229,7 @@ pub fn shard_trace_path(base: &Path, index: usize, shards: usize) -> PathBuf {
 /// resumed as a different shard (or as the canonical trace) of the
 /// same campaign.
 pub(crate) fn shard_digest(config_digest: u64, index: usize, shards: usize) -> u64 {
-    fnv64(format!("{config_digest:016x}/shard{index}-of-{shards}").as_bytes())
+    StableHasher::digest(format!("{config_digest:016x}/shard{index}-of-{shards}").as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -584,7 +575,7 @@ pub(crate) struct Recovery {
 }
 
 /// Public summary of what recovery salvaged and what resume replayed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Event frames salvaged from the trace.
     pub frames_salvaged: usize,
@@ -1236,8 +1227,8 @@ mod tests {
     #[test]
     fn fnv64_matches_reference() {
         // FNV-1a("a") from the reference parameters.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(StableHasher::digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(StableHasher::digest(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

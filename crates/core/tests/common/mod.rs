@@ -7,6 +7,7 @@
 #![allow(dead_code)]
 
 use hotg_core::Report;
+use hotg_logic::StableHasher;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Once;
@@ -60,12 +61,7 @@ pub fn quiet_injected_panics() {
 /// standard library's hasher internals, so digests stay comparable
 /// across toolchains.
 pub fn fnv64(data: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    StableHasher::digest(data.as_bytes())
 }
 
 /// Canonical, deterministic rendering of everything the campaign

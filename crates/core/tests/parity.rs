@@ -14,16 +14,26 @@
 //! scheduling).
 //!
 //! Sharded campaigns are held to the same goldens: the
-//! shard-count-invariance test replays the matrix at shards ∈ {2, 4}
-//! and asserts each digest equals the blessed single-shard line.
+//! shard-count-invariance test replays the matrix at shards ∈ {2, 4},
+//! with 1 and 4 worker threads per shard, and asserts each digest equals
+//! the blessed single-shard line.
+//!
+//! The event-stream golden (`tests/golden/events.txt`) pins more than
+//! the report: every event of every `shards=1, threads=1` campaign,
+//! announcement-only telemetry (`CacheStats`, `SolverSessionStats`,
+//! `BackendStats`, `ExecStats`) included, plus the bytes of one durable
+//! trace file.
 //!
 //! Regenerate with `HOTG_BLESS=1 cargo test -p hotg-core --test parity`.
 
 mod common;
 
 use common::{canonical, fnv64, quiet_injected_panics};
-use hotg_core::{fold_report, CampaignEvent, Driver, DriverConfig, EventLog, FaultPlan, Technique};
+use hotg_core::{
+    fold_report, CampaignEvent, Driver, DriverConfig, EventLog, FaultPlan, Technique, TraceConfig,
+};
 use hotg_lang::corpus;
+use hotg_logic::StableHasher;
 use std::time::Duration;
 
 /// The fault-injection legs of the matrix: off, and two plan seeds.
@@ -42,10 +52,48 @@ fn combo_config(width: usize, threads: usize, chaos: Option<u64>) -> DriverConfi
 }
 
 fn golden_path() -> std::path::PathBuf {
+    golden_file("reports.txt")
+}
+
+fn golden_file(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("reports.txt")
+        .join(name)
+}
+
+/// Compares fresh digest lines against a golden file, or rewrites the
+/// file under `HOTG_BLESS`.
+fn check_golden(name: &str, what: &str, lines: &[String]) {
+    let path = golden_file(name);
+    if std::env::var_os("HOTG_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write golden file");
+        eprintln!("blessed {} digests into {}", lines.len(), path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
+    let golden: Vec<&str> = golden.lines().collect();
+    let fresh: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let mut mismatches = Vec::new();
+    for (g, f) in golden.iter().zip(fresh.iter()) {
+        if g != f {
+            mismatches.push(format!("golden `{g}` != fresh `{f}`"));
+        }
+    }
+    if golden.len() != fresh.len() {
+        mismatches.push(format!(
+            "matrix size changed: golden {} lines, fresh {} lines",
+            golden.len(),
+            fresh.len()
+        ));
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{what} digests drifted from the pre-refactor goldens:\n{}",
+        mismatches.join("\n")
+    );
 }
 
 /// One digest line per matrix cell, in a fixed order.
@@ -77,36 +125,83 @@ fn compute_digests() -> Vec<String> {
 /// behavior for every program × technique × thread count × fault plan.
 #[test]
 fn reports_match_golden_digests() {
-    let lines = compute_digests();
-    let path = golden_path();
-    if std::env::var_os("HOTG_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, lines.join("\n") + "\n").expect("write golden file");
-        eprintln!("blessed {} digests into {}", lines.len(), path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
-    let golden: Vec<&str> = golden.lines().collect();
-    let fresh: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let mut mismatches = Vec::new();
-    for (g, f) in golden.iter().zip(fresh.iter()) {
-        if g != f {
-            mismatches.push(format!("golden `{g}` != fresh `{f}`"));
+    check_golden("reports.txt", "report", &compute_digests());
+}
+
+/// Whether the campaign stopped with targets of its last generation
+/// still unprocessed (fewer `TargetClosed` than the generation's width).
+fn stopped_mid_generation(events: &[CampaignEvent]) -> bool {
+    let Some(last) = events
+        .iter()
+        .rposition(|e| matches!(e, CampaignEvent::GenerationStarted { .. }))
+    else {
+        return false;
+    };
+    let CampaignEvent::GenerationStarted { width, .. } = events[last] else {
+        unreachable!()
+    };
+    let closed = events[last..]
+        .iter()
+        .filter(|e| matches!(e, CampaignEvent::TargetClosed { .. }))
+        .count();
+    closed < width
+}
+
+/// Full event-stream golden for `shards=1, threads=1`: a digest of the
+/// JSON rendering of every event, in order, for every corpus program ×
+/// technique, with chaos off and with plan seed 3. Unlike the report
+/// digests this also pins the announcement-only telemetry, so
+/// `ExecStats.vm_runs` proves that no target is processed after a
+/// mid-generation `max_runs` stop. One durable trace file written at
+/// `shards=1` is pinned byte for byte as well.
+#[test]
+fn event_streams_match_golden() {
+    quiet_injected_panics();
+    let mut lines = Vec::new();
+    let mut mid_generation_stops = 0;
+    for (name, ctor) in corpus::all() {
+        let (program, natives) = ctor();
+        let width = program.input_width();
+        for technique in Technique::ALL {
+            for chaos in [None, Some(3)] {
+                let config = combo_config(width, 1, chaos);
+                let mut log = EventLog::new();
+                Driver::new(&program, &natives, config).run_with_sink(technique, &mut log);
+                let rendered: String = log
+                    .events()
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, e)| e.to_json(seq as u64) + "\n")
+                    .collect();
+                if stopped_mid_generation(log.events()) {
+                    mid_generation_stops += 1;
+                }
+                let chaos_label = chaos.map_or("off".to_string(), |seed| format!("seed{seed}"));
+                lines.push(format!(
+                    "{name}/{technique}/chaos-{chaos_label} {:016x}",
+                    fnv64(&rendered)
+                ));
+            }
         }
     }
-    if golden.len() != fresh.len() {
-        mismatches.push(format!(
-            "matrix size changed: golden {} lines, fresh {} lines",
-            golden.len(),
-            fresh.len()
-        ));
-    }
     assert!(
-        mismatches.is_empty(),
-        "report digests drifted from the pre-refactor goldens:\n{}",
-        mismatches.join("\n")
+        mid_generation_stops > 0,
+        "the matrix must include campaigns that stop mid-generation"
     );
+    let (program, natives) = corpus::fanout();
+    let path = common::tmp("event-golden.trace");
+    let config = DriverConfig {
+        trace: Some(TraceConfig::new(&path)),
+        ..combo_config(program.input_width(), 1, None)
+    };
+    Driver::new(&program, &natives, config).run(Technique::HigherOrder);
+    let bytes = std::fs::read(&path).expect("read durable trace");
+    let _ = std::fs::remove_file(&path);
+    lines.push(format!(
+        "trace/fanout/higher-order {:016x}",
+        StableHasher::digest(&bytes)
+    ));
+    check_golden("events.txt", "event-stream", &lines);
 }
 
 /// The other half of the parity contract: the structured event stream
@@ -206,8 +301,8 @@ fn digests_are_thread_count_invariant() {
 
 /// Shard-count invariance, asserted against the *blessed* goldens: for
 /// every program × technique × chaos leg, a campaign partitioned across
-/// 2 or 4 shard schedulers reproduces the single-shard `threads1`
-/// digest bit-for-bit. This is the acceptance gate of the sharded
+/// 2 or 4 shards — each shard running one worker thread or a pool of 4 —
+/// reproduces the single-shard `threads1` digest bit-for-bit. This is the acceptance gate of the sharded
 /// campaign runtime — the partitioner, the state-exchange protocol, and
 /// the multi-stream merge may only change *where* a target is
 /// processed, never a single byte of the canonical report.
@@ -232,14 +327,14 @@ fn digests_are_shard_count_invariant() {
                 let want = golden
                     .get(cell.as_str())
                     .unwrap_or_else(|| panic!("{cell}: missing from golden file"));
-                for shards in [2usize, 4] {
-                    let mut config = combo_config(width, 1, chaos);
+                for (shards, threads) in [(2usize, 1usize), (4, 1), (2, 4), (4, 4)] {
+                    let mut config = combo_config(width, threads, chaos);
                     config.shards = shards;
                     let report = Driver::new(&program, &natives, config).run(technique);
                     let digest = format!("{:016x}", fnv64(&canonical(&report)));
                     assert_eq!(
                         *want, digest,
-                        "{cell}: {shards}-shard campaign drifted from the \
+                        "{cell}: {shards}-shard campaign (threads {threads}) drifted from the \
                          single-shard golden digest"
                     );
                 }

@@ -49,6 +49,13 @@ impl StableHasher {
     pub fn new() -> StableHasher {
         StableHasher(FNV_OFFSET)
     }
+
+    /// FNV-1a of one byte string: the digest of a hasher fed `data`.
+    pub fn digest(data: &[u8]) -> u64 {
+        let mut h = StableHasher::new();
+        h.write(data);
+        h.finish()
+    }
 }
 
 impl Default for StableHasher {
