@@ -69,7 +69,7 @@ fn main() {
     for k in 2..=4usize {
         let (program, natives) = corpus::kstep(k);
         let mut initial = vec![33, 42];
-        initial.extend(std::iter::repeat(0).take(k - 1));
+        initial.extend(std::iter::repeat_n(0, k - 1));
         let cfg = DriverConfig {
             max_runs: 80,
             ..DriverConfig::with_initial(initial)

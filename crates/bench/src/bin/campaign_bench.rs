@@ -37,8 +37,8 @@ use hotg_core::{
     Technique, TraceConfig,
 };
 use hotg_lang::{compile, corpus, InputVector};
-use hotg_logic::{Formula, LogicArena};
-use hotg_solver::{SmtConfig, SmtSession, SmtSolver};
+use hotg_logic::Formula;
+use hotg_solver::SmtSolver;
 use std::fmt::Write as _;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -55,7 +55,7 @@ const SOLVER_BENCH_PROGRAMS: [&str; 2] = ["fanout", "budget_cliff"];
 
 /// Replay volume floor: the recorded stream is replayed in whole-stream
 /// rounds until at least this many queries ran, so both legs time enough
-/// work to be stable on CI hosts — and so the session leg's cross-round
+/// work to be stable on CI hosts — and so the shared-solver leg's cross-round
 /// cache reuse (a generation re-posing equivalent queries) is exercised.
 const SOLVER_BENCH_MIN_QUERIES: usize = 150;
 
@@ -348,7 +348,6 @@ struct SolverBenchRow {
     session_qps: f64,
     speedup: f64,
     intern_hits: u64,
-    clauses_reused: u64,
     cache_hits: u64,
     pass: bool,
 }
@@ -376,10 +375,8 @@ fn capture_query_stream(name: &str) -> Vec<Formula> {
 
 /// Replays a captured query stream through both legs: a fresh solver
 /// per query (per-query encode-and-search cost with no reuse of any
-/// kind — what every cache-missing query cost before the session
-/// machinery existed) versus one arena-backed solver with a single
-/// incremental [`SmtSession`] carrying the query cache, the memoized
-/// normalization arena, and CDCL-learned clauses across the stream.
+/// kind) versus one arena-backed solver whose query cache and memoized
+/// normalization arena carry across the stream.
 fn solver_replay(program: &'static str, stream: &[Formula]) -> SolverBenchRow {
     let recorded = stream.len();
     let rounds = if recorded == 0 {
@@ -395,20 +392,14 @@ fn solver_replay(program: &'static str, stream: &[Formula]) -> SolverBenchRow {
         }
     }
     let baseline_s = start.elapsed().as_secs_f64();
-    let solver = SmtSolver::with_config(SmtConfig {
-        incremental: true,
-        ..SmtConfig::new()
-    })
-    .with_arena(Arc::new(LogicArena::new()));
-    let session = SmtSession::for_solver(&solver);
+    let solver = SmtSolver::new();
     let start = Instant::now();
     for _ in 0..rounds {
         for q in stream {
-            let _ = session.check_with(&solver, q);
+            let _ = solver.check(q);
         }
     }
     let session_s = start.elapsed().as_secs_f64();
-    let stats = session.stats();
     let baseline_qps = if baseline_s > 0.0 {
         queries as f64 / baseline_s
     } else {
@@ -432,9 +423,8 @@ fn solver_replay(program: &'static str, stream: &[Formula]) -> SolverBenchRow {
         baseline_qps,
         session_qps,
         speedup,
-        intern_hits: stats.intern_hits,
-        clauses_reused: stats.clauses_reused,
-        cache_hits: stats.hits,
+        intern_hits: solver.arena().stats().intern_hits,
+        cache_hits: solver.cache_stats().hits,
         pass: queries > 0 && speedup >= 3.0,
     }
 }
@@ -443,8 +433,8 @@ fn solver_row_json(r: &SolverBenchRow) -> String {
     format!(
         "{{\"program\": {}, \"recorded_queries\": {}, \"rounds\": {}, \
          \"queries\": {}, \"baseline_qps\": {:.1}, \"session_qps\": {:.1}, \
-         \"speedup\": {:.3}, \"intern_hits\": {}, \"clauses_reused\": {}, \
-         \"cache_hits\": {}, \"pass\": {}}}",
+         \"speedup\": {:.3}, \"intern_hits\": {}, \"cache_hits\": {}, \
+         \"pass\": {}}}",
         json_str(r.program),
         r.recorded,
         r.rounds,
@@ -453,7 +443,6 @@ fn solver_row_json(r: &SolverBenchRow) -> String {
         r.session_qps,
         r.speedup,
         r.intern_hits,
-        r.clauses_reused,
         r.cache_hits,
         r.pass,
     )
@@ -1163,7 +1152,7 @@ fn main() {
             eprintln!(
                 "solver {:<14} {} queries ({} recorded × {} rounds): \
                  {:.0} q/s baseline, {:.0} q/s session, speedup {:.2}x \
-                 ({} intern hits, {} clauses reused){}",
+                 ({} intern hits){}",
                 row.program,
                 row.queries,
                 row.recorded,
@@ -1172,7 +1161,6 @@ fn main() {
                 row.session_qps,
                 row.speedup,
                 row.intern_hits,
-                row.clauses_reused,
                 if row.pass { "" } else { "  FAILED (< 3x)" },
             );
             row
@@ -1276,7 +1264,7 @@ fn main() {
     let resume_json: Vec<String> = resume_rows.iter().map(resume_row_json).collect();
 
     let json = format!(
-        "{{\n  \"schema\": \"hotg-campaign-bench/8\",\n  \"reduced\": {},\n  \
+        "{{\n  \"schema\": \"hotg-campaign-bench/9\",\n  \"reduced\": {},\n  \
          \"max_runs\": {},\n  \"fold_drift\": {},\n  \
          \"rows\": [\n    {}\n  ],\n  \"claims\": [\n    {}\n  ],\n  \
          \"failed_claims\": {},\n  \"chaos\": [\n    {}\n  ],\n  \
@@ -1358,7 +1346,7 @@ fn main() {
     if !solver_pass {
         eprintln!(
             "campaign-bench: solver-throughput replay below the 3x \
-             session-reuse floor"
+             solver-reuse floor"
         );
         failed = true;
     }

@@ -221,9 +221,10 @@ pub struct DriverConfig {
     /// (the default) writes no durable trace.
     pub trace: Option<TraceConfig>,
     /// Optional solver-query tap: every satisfiability query the
-    /// campaign poses through its per-generation solver sessions is
-    /// appended here, pre-normalization and in query order. Escalated
-    /// (detached) retries and validity queries are not recorded. The
+    /// campaign poses to its shards' SMT solvers (`SmtSolver::check`,
+    /// per-target deadline clones included) is appended here,
+    /// pre-normalization and in query order. Escalated (detached)
+    /// retries and validity queries are not recorded. The
     /// benchmark harness uses the captured stream for offline
     /// throughput replay; `None` (the default) records nothing and the
     /// tap never affects campaign behaviour.
@@ -320,7 +321,6 @@ impl DriverConfig {
             max_rounds,
             total_node_budget,
             deadline: _,
-            incremental,
             pre_solve,
         } = smt;
         let LiaConfig {
@@ -340,7 +340,7 @@ impl DriverConfig {
              campaign_deadline={campaign_deadline:?} validity.max_cubes={max_cubes} \
              validity.max_candidates={max_candidates} validity.counter_shifts={counter_shifts:?} \
              smt.max_rounds={max_rounds} smt.total_node_budget={total_node_budget} \
-             smt.incremental={incremental} smt.pre_solve={pre_solve} lia.var_min={var_min} \
+             smt.pre_solve={pre_solve} lia.var_min={var_min} \
              lia.var_max={var_max} lia.node_budget={node_budget} lia.prefer_small={prefer_small}",
         );
         StableHasher::digest(rendered.as_bytes())
@@ -437,8 +437,10 @@ mod tests {
         let mut c = DriverConfig::default();
         c.seed ^= 1;
         assert_ne!(a.resume_digest(), c.resume_digest());
-        let mut d = DriverConfig::default();
-        d.fault_plan = Some(FaultPlan::uniform(1, 0.5));
+        let d = DriverConfig {
+            fault_plan: Some(FaultPlan::uniform(1, 0.5)),
+            ..DriverConfig::default()
+        };
         assert_ne!(a.resume_digest(), d.resume_digest());
     }
 
@@ -448,7 +450,7 @@ mod tests {
     fn default_resume_digest_is_pinned() {
         assert_eq!(
             DriverConfig::default().resume_digest(),
-            0x9713_9fc3_4ac8_60f8
+            0xcffa_1a5b_618c_fc90
         );
     }
 }

@@ -12,7 +12,7 @@ use crate::strategy::Strategy;
 use hotg_concolic::ExecProfile;
 use hotg_lang::InputVector;
 use hotg_logic::Value;
-use hotg_solver::{SmtResult, SmtSession, SmtSolver};
+use hotg_solver::{SmtResult, SmtSolver};
 use std::collections::BTreeMap;
 
 impl Engine<'_> {
@@ -23,12 +23,11 @@ impl Engine<'_> {
         &self,
         job: &Job,
         strategy: &dyn Strategy,
-        session: &SmtSession,
         smt: &SmtSolver,
         reason: DegradationReason,
         out: &mut TargetOutcome,
     ) {
-        if !self.degrade_target(job, strategy, session, smt, reason, out) {
+        if !self.degrade_target(job, strategy, smt, reason, out) {
             out.rejected_targets += 1;
         }
     }
@@ -44,12 +43,10 @@ impl Engine<'_> {
     /// line up 1:1 with the original run's — entry positions differ
     /// (sound concretization interleaves pinning entries), hence the
     /// mapping through branch order below.
-    #[allow(clippy::too_many_arguments)]
     fn degrade_target(
         &self,
         job: &Job,
         strategy: &dyn Strategy,
-        session: &SmtSession,
         smt: &SmtSolver,
         reason: DegradationReason,
         out: &mut TargetOutcome,
@@ -100,10 +97,7 @@ impl Engine<'_> {
                 continue;
             };
             out.solver_calls += 1;
-            // Rung queries route through the generation session: `smt`
-            // carries the (possibly deadline-reconfigured) budgets while
-            // the session contributes the reuse state.
-            let model = match session.check_with(smt, &alt) {
+            let model = match smt.check(&alt) {
                 Ok(SmtResult::Sat(m)) => Some(m),
                 Ok(_) => None,
                 Err(_) => {

@@ -73,7 +73,7 @@
 //! test runs on the coordinator against the canonical report at the same
 //! per-target merge boundaries for every N, so a mid-generation stop
 //! truncates the canonical stream at the same block. Only the
-//! announcement-only telemetry (cache hit/miss split, session and
+//! announcement-only telemetry (cache hit/miss split, query and
 //! backend counters, `ExecStats`) may vary with the schedule.
 
 use super::outcome::{Job, TargetOutcome};
@@ -83,9 +83,7 @@ use crate::events::CampaignEvent;
 use crate::report::Origin;
 use crate::strategy::Strategy;
 use crate::summaries::{SummaryConfig, SummaryTable};
-use hotg_solver::{
-    BackendStats, CacheStats, Deadline, Samples, SmtSession, SmtSolver, ValidityChecker,
-};
+use hotg_solver::{BackendStats, CacheStats, Deadline, Samples, SmtSolver, ValidityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -129,12 +127,11 @@ struct PassCx<'e> {
 
 /// One shard's pass over its share of a generation: stage-A
 /// reconstruction from the shard's salvaged trace tail while it lasts,
-/// live processing after, all against one solver session and the
+/// live processing after, all against the shard's solvers and the
 /// generation's sample-table snapshot.
 struct ShardPass<'e> {
     cx: PassCx<'e>,
     solvers: &'e Solvers,
-    session: SmtSession,
     snapshot: &'e Samples,
     /// Stage A is still on for the lazily pulled pass: every target so
     /// far was reconstructed.
@@ -146,7 +143,6 @@ impl<'e> ShardPass<'e> {
         ShardPass {
             cx,
             solvers,
-            session: SmtSession::for_solver(&solvers.smt),
             snapshot,
             replaying: true,
         }
@@ -165,7 +161,6 @@ impl<'e> ShardPass<'e> {
             self.snapshot,
             self.cx.summaries,
             &self.solvers.smt,
-            &self.session,
             &self.solvers.validity,
             self.cx.campaign_end,
         )
@@ -333,7 +328,6 @@ impl Engine<'_> {
         let shard_ids: Vec<usize> = (0..shards).collect();
         let mut exchange = (shards > 1).then(|| Exchange::open(self, strategy, shard_resume));
         let mut st = CampaignState::default();
-        let (mut session_queries, mut session_clauses_reused) = (0u64, 0u64);
 
         // At N > 1 the preamble also goes verbatim into every shard
         // trace: each is a self-contained checkpoint.
@@ -425,10 +419,6 @@ impl Engine<'_> {
                 }
                 st.fold_outcome(out);
             }
-            for pass in &passes {
-                session_queries += pass.session.queries();
-                session_clauses_reused += pass.session.clauses_reused();
-            }
             // A shard's trace I/O fail-fast stops the canonical campaign
             // at the same merge-boundary granularity as its own.
             if let Some(x) = &exchange {
@@ -451,9 +441,8 @@ impl Engine<'_> {
             misses: cache.misses,
         });
         em.emit(CampaignEvent::SolverSessionStats {
-            queries: session_queries,
+            queries: solvers.iter().map(|s| s.smt.queries()).sum(),
             intern_hits: self.arena.stats().intern_hits,
-            clauses_reused: session_clauses_reused,
         });
         let backend = solvers
             .iter()

@@ -147,19 +147,17 @@ pub enum CampaignEvent {
         /// Lookups that ran the solver.
         misses: u64,
     },
-    /// Solver-session throughput totals, emitted once at the end of a
+    /// Satisfiability-query totals, emitted once at the end of a
     /// directed campaign alongside [`CampaignEvent::CacheStats`].
     /// Announcement-only: not folded into the report (the counters are
     /// reuse telemetry, not campaign results, and may legitimately vary
     /// with thread count).
     SolverSessionStats {
-        /// Queries routed through per-generation solver sessions.
+        /// `SmtSolver::check` calls on the shards' solvers (escalated
+        /// retries excluded), summed over shards.
         queries: u64,
         /// Term-arena intern lookups answered by an existing node.
         intern_hits: u64,
-        /// Learned clauses carried across queries by incremental
-        /// sessions (zero when incremental solving is off).
-        clauses_reused: u64,
     },
     /// Pre-solver cascade totals (SMT solver plus validity checker),
     /// emitted once at the end of a directed campaign when pre-solving
@@ -357,11 +355,9 @@ impl CampaignEvent {
             CampaignEvent::SolverSessionStats {
                 queries,
                 intern_hits,
-                clauses_reused,
             } => {
                 s.push_str(&format!(
-                    ",\"queries\":{queries},\"intern_hits\":{intern_hits},\
-                     \"clauses_reused\":{clauses_reused}"
+                    ",\"queries\":{queries},\"intern_hits\":{intern_hits}"
                 ));
             }
             CampaignEvent::BackendStats {

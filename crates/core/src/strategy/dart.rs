@@ -93,7 +93,7 @@ fn dart_target(strategy: &dyn Strategy, cx: &TargetCx<'_, '_>, job: &Job, out: &
     out.solver_calls += 1;
     let checked = match eng.chaos_solver(out, chaos_key(&(cx.tkey, 0usize))) {
         Some(c) => c,
-        None => match cx.session.check_with(cx.smt, &job.alt) {
+        None => match cx.smt.check(&job.alt) {
             Ok(SmtResult::Sat(m)) => Checked::Sat(m),
             Ok(SmtResult::Unsat) => Checked::Unsat,
             Ok(SmtResult::Unknown) => Checked::Unknown,
@@ -108,26 +108,14 @@ fn dart_target(strategy: &dyn Strategy, cx: &TargetCx<'_, '_>, job: &Job, out: &
             match eng.escalated_smt(cx.smt, &job.alt, out) {
                 Some(SmtResult::Sat(model)) => run_solved(strategy, cx, job, &model, out),
                 Some(SmtResult::Unsat) => out.rejected_targets += 1,
-                _ => eng.concede_target(
-                    job,
-                    strategy,
-                    cx.session,
-                    cx.smt,
-                    DegradationReason::SolverUnknown,
-                    out,
-                ),
+                _ => {
+                    eng.concede_target(job, strategy, cx.smt, DegradationReason::SolverUnknown, out)
+                }
             }
         }
         Checked::Errored => {
             out.solver_errors += 1;
-            eng.concede_target(
-                job,
-                strategy,
-                cx.session,
-                cx.smt,
-                DegradationReason::SolverError,
-                out,
-            );
+            eng.concede_target(job, strategy, cx.smt, DegradationReason::SolverError, out);
         }
     }
 }

@@ -269,7 +269,7 @@ fn kstep_multi_step_generation() {
     for k in 2..=3usize {
         let (program, natives) = corpus::kstep(k);
         let mut initial = vec![33, 42];
-        initial.extend(std::iter::repeat(0).take(k - 1));
+        initial.extend(std::iter::repeat_n(0, k - 1));
         let cfg = DriverConfig {
             max_runs: 60,
             ..DriverConfig::with_initial(initial)

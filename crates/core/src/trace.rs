@@ -64,6 +64,13 @@ const TRACE_VERSION: &str = "hotg-trace/2";
 /// frame is corrupt (and must not drive a huge allocation).
 const FRAME_SANITY: usize = 1 << 28;
 
+/// Nesting limit of the JSON parser. The deepest payload the encoder
+/// writes nests three levels (a `run_executed` object, its `path`
+/// array, one `[site,dir]` pair), so anything deeper is corruption —
+/// and must not drive the recursive-descent parser into a stack
+/// overflow.
+const JSON_MAX_DEPTH: usize = 8;
+
 /// Buffered bytes before an un-synced flush under lazy fsync policies.
 const FLUSH_THRESHOLD: usize = 1 << 20;
 
@@ -644,13 +651,17 @@ fn count_plausible_frames(data: &[u8], mut off: usize) -> usize {
 /// file, bad magic, unreadable header); any damage *after* the header
 /// is tolerated and reported in the [`Recovery`].
 pub(crate) fn recover(path: &Path) -> Result<Recovery, ResumeError> {
-    let data = std::fs::read(path).map_err(ResumeError::Io)?;
+    salvage(&std::fs::read(path).map_err(ResumeError::Io)?)
+}
+
+/// [`recover`] on the bytes of a trace file.
+fn salvage(data: &[u8]) -> Result<Recovery, ResumeError> {
     if data.len() < TRACE_MAGIC.len() || &data[..TRACE_MAGIC.len()] != TRACE_MAGIC {
         return Err(ResumeError::Malformed(
             "missing HOTGTRC1 magic (not a durable campaign trace)".to_string(),
         ));
     }
-    let (header_payload, header_end) = read_frame(&data, TRACE_MAGIC.len())
+    let (header_payload, header_end) = read_frame(data, TRACE_MAGIC.len())
         .map_err(|e| ResumeError::Malformed(format!("header frame: {e}")))?;
     let header = TraceHeader::from_json(header_payload)
         .ok_or_else(|| ResumeError::Malformed("undecodable header frame".to_string()))?;
@@ -659,7 +670,7 @@ pub(crate) fn recover(path: &Path) -> Result<Recovery, ResumeError> {
     let mut off = header_end;
     let mut damage = None;
     while off < data.len() {
-        match read_frame(&data, off) {
+        match read_frame(data, off) {
             Ok((payload, end)) => match decode_event(payload, events.len() as u64) {
                 Some(event) => {
                     events.push(event);
@@ -682,7 +693,7 @@ pub(crate) fn recover(path: &Path) -> Result<Recovery, ResumeError> {
     }
     let bytes_discarded = (data.len() - off) as u64;
     let frames_discarded = if damage.is_some() {
-        count_plausible_frames(&data, off)
+        count_plausible_frames(data, off)
     } else {
         0
     };
@@ -770,11 +781,13 @@ impl Json {
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected). `None` on any malformation.
+/// trailing garbage rejected). `None` on any malformation, including
+/// nesting deeper than [`JSON_MAX_DEPTH`].
 pub(crate) fn parse_json(text: &str) -> Option<Json> {
     let mut p = JsonParser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -787,6 +800,8 @@ pub(crate) fn parse_json(text: &str) -> Option<Json> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -825,8 +840,19 @@ impl JsonParser<'_> {
     fn value(&mut self) -> Option<Json> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b @ (b'{' | b'[') => {
+                if self.depth == JSON_MAX_DEPTH {
+                    return None;
+                }
+                self.depth += 1;
+                let v = if b == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Some(Json::Str(self.string()?)),
             b't' => self.eat_lit(b"true").map(|()| Json::Bool(true)),
             b'f' => self.eat_lit(b"false").map(|()| Json::Bool(false)),
@@ -1165,7 +1191,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
         "solver_session_stats" => CampaignEvent::SolverSessionStats {
             queries: v.u64_field("queries")?,
             intern_hits: v.u64_field("intern_hits")?,
-            clauses_reused: v.u64_field("clauses_reused")?,
         },
         "backend_stats" => CampaignEvent::BackendStats {
             backend: v.str_field("backend")?.to_string(),
@@ -1330,7 +1355,6 @@ mod tests {
             CampaignEvent::SolverSessionStats {
                 queries: 11,
                 intern_hits: 100,
-                clauses_reused: 0,
             },
             CampaignEvent::BackendStats {
                 backend: "abstract".to_string(),
@@ -1566,5 +1590,151 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(rec.events.is_empty());
         assert!(rec.damage.is_some());
+    }
+
+    /// A CRC-valid frame around `payload`.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        push_frame(&mut buf, payload);
+        buf
+    }
+
+    /// The durable trace of a real corpus campaign (higher-order on
+    /// `foo`, whose runs carry multi-branch paths) and its events.
+    fn corpus_trace() -> &'static (Vec<u8>, Vec<CampaignEvent>) {
+        static TRACE: std::sync::OnceLock<(Vec<u8>, Vec<CampaignEvent>)> =
+            std::sync::OnceLock::new();
+        TRACE.get_or_init(|| {
+            let path = tmp("corpus");
+            let (program, natives) = hotg_lang::corpus::foo();
+            let config = crate::DriverConfig {
+                max_runs: 12,
+                threads: 1,
+                trace: Some(TraceConfig::new(&path)),
+                ..crate::DriverConfig::with_initial(vec![0; program.input_width()])
+            };
+            crate::Driver::new(&program, &natives, config).run(Technique::HigherOrder);
+            let data = std::fs::read(&path).expect("read corpus trace");
+            let _ = std::fs::remove_file(&path);
+            let rec = salvage(&data).expect("intact corpus trace");
+            assert!(rec.damage.is_none() && rec.complete);
+            (data, rec.events)
+        })
+    }
+
+    /// 200 000 nested `[` in one CRC-valid frame after a valid prefix:
+    /// the parser refuses the nesting instead of overflowing the stack,
+    /// so recovery reports damage after the salvaged prefix.
+    #[test]
+    fn deeply_nested_frame_is_damage_not_a_stack_overflow() {
+        let path = tmp("deep");
+        let events = sample_events();
+        write_sample_trace(&path, &events);
+        let mut data = std::fs::read(&path).expect("read trace");
+        data.extend(frame(&[b'['; 200_000]));
+        std::fs::write(&path, &data).expect("write trace");
+        let rec = recover(&path).expect("recover");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(rec.events, events);
+        assert!(rec
+            .damage
+            .as_deref()
+            .is_some_and(|d| d.contains("undecodable")));
+        assert_eq!(rec.frames_discarded, 1);
+        // The same nesting in the header frame refuses the trace.
+        let mut headed = TRACE_MAGIC.to_vec();
+        headed.extend(frame(&[b'{'; 200_000]));
+        assert!(matches!(salvage(&headed), Err(ResumeError::Malformed(_))));
+        // Nesting at the limit still parses; one level more does not.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(JSON_MAX_DEPTH)).is_some());
+        assert!(parse_json(&nested(JSON_MAX_DEPTH + 1)).is_none());
+    }
+
+    /// Characters that make random text look like event JSON often
+    /// enough to reach past the parser into the field decoders.
+    const JSON_ALPHABET: &[u8] = b"{}[]\",:\\ -0123456789seqventruflaxdbkio_\xc3\xa9";
+
+    fn json_ish(bytes: &[u8]) -> String {
+        String::from_utf8_lossy(bytes).into_owned()
+    }
+
+    hotg_prop::proptest! {
+        #![proptest_config(hotg_prop::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes after the magic never panic recovery; a trace
+        /// whose header frame is valid salvages nothing from random
+        /// frames that cannot carry `seq` 0.
+        #[test]
+        fn recover_never_panics_on_arbitrary_bytes(
+            tail in hotg_prop::collection::vec(0u8..=255, 0..96),
+            payload in hotg_prop::collection::vec(0usize..JSON_ALPHABET.len(), 0..64),
+        ) {
+            let mut raw = TRACE_MAGIC.to_vec();
+            raw.extend(&tail);
+            if let Ok(rec) = salvage(&raw) {
+                hotg_prop::prop_assert!(rec.ends.len() == rec.events.len());
+            }
+            let (data, _) = corpus_trace();
+            let header = &data[..salvage(data).expect("intact").header_end as usize];
+            let text: Vec<u8> = payload.iter().map(|&i| JSON_ALPHABET[i]).collect();
+            for extra in [tail.clone(), frame(&tail), frame(&text)] {
+                let mut bytes = header.to_vec();
+                bytes.extend(&extra);
+                let rec = salvage(&bytes).expect("the header frame is intact");
+                hotg_prop::prop_assert!(rec.events.len() <= 1);
+            }
+        }
+
+        /// Single-byte flips, truncations and insertions anywhere in a
+        /// real corpus trace never panic, and whatever is salvaged is a
+        /// prefix of the original events.
+        #[test]
+        fn mutated_corpus_trace_salvages_a_prefix(
+            op in 0u8..3,
+            at in 0usize..1 << 20,
+            byte in 0u8..=255,
+        ) {
+            let (data, events) = corpus_trace();
+            let mut bad = data.clone();
+            let pos = at % bad.len();
+            match op {
+                0 => bad[pos] ^= byte.max(1),
+                1 => bad.truncate(pos),
+                _ => bad.insert(pos, byte),
+            }
+            if let Ok(rec) = salvage(&bad) {
+                hotg_prop::prop_assert!(rec.events.len() <= events.len());
+                hotg_prop::prop_assert_eq!(&rec.events[..], &events[..rec.events.len()]);
+            }
+        }
+
+        /// Arbitrary text, and real event payloads with one byte changed,
+        /// never panic the decoder; anything it accepts re-encodes to a
+        /// payload that decodes to the same event.
+        #[test]
+        fn decode_event_never_panics(
+            text in hotg_prop::collection::vec(0usize..JSON_ALPHABET.len(), 0..80),
+            which in 0usize..1 << 16,
+            at in 0usize..1 << 16,
+            byte in 0usize..JSON_ALPHABET.len(),
+        ) {
+            let text: Vec<u8> = text.iter().map(|&i| JSON_ALPHABET[i]).collect();
+            let (_, events) = corpus_trace();
+            let seq = which % events.len();
+            let mut real = events[seq].to_json(seq as u64).into_bytes();
+            let pos = at % real.len();
+            real[pos] = JSON_ALPHABET[byte];
+            for payload in [json_ish(&text), json_ish(&real)] {
+                for expect in [0, seq as u64] {
+                    if let Some(ev) = decode_event(&payload, expect) {
+                        hotg_prop::prop_assert_eq!(
+                            decode_event(&ev.to_json(expect), expect),
+                            Some(ev)
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -513,7 +513,7 @@ fn default_corpus_never_exhausts_fuel() {
                 report.fuel_exhausted_runs, 0,
                 "{name}/{technique}: fuel exhausted"
             );
-            assert!(report.fault_kinds.get(&FaultKind::FuelExhausted).is_none());
+            assert!(!report.fault_kinds.contains_key(&FaultKind::FuelExhausted));
         }
     }
 }

@@ -516,11 +516,11 @@ mod tests {
         // First run x=33, y=42: hash(42)=567 ≠ 33 → ok path.
         let (o, t) = run(&p, &n, &InputVector::new(vec![33, 42]), 1000);
         assert_eq!(o, Outcome::Returned);
-        assert_eq!(t.branches[0].1, false);
+        assert!(!t.branches[0].1);
         // Second run x=567, y=42: error path.
         let (o2, t2) = run(&p, &n, &InputVector::new(vec![567, 42]), 1000);
         assert_eq!(o2, Outcome::Error(1));
-        assert_eq!(t2.branches[0].1, true);
+        assert!(t2.branches[0].1);
     }
 
     #[test]

@@ -852,7 +852,7 @@ mod tests {
         let (name, args, out) = &t.native_calls[0];
         assert_eq!(name, "hash");
         assert_eq!(args, &vec![42]);
-        assert_eq!(*out, 42 * 13 % 1000);
+        assert_eq!(*out, 546, "hash(42) = 42 * 13 mod 1000");
     }
 
     #[test]

@@ -585,7 +585,10 @@ mod tests {
         }
         fn depth(t: &Tree) -> u32 {
             match t {
-                Tree::Leaf(_) => 1,
+                Tree::Leaf(v) => {
+                    assert!((0..100).contains(v));
+                    1
+                }
                 Tree::Node(a, b) => 1 + depth(a).max(depth(b)),
             }
         }
@@ -610,7 +613,7 @@ mod tests {
         /// The proptest! macro itself: bodies run, `?` and prop_assert work.
         #[test]
         fn macro_smoke(a in -50i64..=50, v in collection::vec(0i64..10, 0..4)) {
-            prop_assert!(a >= -50 && a <= 50);
+            prop_assert!((-50..=50).contains(&a));
             prop_assert_eq!(v.len(), v.len());
             let ok: Result<(), TestCaseError> = Ok(());
             ok?;

@@ -8,12 +8,9 @@
 //! sizes in this workspace are small (boolean abstractions of path
 //! constraints), so there is no clause-database reduction.
 //!
-//! For incremental use, [`SatSolver::push`] / [`SatSolver::pop`] scope
-//! clauses to retractable assertion frames via activation literals
-//! (asserted as assumption decisions during `solve`), so clauses learned
-//! while a frame is open remain sound — merely silenced — after the frame
-//! is popped. This is what lets the SMT layer in `hotg-solver` keep one
-//! boolean core alive across a generation of sibling queries.
+//! Clauses may be added between `solve` calls, never removed. The SMT
+//! layer in `hotg-solver` relies on this: its refinement loop adds theory
+//! lemmas and blocking clauses to one fresh solver per query and re-solves.
 //!
 //! # Example
 //!

@@ -97,11 +97,9 @@ struct Clause {
 
 /// A CDCL SAT solver over clauses added with [`SatSolver::add_clause`].
 ///
-/// The solver is incremental in two senses: clauses may be added between
-/// [`SatSolver::solve`] calls (solving restarts from scratch, keeping
-/// learned clauses), and an assertion stack ([`SatSolver::push`] /
-/// [`SatSolver::pop`]) scopes clauses to retractable frames via
-/// activation literals, so learned clauses survive a `pop` soundly.
+/// Clauses may be added between [`SatSolver::solve`] calls: solving
+/// restarts from scratch and keeps the clauses learned so far, which stay
+/// sound because clauses are only ever added, never retracted.
 #[derive(Debug, Default)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
@@ -118,14 +116,6 @@ pub struct SatSolver {
     /// Clauses of length 0/1 seen at add time; empty clause ⇒ trivially UNSAT.
     trivially_unsat: bool,
     units: Vec<Lit>,
-    /// Activation variable of each open assertion frame (innermost last).
-    /// Clauses added while a frame is open carry the negation of its
-    /// activation literal; `solve` asserts the literals of all open
-    /// frames as assumption decisions.
-    frames: Vec<u32>,
-    /// Lifetime count of learned clauses (observability for the SMT
-    /// layer's clause-reuse accounting).
-    learned: u64,
 }
 
 impl SatSolver {
@@ -159,68 +149,16 @@ impl SatSolver {
         self.clauses.len()
     }
 
-    /// Opens a new assertion frame: clauses added until the matching
-    /// [`SatSolver::pop`] are retractable as a group. Frames nest
-    /// (stack discipline). Returns the frame's activation variable.
-    pub fn push(&mut self) -> u32 {
-        let a = self.new_var();
-        self.frames.push(a);
-        a
-    }
-
-    /// Closes the innermost assertion frame, retracting its clauses.
-    ///
-    /// Retraction is by permanent deactivation: the frame's activation
-    /// literal is forced false, which satisfies (and thereby silences)
-    /// every clause of the frame *and* every learned clause derived from
-    /// them — so clause learning carries over between frames soundly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no frame is open.
-    pub fn pop(&mut self) {
-        let a = self.frames.pop().expect("pop without matching push");
-        // Deliberately bypasses add_clause: the deactivation unit must be
-        // permanent (root-level), not tagged with an enclosing frame.
-        self.units.push(Lit::neg(a));
-    }
-
-    /// Number of currently open assertion frames.
-    pub fn frame_depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Adds a clause at the root, bypassing any open frame: the clause is
-    /// permanent and survives every `pop`. For clauses that are valid
-    /// independent of the current frame (theory lemmas, definitional
-    /// clauses of persistent variables).
-    pub fn add_root_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        let frames = std::mem::take(&mut self.frames);
-        self.add_clause(lits);
-        self.frames = frames;
-    }
-
-    /// Lifetime count of learned clauses.
-    pub fn learned_count(&self) -> u64 {
-        self.learned
-    }
-
     /// Adds a clause (a disjunction of literals).
     ///
     /// Duplicate literals are removed; tautological clauses are dropped.
-    /// An empty clause makes the instance trivially unsatisfiable. While
-    /// an assertion frame is open the clause is tagged with the frame's
-    /// activation literal and holds only until the matching
-    /// [`SatSolver::pop`].
+    /// An empty clause makes the instance trivially unsatisfiable.
     ///
     /// # Panics
     ///
     /// Panics if a literal references an unallocated variable.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
         let mut ls: Vec<Lit> = lits.into_iter().collect();
-        if let Some(&a) = self.frames.last() {
-            ls.push(Lit::neg(a));
-        }
         for l in &ls {
             assert!(
                 (l.var() as usize) < self.assign.len(),
@@ -405,7 +343,6 @@ impl SatSolver {
     }
 
     fn learn(&mut self, lits: Vec<Lit>) -> Option<ClauseRef> {
-        self.learned += 1;
         match lits.len() {
             0 => None,
             1 => None,
@@ -419,15 +356,7 @@ impl SatSolver {
         }
     }
 
-    /// Decides satisfiability of the current clause set under the open
-    /// assertion frames.
-    ///
-    /// The activation literal of every open frame is asserted as an
-    /// assumption *decision* (at levels ≥ 1, never at the root): conflict
-    /// analysis skips only root-level literals, so learned clauses that
-    /// depend on a frame inherit the frame's (negated) activation literal
-    /// and are silenced — not invalidated — by the frame's `pop`. With no
-    /// frames open this is the plain CDCL loop.
+    /// Decides satisfiability of the current clause set.
     ///
     /// On `Sat`, the returned vector maps each variable index to its value.
     pub fn solve(&mut self) -> SatResult {
@@ -454,7 +383,6 @@ impl SatSolver {
         }
         self.units = units;
 
-        let assumptions: Vec<Lit> = self.frames.iter().map(|&a| Lit::pos(a)).collect();
         let mut conflicts_until_restart = 100u64;
         let mut conflicts = 0u64;
 
@@ -475,23 +403,6 @@ impl SatSolver {
                     conflicts = 0;
                     conflicts_until_restart = (conflicts_until_restart * 3) / 2;
                     self.cancel_until(0);
-                }
-            } else if (self.decision_level() as usize) < assumptions.len() {
-                // Re-assert the next pending frame assumption (restarts and
-                // backjumps may retract them; this loop restores the prefix).
-                let next = assumptions[self.decision_level() as usize];
-                match self.value(next) {
-                    // Already implied: open an empty pseudo-level so
-                    // deeper assumptions keep their positions.
-                    Some(true) => self.trail_lim.push(self.trail.len()),
-                    // Implied false at or below this prefix: the open
-                    // frames contradict the root clauses.
-                    Some(false) => return SatResult::Unsat,
-                    None => {
-                        self.trail_lim.push(self.trail.len());
-                        let ok = self.enqueue(next, None);
-                        debug_assert!(ok);
-                    }
                 }
             } else {
                 match self.pick_branch() {
@@ -629,19 +540,17 @@ mod tests {
         // PHP(3,2): 3 pigeons, 2 holes.
         let mut s = SatSolver::new();
         let mut p = [[0u32; 2]; 3];
-        for (i, row) in p.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                let _ = (i, j);
-                *cell = s.new_var();
-            }
+        for cell in p.iter_mut().flatten() {
+            *cell = s.new_var();
         }
         for row in &p {
             s.add_clause(row.iter().map(|&v| Lit::pos(v)));
         }
-        for j in 0..2 {
-            for i1 in 0..3 {
-                for i2 in (i1 + 1)..3 {
-                    s.add_clause([Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
+        // No hole holds two pigeons.
+        for i1 in 0..3 {
+            for i2 in (i1 + 1)..3 {
+                for (&a, &b) in p[i1].iter().zip(&p[i2]) {
+                    s.add_clause([Lit::neg(a), Lit::neg(b)]);
                 }
             }
         }
@@ -704,98 +613,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unallocated variable")]
-    fn unallocated_variable_panics() {
-        let mut s = SatSolver::new();
-        s.add_clause([Lit::pos(0)]);
-    }
-
-    #[test]
-    fn push_pop_retracts_clauses() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        s.add_clause([Lit::pos(a)]);
-        assert!(s.solve().is_sat());
-        s.push();
-        s.add_clause([Lit::neg(a)]);
-        assert_eq!(s.frame_depth(), 1);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        s.pop();
-        assert_eq!(s.frame_depth(), 0);
-        match s.solve() {
-            SatResult::Sat(m) => assert!(m[a as usize]),
-            SatResult::Unsat => panic!("popped frame must not constrain"),
-        }
-    }
-
-    #[test]
-    fn nested_frames_retract_in_stack_order() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause([Lit::pos(a), Lit::pos(b)]);
-        s.push();
-        s.add_clause([Lit::neg(a)]);
-        s.push();
-        s.add_clause([Lit::neg(b)]);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        s.pop(); // ¬b retracted; ¬a still active
-        match s.solve() {
-            SatResult::Sat(m) => {
-                assert!(!m[a as usize]);
-                assert!(m[b as usize]);
-            }
-            SatResult::Unsat => panic!("expected SAT after inner pop"),
-        }
-        s.pop();
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn learned_clauses_stay_sound_after_pop() {
-        // Force real conflict-driven learning inside a frame (PHP(3,2)
-        // on frame-scoped clauses over root variables), then pop and
-        // check the root instance is still seen as satisfiable with a
-        // correct model — i.e. retained learned clauses did not leak the
-        // frame's constraints.
-        let mut s = SatSolver::new();
-        let mut p = [[0u32; 2]; 3];
-        for row in p.iter_mut() {
-            for cell in row.iter_mut() {
-                *cell = s.new_var();
-            }
-        }
-        // Root: every pigeon somewhere (satisfiable alone).
-        for row in &p {
-            s.add_clause(row.iter().map(|&v| Lit::pos(v)));
-        }
-        s.push();
-        for j in 0..2 {
-            for i1 in 0..3 {
-                for i2 in (i1 + 1)..3 {
-                    s.add_clause([Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SatResult::Unsat);
-        assert!(s.learned_count() > 0, "PHP must trigger learning");
-        s.pop();
-        match s.solve() {
-            SatResult::Sat(m) => {
-                for row in &p {
-                    assert!(row.iter().any(|&v| m[v as usize]));
-                }
-            }
-            SatResult::Unsat => panic!("root instance is satisfiable"),
-        }
-    }
-
-    #[test]
-    fn random_incremental_matches_brute_force() {
-        // Random base instance; repeatedly push a frame of extra random
-        // clauses, compare against brute force of base+frame, pop, and
-        // compare against base alone — with learned clauses accumulating
-        // across the whole sequence.
+    fn growing_instance_matches_brute_force() {
+        // Random base instance, then repeatedly add more random clauses
+        // and re-solve — the SMT refine loop's pattern when it adds
+        // blocking clauses. Learned clauses accumulate across the whole
+        // sequence and must never cut off a model of the grown instance.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state = state
@@ -809,32 +631,28 @@ mod tests {
             for _ in 0..n_vars {
                 s.new_var();
             }
-            let mut base = Vec::new();
-            for _ in 0..(2 + (next() % 15) as usize) {
-                let len = 1 + (next() % 3) as usize;
-                let clause: Vec<Lit> = (0..len)
-                    .map(|_| Lit::new(next() % n_vars as u32, next() % 2 == 0))
-                    .collect();
-                base.push(clause.clone());
-                s.add_clause(clause);
-            }
+            let mut clauses = Vec::new();
+            // Adds `min + rand(0..spread)` random clauses of length 1..=3.
+            let mut add =
+                |min: u32, spread: u32, s: &mut SatSolver, clauses: &mut Vec<Vec<Lit>>| {
+                    for _ in 0..min + next() % spread {
+                        let len = 1 + (next() % 3) as usize;
+                        let clause: Vec<Lit> = (0..len)
+                            .map(|_| Lit::new(next() % n_vars as u32, next() % 2 == 0))
+                            .collect();
+                        clauses.push(clause.clone());
+                        s.add_clause(clause);
+                    }
+                };
+            add(2, 15, &mut s, &mut clauses);
             for step in 0..4 {
-                s.push();
-                let mut extra = base.clone();
-                for _ in 0..(1 + (next() % 8) as usize) {
-                    let len = 1 + (next() % 3) as usize;
-                    let clause: Vec<Lit> = (0..len)
-                        .map(|_| Lit::new(next() % n_vars as u32, next() % 2 == 0))
-                        .collect();
-                    extra.push(clause.clone());
-                    s.add_clause(clause);
-                }
-                let expect = brute_force_sat(n_vars, &extra);
+                add(1, 8, &mut s, &mut clauses);
+                let expect = brute_force_sat(n_vars, &clauses);
                 match s.solve() {
                     SatResult::Sat(m) => {
                         assert!(expect, "round {round} step {step}: spurious SAT");
                         assert!(
-                            check_model(&m[..n_vars], &extra),
+                            check_model(&m, &clauses),
                             "round {round} step {step}: bad model"
                         );
                     }
@@ -842,31 +660,14 @@ mod tests {
                         assert!(!expect, "round {round} step {step}: spurious UNSAT");
                     }
                 }
-                s.pop();
-                let expect_base = brute_force_sat(n_vars, &base);
-                match s.solve() {
-                    SatResult::Sat(m) => {
-                        assert!(expect_base, "round {round} step {step}: post-pop SAT drift");
-                        assert!(
-                            check_model(&m[..n_vars], &base),
-                            "round {round} step {step}: post-pop bad model"
-                        );
-                    }
-                    SatResult::Unsat => {
-                        assert!(
-                            !expect_base,
-                            "round {round} step {step}: post-pop UNSAT drift"
-                        );
-                    }
-                }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "pop without matching push")]
-    fn unbalanced_pop_panics() {
+    #[should_panic(expected = "unallocated variable")]
+    fn unallocated_variable_panics() {
         let mut s = SatSolver::new();
-        s.pop();
+        s.add_clause([Lit::pos(0)]);
     }
 }

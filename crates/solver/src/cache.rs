@@ -28,22 +28,14 @@ const SHARDS: usize = 16;
 /// query streams, not a tuning knob.
 const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Reuse counters of the solver stack (monotone, campaign-lifetime).
-///
-/// `hits`/`misses` account the query memo tables; `intern_hits` counts
-/// term-arena lookups answered by an already-interned node (memoized
-/// normalization/fingerprints); `clauses_reused` counts learned clauses
-/// carried across queries by incremental solver sessions.
+/// Hit/miss counters of the query memo tables (monotone,
+/// campaign-lifetime).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the memo table.
     pub hits: u64,
     /// Lookups that fell through to the solver.
     pub misses: u64,
-    /// Arena intern lookups answered by an existing node.
-    pub intern_hits: u64,
-    /// Learned clauses reused across queries by incremental sessions.
-    pub clauses_reused: u64,
 }
 
 impl CacheStats {
@@ -61,8 +53,6 @@ impl CacheStats {
         CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
-            intern_hits: self.intern_hits + other.intern_hits,
-            clauses_reused: self.clauses_reused + other.clauses_reused,
         }
     }
 }
@@ -147,14 +137,11 @@ impl<K: Hash + Eq, V: Clone> QueryCache<K, V> {
         self.len() == 0
     }
 
-    /// Current hit/miss counters (a bare cache has no arena or session,
-    /// so the reuse counters are zero here and contributed by the owning
-    /// solver's `cache_stats`).
+    /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            ..CacheStats::default()
         }
     }
 }
@@ -259,25 +246,13 @@ mod tests {
 
     #[test]
     fn stats_merge() {
-        let a = CacheStats {
-            hits: 2,
-            misses: 3,
-            intern_hits: 11,
-            clauses_reused: 1,
-        };
-        let b = CacheStats {
-            hits: 5,
-            misses: 7,
-            intern_hits: 13,
-            clauses_reused: 2,
-        };
+        let a = CacheStats { hits: 2, misses: 3 };
+        let b = CacheStats { hits: 5, misses: 7 };
         assert_eq!(
             a.merged(b),
             CacheStats {
                 hits: 7,
-                misses: 10,
-                intern_hits: 24,
-                clauses_reused: 3,
+                misses: 10
             }
         );
         assert_eq!(CacheStats::default().hit_rate(), 0.0);

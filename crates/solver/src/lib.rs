@@ -45,7 +45,7 @@ pub use backend::{
 };
 pub use cache::{CacheStats, Keyed, QueryCache};
 pub use deadline::Deadline;
-pub use smt::{SmtConfig, SmtResult, SmtSession, SmtSolver, Verdict};
+pub use smt::{SmtConfig, SmtResult, SmtSolver, Verdict};
 pub use validity::{
     CounterInterp, Interpretation, Samples, SamplesDelta, Strategy, StrategyBinding,
     ValidityChecker, ValidityConfig, ValidityOutcome,

@@ -23,7 +23,7 @@ use crate::deadline::Deadline;
 use crate::lia::{solve_int, solve_int_budgeted, ConKind, IntConstraint, LiaConfig, LiaResult};
 use hotg_logic::{Atom, Formula, LinKey, LogicArena, Model, NonLinearError, Term, Value};
 use hotg_sat::{Lit, SatResult, SatSolver};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -89,14 +89,6 @@ pub struct SmtConfig {
     /// verdicts are **never** memoized in the shared query cache, because
     /// they depend on the schedule rather than the query.
     pub deadline: Deadline,
-    /// Run [`SmtSession`]s with one persistent boolean core (assertion
-    /// frame per query, learned clauses and theory lemmas retained across
-    /// a generation's sibling queries). Off by default: retained lemmas
-    /// can steer the CDCL search to a *different, equally correct* model
-    /// than a fresh solver would return, and report-pinned campaigns (the
-    /// golden parity suite) require bit-identical models. Verdicts are
-    /// unaffected either way.
-    pub incremental: bool,
     /// Consult the abstract-interpretation pre-solver cascade
     /// ([`crate::backend`]) on every cache miss before any DPLL(T) work.
     /// The cascade is sound and answers only what DPLL(T) would have
@@ -114,7 +106,6 @@ impl SmtConfig {
             max_rounds: 100_000,
             total_node_budget: 120_000,
             deadline: Deadline::NONE,
-            incremental: false,
             pre_solve: true,
         }
     }
@@ -158,17 +149,20 @@ pub struct SmtSolver {
     /// safe because the memo is behavior-free: it stores exactly what the
     /// pre-pass would recompute.
     arena: Arc<LogicArena>,
-    /// Optional query tap: every formula posed through a
-    /// [`SmtSession`] on this solver is appended here *before*
+    /// Optional query tap: every formula posed to [`SmtSolver::check`]
+    /// on this solver (or a clone sharing it) is appended here *before*
     /// normalization and cache lookup. The benchmark harness uses it to
     /// capture a campaign's real query stream for offline replay; it
     /// never affects verdicts.
     recorder: Option<Arc<Mutex<Vec<Formula>>>>,
     /// The pre-solver cascade, consulted on cache misses when
-    /// [`SmtConfig::pre_solve`] is set. Shared by clones (and their
-    /// sessions), so the short-circuit counters aggregate across the
-    /// worker threads of a campaign.
+    /// [`SmtConfig::pre_solve`] is set. Shared by clones, so the
+    /// short-circuit counters aggregate across the worker threads of a
+    /// campaign.
     pre: Option<Arc<Cascade>>,
+    /// Number of [`SmtSolver::check`] calls, shared by clones like the
+    /// cache.
+    queries: Arc<AtomicU64>,
 }
 
 impl Default for SmtSolver {
@@ -196,13 +190,6 @@ struct Encoder {
     /// Registered theory atoms, in registration order.
     atoms: Vec<TheoryAtom>,
     true_var: Option<u32>,
-    /// Indices into `atoms` referenced since the last
-    /// [`Encoder::begin_query`], in first-touch order. A fresh per-query
-    /// encoder touches exactly its `atoms`; a persistent (session) encoder
-    /// uses this to assert only the current query's atoms against the
-    /// theory.
-    touched: Vec<usize>,
-    touched_vars: HashSet<u32>,
 }
 
 impl Encoder {
@@ -212,21 +199,6 @@ impl Encoder {
             prim_atoms: HashMap::new(),
             atoms: Vec::new(),
             true_var: None,
-            touched: Vec::new(),
-            touched_vars: HashSet::new(),
-        }
-    }
-
-    /// Resets per-query state (the persistent session path calls this
-    /// before each query's encode).
-    fn begin_query(&mut self) {
-        self.touched.clear();
-        self.touched_vars.clear();
-    }
-
-    fn touch(&mut self, atom: usize) {
-        if self.touched_vars.insert(self.atoms[atom].var) {
-            self.touched.push(atom);
         }
     }
 
@@ -235,9 +207,7 @@ impl Encoder {
             Some(v) => v,
             None => {
                 let v = self.sat.new_var();
-                // Root clause: `true_var` persists across session frames,
-                // so its defining unit must too.
-                self.sat.add_root_clause([Lit::pos(v)]);
+                self.sat.add_clause([Lit::pos(v)]);
                 self.true_var = Some(v);
                 v
             }
@@ -247,15 +217,6 @@ impl Encoder {
 
     fn prim_var(&mut self, prim: Prim) -> u32 {
         if let Some(&atom) = self.prim_atoms.get(&prim) {
-            self.touch(atom);
-            if prim.0.kind == ConKind::Eq {
-                // Re-touch the split companions: an assigned-false Eq is
-                // decided through them, so the theory pass must see them
-                // even when this query merely reuses the atom.
-                let (lt, gt) = eq_split(&prim.0);
-                self.prim_var(Prim(lt));
-                self.prim_var(Prim(gt));
-            }
             return self.atoms[atom].var;
         }
         let v = self.sat.new_var();
@@ -267,19 +228,16 @@ impl Encoder {
             negated,
             var: v,
         });
-        self.touch(self.atoms.len() - 1);
         if let Some((lt, gt)) = split {
             // Eager case split: ¬(e = 0) → (e < 0 ∨ e > 0), plus mutual
-            // exclusions for fast propagation. Root clauses: the atom→var
-            // map outlives session frames, so the definitional clauses
-            // must as well (they are theory-valid, not query-local).
+            // exclusions for fast propagation.
             let lv = self.prim_var(Prim(lt));
             let gv = self.prim_var(Prim(gt));
             self.sat
-                .add_root_clause([Lit::pos(v), Lit::pos(lv), Lit::pos(gv)]);
-            self.sat.add_root_clause([Lit::neg(v), Lit::neg(lv)]);
-            self.sat.add_root_clause([Lit::neg(v), Lit::neg(gv)]);
-            self.sat.add_root_clause([Lit::neg(lv), Lit::neg(gv)]);
+                .add_clause([Lit::pos(v), Lit::pos(lv), Lit::pos(gv)]);
+            self.sat.add_clause([Lit::neg(v), Lit::neg(lv)]);
+            self.sat.add_clause([Lit::neg(v), Lit::neg(gv)]);
+            self.sat.add_clause([Lit::neg(lv), Lit::neg(gv)]);
         }
         v
     }
@@ -354,6 +312,7 @@ impl SmtSolver {
             pre: config
                 .pre_solve
                 .then(|| Arc::new(Cascade::abstract_interpretation())),
+            queries: Arc::default(),
         }
     }
 
@@ -365,10 +324,11 @@ impl SmtSolver {
         self
     }
 
-    /// Attaches a query tap: every formula posed through a session on
-    /// this solver (or a clone) is appended to `log` before any cache
-    /// lookup or normalization. Verdicts are unaffected; the benchmark
-    /// harness replays the captured stream to measure solver throughput.
+    /// Attaches a query tap: every formula posed to [`SmtSolver::check`]
+    /// on this solver or a [`SmtSolver::reconfigured`] clone is appended
+    /// to `log` before any cache lookup or normalization. Verdicts are
+    /// unaffected; the benchmark harness replays the captured stream to
+    /// measure solver throughput.
     pub fn with_recorder(mut self, log: Arc<Mutex<Vec<Formula>>>) -> SmtSolver {
         self.recorder = Some(log);
         self
@@ -385,9 +345,9 @@ impl SmtSolver {
     }
 
     /// A solver with a different configuration that **shares** this
-    /// solver's query cache (and arena). Used to thread per-target
-    /// deadlines into worker-local clones without losing memoized
-    /// verdicts.
+    /// solver's query cache, arena, query tap and query counter. Used to
+    /// thread per-target deadlines into worker-local clones without
+    /// losing memoized verdicts.
     pub fn reconfigured(&self, config: SmtConfig) -> SmtSolver {
         SmtSolver {
             config,
@@ -402,6 +362,7 @@ impl SmtSolver {
                     .clone()
                     .unwrap_or_else(|| Arc::new(Cascade::abstract_interpretation()))
             }),
+            queries: Arc::clone(&self.queries),
         }
     }
 
@@ -412,9 +373,9 @@ impl SmtSolver {
     /// The arena stays shared: its memo is behavior-free (normal forms and
     /// fingerprints do not depend on budgets).
     pub fn detached(&self, config: SmtConfig) -> SmtSolver {
-        // Escalated retries are deliberately not recorded: the replayed
-        // bench stream should reflect the campaign's first-attempt
-        // queries, not budget-inflated duplicates.
+        // Escalated retries are deliberately neither recorded nor counted:
+        // the replayed bench stream and the query count should reflect the
+        // campaign's first-attempt queries, not budget-inflated duplicates.
         SmtSolver {
             config,
             cache: Arc::new(QueryCache::new()),
@@ -426,7 +387,15 @@ impl SmtSolver {
             pre: config
                 .pre_solve
                 .then(|| Arc::new(Cascade::abstract_interpretation())),
+            queries: Arc::default(),
         }
+    }
+
+    /// Number of [`SmtSolver::check`] calls on this solver and every
+    /// clone sharing its counter ([`SmtSolver::reconfigured`] does,
+    /// [`SmtSolver::detached`] does not).
+    pub fn queries(&self) -> u64 {
+        self.queries.load(Ordering::Relaxed)
     }
 
     /// Hit/miss counters of the query cache. The campaign engine reads
@@ -483,6 +452,10 @@ impl SmtSolver {
     /// concretization or uninterpreted functions first — that is the whole
     /// point of the paper.
     pub fn check(&self, formula: &Formula) -> Result<SmtResult, NonLinearError> {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        if let Some(log) = &self.recorder {
+            log.lock().expect("recorder lock").push(formula.clone());
+        }
         // Normalization (flatten/dedup/fold) is a logical equivalence over
         // the same atoms, so the memoized result — including a SAT model —
         // transfers to every formula with the same normal form. The arena
@@ -589,40 +562,13 @@ impl SmtSolver {
         let mut enc = Encoder::new();
         let top = enc.encode(full)?;
         enc.sat.add_clause([top]);
-        self.refine(&mut enc, full, false)
+        self.refine(&mut enc, full)
     }
 
-    /// Session path: encodes `full` into the persistent encoder's open
-    /// assertion frame (the Tseitin skeleton and the top-level unit are
-    /// query-local; atom definitions are root clauses) and refines under
-    /// the session discipline. The caller owns push/pop around this.
-    fn check_with_encoder(
-        &self,
-        enc: &mut Encoder,
-        full: &Formula,
-    ) -> Result<SmtResult, NonLinearError> {
-        debug_assert!(enc.sat.frame_depth() > 0, "session query needs a frame");
-        let top = enc.encode(full)?;
-        enc.sat.add_clause([top]);
-        self.refine(enc, full, true)
-    }
-
-    /// The lazy CDCL(T) refinement loop over an already-encoded query.
-    ///
-    /// `session` selects the persistent-encoder discipline used by
-    /// incremental [`SmtSession`]s: only the atoms *touched by the
-    /// current query* are asserted against the theory (the encoder holds
-    /// atoms of every query it has seen), and blocking clauses are added
-    /// at the root — they are theory lemmas, valid beyond the current
-    /// assertion frame, which is exactly what makes them reusable by
-    /// sibling queries. With `session = false` (a fresh per-query
-    /// encoder) the two disciplines coincide.
-    fn refine(
-        &self,
-        enc: &mut Encoder,
-        full: &Formula,
-        session: bool,
-    ) -> Result<SmtResult, NonLinearError> {
+    /// The lazy CDCL(T) refinement loop over an already-encoded query:
+    /// every round asserts the atoms the boolean model picks against the
+    /// theory and, on a theory conflict, adds a blocking clause.
+    fn refine(&self, enc: &mut Encoder, full: &Formula) -> Result<SmtResult, NonLinearError> {
         // One node pool for the whole check: every theory query (and the
         // core minimization probes) draws from it, so total work is
         // bounded even when individual rounds are hard.
@@ -639,10 +585,7 @@ impl SmtSolver {
                     // boolean literal that asserted each.
                     let mut constraints: Vec<&IntConstraint> = Vec::new();
                     let mut asserting: Vec<Lit> = Vec::new();
-                    // A fresh encoder has touched every atom, in
-                    // registration order; a session's only this query's.
-                    for &i in &enc.touched {
-                        let atom = &enc.atoms[i];
+                    for atom in &enc.atoms {
                         let var = atom.var;
                         if bmodel[var as usize] {
                             constraints.push(&atom.prim);
@@ -688,14 +631,7 @@ impl SmtSolver {
                                 Some(c) => c,
                                 None => self.minimize_core(&constraints),
                             };
-                            let blocking: Vec<Lit> = core.iter().map(|&i| asserting[i]).collect();
-                            if session {
-                                // Theory lemma: valid for every query over
-                                // these atoms, so keep it past the frame.
-                                enc.sat.add_root_clause(blocking);
-                            } else {
-                                enc.sat.add_clause(blocking);
-                            }
+                            enc.sat.add_clause(core.iter().map(|&i| asserting[i]));
                         }
                     }
                 }
@@ -778,167 +714,6 @@ impl SmtSolver {
             }
         }
         model
-    }
-}
-
-/// A solver session: the per-generation handle the campaign scheduler
-/// hands to strategies instead of letting them construct fresh solver
-/// instances per query.
-///
-/// Every session reuses the underlying solver's query cache and term
-/// arena — behavior-free acceleration (verdicts *and models* are
-/// bit-identical to a fresh solver's). A session built with
-/// [`SmtSession::incremental`] (or from a config with
-/// [`SmtConfig::incremental`] set) additionally keeps **one persistent
-/// boolean core** across its queries: each query is encoded into a pushed
-/// assertion frame and popped afterwards, while the atom→var map, the
-/// equality case-split clauses, theory lemmas (blocking clauses), and
-/// CDCL-learned clauses all stay behind for the next sibling query.
-/// Incremental sessions return equally correct but possibly *different*
-/// models than a fresh solver (retained lemmas steer the search), which
-/// is why report-pinned campaigns leave the flag off and the benchmark
-/// harness turns it on.
-///
-/// Sessions are `Sync`: the persistent core is mutex-serialized, so a
-/// parallel generation can share one session handle.
-#[derive(Debug)]
-pub struct SmtSession {
-    solver: SmtSolver,
-    /// `Some` ⇒ incremental: the persistent encoder.
-    state: Option<Mutex<Encoder>>,
-    queries: AtomicU64,
-    clauses_reused: AtomicU64,
-}
-
-impl SmtSession {
-    /// A session sharing `solver`'s cache and arena, without a persistent
-    /// boolean core. Queries behave exactly like `solver.check`.
-    pub fn shared(solver: &SmtSolver) -> SmtSession {
-        SmtSession {
-            solver: solver.clone(),
-            state: None,
-            queries: AtomicU64::new(0),
-            clauses_reused: AtomicU64::new(0),
-        }
-    }
-
-    /// An incremental session: one persistent boolean core for all of
-    /// this session's queries (see type docs for the reuse/determinism
-    /// trade-off).
-    pub fn incremental(solver: &SmtSolver) -> SmtSession {
-        SmtSession {
-            solver: solver.clone(),
-            state: Some(Mutex::new(Encoder::new())),
-            queries: AtomicU64::new(0),
-            clauses_reused: AtomicU64::new(0),
-        }
-    }
-
-    /// A session honoring `solver`'s [`SmtConfig::incremental`] flag.
-    pub fn for_solver(solver: &SmtSolver) -> SmtSession {
-        if solver.config().incremental {
-            SmtSession::incremental(solver)
-        } else {
-            SmtSession::shared(solver)
-        }
-    }
-
-    /// `true` if this session keeps a persistent boolean core.
-    pub fn is_incremental(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Decides satisfiability of `formula` through the session.
-    pub fn check(&self, formula: &Formula) -> Result<SmtResult, NonLinearError> {
-        self.check_with(&self.solver, formula)
-    }
-
-    /// Decides satisfiability through the session, but under `solver`'s
-    /// configuration (deadlines, budgets) and cache. The campaign engine
-    /// threads per-target deadline clones through here while the session
-    /// keeps the generation-wide reuse state.
-    pub fn check_with(
-        &self,
-        solver: &SmtSolver,
-        formula: &Formula,
-    ) -> Result<SmtResult, NonLinearError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        // The tap reads the *session's* solver, not the (possibly
-        // deadline-reconfigured) query solver, so every session query is
-        // recorded exactly once regardless of per-target reconfiguration.
-        if let Some(log) = &self.solver.recorder {
-            log.lock().expect("recorder lock").push(formula.clone());
-        }
-        let Some(state) = &self.state else {
-            return solver.check(formula);
-        };
-        let (norm, fp) = solver.arena.normal(formula);
-        let key = Keyed::new(fp, norm);
-        if let Some(cached) = solver.cache.get(&key) {
-            return Ok(cached);
-        }
-        // Same cascade short-circuit as the non-incremental path in
-        // `SmtSolver::check` — and doubly worthwhile here, since a
-        // pre-answered query also skips the persistent core's push/pop.
-        // Skipped under an expired deadline, same as there.
-        if let Some(pre) = solver
-            .pre
-            .as_ref()
-            .filter(|_| !solver.config.deadline.expired())
-        {
-            match pre.pre_check_model(key.payload()) {
-                ModelVerdict::Unsat => {
-                    solver.cache.insert(key, SmtResult::Unsat);
-                    return Ok(SmtResult::Unsat);
-                }
-                ModelVerdict::Forced(model) => {
-                    let result = SmtResult::Sat(model);
-                    solver.cache.insert(key, result.clone());
-                    return Ok(result);
-                }
-                ModelVerdict::Unknown => {}
-            }
-        }
-        let full = SmtSolver::ackermannize(key.payload());
-        let mut enc = state.lock().expect("session lock");
-        // Every learned clause from earlier queries is live for this one.
-        self.clauses_reused
-            .fetch_add(enc.sat.learned_count(), Ordering::Relaxed);
-        enc.begin_query();
-        enc.sat.push();
-        let result = solver.check_with_encoder(&mut enc, &full);
-        enc.sat.pop();
-        drop(enc);
-        if let Ok(r) = &result {
-            let deadline_unknown =
-                matches!(r, SmtResult::Unknown) && solver.config.deadline.expired();
-            if !deadline_unknown {
-                solver.cache.insert(key, r.clone());
-            }
-        }
-        result
-    }
-
-    /// Queries posed through this session.
-    pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Sum over queries of the learned clauses carried in from earlier
-    /// queries of this session (0 for non-incremental sessions).
-    pub fn clauses_reused(&self) -> u64 {
-        self.clauses_reused.load(Ordering::Relaxed)
-    }
-
-    /// Combined reuse counters: the underlying cache's hits/misses, the
-    /// arena's intern hits, and this session's clause carryover.
-    pub fn stats(&self) -> CacheStats {
-        let arena = self.solver.arena.stats();
-        CacheStats {
-            intern_hits: arena.intern_hits,
-            clauses_reused: self.clauses_reused(),
-            ..self.solver.cache.stats()
-        }
     }
 }
 
@@ -1194,139 +969,28 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_is_bit_identical_to_solver() {
+    fn check_counts_and_taps_on_shared_clones_only() {
         let (_, x, _, _) = setup();
-        let solver = SmtSolver::new();
-        let session = SmtSession::for_solver(&solver);
-        assert!(!session.is_incremental());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let solver = SmtSolver::new().with_recorder(Arc::clone(&log));
         let f = Formula::atom(Atom::eq(Term::var(x), Term::int(3)));
-        let via_session = session.check(&f).expect("linear");
-        let via_solver = SmtSolver::new().check(&f).expect("linear");
-        assert_eq!(via_session, via_solver);
-        assert_eq!(session.queries(), 1);
-        assert_eq!(session.clauses_reused(), 0);
-        // The session shares the solver's cache: a second check hits.
-        assert!(session.check(&f).expect("linear").is_sat());
-        assert!(session.stats().hits >= 1);
-    }
-
-    /// A sibling-query stream in the campaign's shape: one shared prefix,
-    /// one flipped branch atom per query. The incremental session must
-    /// agree with a fresh solver on every verdict, and its SAT models
-    /// must satisfy the query (models may legitimately differ from the
-    /// fresh solver's).
-    #[test]
-    fn incremental_session_matches_fresh_verdicts_on_sibling_stream() {
-        let (_, x, y, h) = setup();
-        let prefix = Formula::atom(Atom::new(Term::var(x), Rel::Ge, Term::int(0)))
-            .and(Formula::atom(Atom::new(
-                Term::var(x),
-                Rel::Le,
-                Term::int(30),
-            )))
-            .and(Formula::atom(Atom::eq(
-                Term::var(y),
-                Term::app(h, vec![Term::var(x)]),
-            )));
-        let mut branches = Vec::new();
-        for k in 0..12 {
-            branches.push(Formula::atom(Atom::eq(Term::var(x), Term::int(k))));
-            branches.push(Formula::atom(Atom::ne(Term::var(x), Term::int(k))));
-            branches.push(Formula::atom(Atom::new(
-                Term::var(y),
-                Rel::Gt,
-                Term::int(40 + k),
-            )));
-        }
-        // Contradictory siblings too (UNSAT exercises lemma learning).
-        branches.push(Formula::atom(Atom::new(
-            Term::var(x),
-            Rel::Lt,
-            Term::int(0),
-        )));
-        branches.push(Formula::atom(Atom::new(
-            Term::var(x),
-            Rel::Gt,
-            Term::int(30),
-        )));
-
-        // Pre-solving off: this test exercises the persistent DPLL core's
-        // lemma learning, which needs the contradictory siblings to reach
-        // it instead of being refuted by the cascade.
-        let solver = SmtSolver::with_config(SmtConfig {
-            incremental: true,
-            pre_solve: false,
-            ..SmtConfig::new()
-        });
-        let session = SmtSession::for_solver(&solver);
-        assert!(session.is_incremental());
-        for b in &branches {
-            let q = prefix.clone().and(b.clone());
-            let fresh = SmtSolver::new().check(&q).expect("linear");
-            let inc = session.check(&q).expect("linear");
-            match (&inc, &fresh) {
-                (SmtResult::Sat(m), SmtResult::Sat(_)) => {
-                    assert_eq!(q.eval(m), Some(true), "session model must satisfy {b:?}");
-                }
-                (SmtResult::Unsat, SmtResult::Unsat) => {}
-                other => panic!("verdict drift on {b:?}: {other:?}"),
-            }
-        }
-        assert_eq!(session.queries(), branches.len() as u64);
-        assert!(
-            session.clauses_reused() > 0,
-            "sibling UNSAT queries must leave reusable lemmas"
-        );
-        // Re-checking a sibling hits both the arena (memoized normal form)
-        // and the query cache.
-        let repeat = prefix.clone().and(branches[0].clone());
-        assert!(session.check(&repeat).expect("linear").is_sat());
-        let stats = session.stats();
-        assert!(stats.intern_hits > 0, "duplicate query must intern-hit");
-        assert!(stats.hits > 0, "duplicate query must cache-hit");
-    }
-
-    #[test]
-    fn incremental_session_random_stream_matches_fresh() {
-        let (_, x, y, _) = setup();
-        // Deterministic LCG, as in the SAT tests.
-        let mut state = 0xDEADBEEFCAFEF00Du64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let solver = SmtSolver::new();
-        let session = SmtSession::incremental(&solver);
-        for round in 0..40 {
-            let mut q = Formula::True;
-            for _ in 0..(1 + next() % 4) {
-                let t = match next() % 3 {
-                    0 => Term::var(x),
-                    1 => Term::var(y),
-                    _ => Term::var(x) + Term::var(y),
-                };
-                let c = Term::int((next() % 21) as i64 - 10);
-                let rel =
-                    [Rel::Eq, Rel::Ne, Rel::Lt, Rel::Le, Rel::Gt, Rel::Ge][(next() % 6) as usize];
-                let atom = Formula::atom(Atom::new(t, rel, c));
-                q = if next() % 4 == 0 {
-                    q.or(atom)
-                } else {
-                    q.and(atom)
-                };
-            }
-            let fresh = SmtSolver::new().check(&q).expect("linear");
-            let inc = session.check(&q).expect("linear");
-            match (&inc, &fresh) {
-                (SmtResult::Sat(m), SmtResult::Sat(_)) => {
-                    assert_eq!(q.eval(m), Some(true), "round {round}: bad model");
-                }
-                (SmtResult::Unsat, SmtResult::Unsat) => {}
-                other => panic!("round {round}: verdict drift {other:?}"),
-            }
-        }
+        let g = Formula::atom(Atom::eq(Term::var(x), Term::int(4)));
+        assert!(solver.check(&f).expect("linear").is_sat());
+        // A reconfigured clone shares the counter and the tap; a cache
+        // hit is still a query.
+        let clone = solver.reconfigured(*solver.config());
+        assert!(clone.check(&f).expect("linear").is_sat());
+        assert!(clone.check(&g).expect("linear").is_sat());
+        assert_eq!((solver.queries(), clone.queries()), (3, 3));
+        assert_eq!(*log.lock().expect("log"), vec![f.clone(), f.clone(), g]);
+        // `verdict` is not a `check`.
+        assert!(solver.verdict(&f).is_ok());
+        assert_eq!(solver.queries(), 3);
+        // A detached solver neither counts into the shared counter nor taps.
+        let detached = solver.detached(*solver.config());
+        assert!(detached.check(&f).expect("linear").is_sat());
+        assert_eq!((solver.queries(), detached.queries()), (3, 1));
+        assert_eq!(log.lock().expect("log").len(), 3);
     }
 
     #[test]

@@ -1422,9 +1422,9 @@ mod tests {
             Term::app(h, vec![Term::var(x)]),
             Term::app(h, vec![Term::var(y)]) + Term::int(1),
         ));
-        match check(&[x, y], &samples, &pc) {
-            ValidityOutcome::Valid(_) => panic!("must not be valid"),
-            _ => {}
-        }
+        assert!(
+            !matches!(check(&[x, y], &samples, &pc), ValidityOutcome::Valid(_)),
+            "must not be valid"
+        );
     }
 }
