@@ -6,7 +6,6 @@ use hotg_concolic::SymbolicMode;
 use hotg_logic::{Formula, StableHasher};
 use hotg_solver::lia::LiaConfig;
 use hotg_solver::{SmtConfig, ValidityConfig};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -202,20 +201,12 @@ pub struct DriverConfig {
     /// probe sample loss, and worker panics. `None` (the default) injects
     /// nothing. See [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
-    /// Write every [`CampaignEvent`](crate::CampaignEvent) of the
-    /// campaign to this file as JSON Lines (one event per line), for
-    /// debugging and observability. The file is created (truncating any
-    /// previous content) when the campaign starts; a failure to open it
-    /// is reported on stderr and the campaign proceeds without the
-    /// trace. `None` (the default) disables the trace.
-    pub event_trace: Option<PathBuf>,
     /// Durable, crash-safe campaign trace: every campaign event is
     /// written to the configured file as a length- and CRC32-framed
     /// record behind a versioned header, so an interrupted campaign can
     /// be picked up with [`Driver::resume`](crate::Driver::resume) and
     /// finish with a report bit-identical to an uninterrupted run.
-    /// Unlike [`event_trace`](DriverConfig::event_trace) (a best-effort
-    /// debugging tap), this sink has explicit durability
+    /// The trace has explicit durability
     /// ([`FsyncPolicy`](crate::FsyncPolicy)) and error
     /// ([`TraceErrorPolicy`](crate::TraceErrorPolicy)) policies. `None`
     /// (the default) writes no durable trace.
@@ -254,7 +245,6 @@ impl Default for DriverConfig {
             retry_escalation: 0.0,
             degradation_ladder: true,
             fault_plan: None,
-            event_trace: None,
             trace: None,
             query_log: None,
         }
@@ -278,8 +268,8 @@ impl DriverConfig {
     ///
     /// Deliberately excluded, because they cannot change the event
     /// stream: `threads`, `shards`, and `bytecode` (bit-identical by
-    /// construction), the trace/observability sinks (`event_trace`,
-    /// `query_log`, `trace` — announcement-only), and the wall-clock
+    /// construction), the trace/observability sinks (`query_log`,
+    /// `trace` — announcement-only), and the wall-clock
     /// `Deadline` carriers inside the solver configs (schedule state, not
     /// configuration). Deadline
     /// *durations* are included: resuming under a different budget is a
@@ -306,7 +296,6 @@ impl DriverConfig {
             retry_escalation,
             degradation_ladder,
             fault_plan,
-            event_trace: _,
             trace: _,
             query_log: _,
         } = self;
@@ -411,7 +400,6 @@ mod tests {
         assert_eq!(c.retry_escalation, 0.0);
         assert!(c.degradation_ladder);
         assert!(c.fault_plan.is_none());
-        assert!(c.event_trace.is_none());
         assert!(c.trace.is_none());
         assert!(c.query_log.is_none());
         let c2 = DriverConfig::with_initial(vec![1, 2]);
@@ -428,7 +416,6 @@ mod tests {
         b.threads = a.threads + 7;
         b.shards = 4;
         b.bytecode = !a.bytecode;
-        b.event_trace = Some(PathBuf::from("/tmp/x.jsonl"));
         b.trace = Some(TraceConfig::new("/tmp/x.trace"));
         assert_eq!(a.resume_digest(), b.resume_digest());
         // Behavioural fields must.

@@ -118,8 +118,7 @@ impl<'p> Driver<'p> {
     }
 
     /// Runs a campaign, streaming every [`CampaignEvent`] into `sink`
-    /// (in addition to the report fold and the optional
-    /// [`DriverConfig::event_trace`] file). The returned [`Report`] is
+    /// (in addition to the report fold). The returned [`Report`] is
     /// exactly the fold of the emitted stream, plus wall-clock
     /// [`Report::elapsed`].
     ///

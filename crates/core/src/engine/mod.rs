@@ -11,8 +11,8 @@
 //! Instead of mutating [`Report`] counters in place, the engine emits a
 //! [`CampaignEvent`] for every observable fact, in deterministic merge
 //! order, and builds its own report by folding that stream (see
-//! [`crate::events`]). Extra sinks — the optional JSONL trace and the
-//! caller's [`EventSink`] — observe the very same stream.
+//! [`crate::events`]). The caller's [`EventSink`] observes the very
+//! same stream.
 //!
 //! # Parallel generational search
 //!
@@ -46,7 +46,7 @@ pub(crate) mod state;
 
 use crate::chaos::{chaos_key, injected_fault, FaultCounters, FaultSite};
 use crate::config::DriverConfig;
-use crate::events::{CampaignEvent, EventSink, JsonlSink};
+use crate::events::{CampaignEvent, EventSink};
 use crate::report::{Origin, Report, RunRecord};
 use crate::strategy::{Strategy, TargetCx};
 use crate::trace::{
@@ -148,8 +148,7 @@ struct Replay {
 /// The engine's event funnel: every event is folded into the report
 /// under construction, then written to the durable trace (unless a
 /// resume replay says it is already on disk) and forwarded to the
-/// optional JSONL trace and the caller's sink. Emission happens on the
-/// merge thread only.
+/// caller's sink. Emission happens on the merge thread only.
 ///
 /// Sink error policy (drop-and-count): the first `Err` from any sink
 /// permanently disables that sink, is tallied into `sink_errors`, and
@@ -158,7 +157,6 @@ struct Replay {
 /// flag the directed search checks at merge boundaries.
 pub(crate) struct Emitter<'s> {
     pub(crate) report: Report,
-    trace: Option<JsonlSink>,
     /// The caller's sink (`None` for shard streams, or once it failed).
     external: Option<&'s mut dyn EventSink>,
     durable: Durable,
@@ -205,16 +203,9 @@ impl Emitter<'_> {
         self.forward(&event);
     }
 
-    /// Forwards one event to the non-durable sinks, absorbing errors
+    /// Forwards one event to the caller's sink, absorbing an error
     /// under the drop-and-count policy.
     fn forward(&mut self, event: &CampaignEvent) {
-        if let Some(trace) = &mut self.trace {
-            if trace.emit(event).is_err() {
-                // JsonlSink disabled itself; drop it and count.
-                self.sink_errors += 1;
-                self.trace = None;
-            }
-        }
         if let Some(external) = &mut self.external {
             if external.emit(event).is_err() {
                 self.sink_errors += 1;
@@ -347,13 +338,13 @@ impl Emitter<'_> {
 
 impl<'a> Engine<'a> {
     /// Opens an event funnel on the canonical stream (`shard: None`, fed
-    /// to `external` and the optional JSONL trace) or on shard `i`'s
-    /// stream (`Some(i)`), then emits the campaign preamble. The durable
-    /// trace is created with a fresh header — for a shard, at the shard
-    /// path with the [`shard_digest`]-derived config digest — or, when
-    /// `resume` carries a salvaged prefix, left in place behind a replay
-    /// cursor. A trace that cannot be created counts as a sink error
-    /// (and trips fail-fast under that policy).
+    /// to `external`) or on shard `i`'s stream (`Some(i)`), then emits
+    /// the campaign preamble. The durable trace is created with a fresh
+    /// header — for a shard, at the shard path with the
+    /// [`shard_digest`]-derived config digest — or, when `resume`
+    /// carries a salvaged prefix, left in place behind a replay cursor.
+    /// A trace that cannot be created counts as a sink error (and trips
+    /// fail-fast under that policy).
     fn open_emitter<'s>(
         &self,
         strategy: &dyn Strategy,
@@ -361,18 +352,6 @@ impl<'a> Engine<'a> {
         resume: Option<ResumeData>,
         external: Option<&'s mut dyn EventSink>,
     ) -> Emitter<'s> {
-        let trace = self
-            .config
-            .event_trace
-            .as_ref()
-            .filter(|_| shard.is_none())
-            .and_then(|path| {
-                JsonlSink::create(path)
-                    .map_err(|e| {
-                        eprintln!("hotg: cannot open event trace {}: {e}", path.display());
-                    })
-                    .ok()
-            });
         let policy = self
             .config
             .trace
@@ -438,7 +417,6 @@ impl<'a> Engine<'a> {
         };
         let mut em = Emitter {
             report: Report::empty(),
-            trace,
             external,
             durable,
             replay,

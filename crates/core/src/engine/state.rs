@@ -118,7 +118,7 @@ impl StateDelta {
     }
 
     /// Total exchanged items (sample pairs + dedup keys): the protocol's
-    /// per-broadcast payload size, reported by campaign-bench.
+    /// per-broadcast payload size, reported in `ShardStats`.
     pub(crate) fn exchange_size(&self) -> (u64, u64) {
         (self.samples.len() as u64, self.seen.len() as u64)
     }

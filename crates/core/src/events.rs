@@ -9,16 +9,13 @@
 //! the stream always reconstructs the exact counters of the report the
 //! engine returns.
 //!
-//! Three sinks consume the stream:
+//! Two sinks consume the stream:
 //!
-//! * the engine's own report fold (always on),
-//! * an optional JSON Lines trace file
-//!   ([`DriverConfig::event_trace`](crate::DriverConfig::event_trace),
-//!   written by [`JsonlSink`]), and
+//! * the engine's own report fold (always on), and
 //! * any caller-provided [`EventSink`] passed to
-//!   [`Driver::run_with_sink`](crate::Driver::run_with_sink) — the
-//!   campaign-bench binary records the stream with an [`EventLog`] and
-//!   cross-checks the folded counters against the returned report.
+//!   [`Driver::run_with_sink`](crate::Driver::run_with_sink): an
+//!   [`EventLog`] records it in memory, a [`JsonlSink`] writes it to a
+//!   JSON Lines file.
 
 use crate::chaos::FaultSite;
 use crate::config::Technique;
@@ -450,8 +447,9 @@ fn path_json(path: &[(BranchId, bool)]) -> String {
     s
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control chars),
+/// shared by the event serializer and the durable-trace header.
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -502,7 +500,7 @@ impl EventSink for NullSink {
 }
 
 /// Sink that records every event in memory, for tests and for
-/// consumers (like campaign-bench) that post-process the stream.
+/// consumers that post-process the stream.
 #[derive(Debug, Default)]
 pub struct EventLog {
     events: Vec<CampaignEvent>,
@@ -532,8 +530,9 @@ impl EventSink for EventLog {
     }
 }
 
-/// Sink that appends each event as one JSON line to a file
-/// ([`DriverConfig::event_trace`](crate::DriverConfig::event_trace)).
+/// Sink that appends each event as one JSON line to a file: pass
+/// `&mut JsonlSink::create(path)?` to
+/// [`Driver::run_with_sink`](crate::Driver::run_with_sink).
 ///
 /// Error policy (drop-and-count): each line is written and flushed
 /// eagerly so failures surface on the event that hit them, the first
@@ -631,20 +630,25 @@ mod tests {
         assert_eq!(starts, 1);
     }
 
-    /// `DriverConfig::event_trace` writes one JSON line per emitted
-    /// event, sequenced, matching the in-memory stream.
+    /// A [`JsonlSink`] passed to `run_with_sink` writes one JSON line
+    /// per emitted event, sequenced, matching the in-memory stream of
+    /// the same campaign on a fresh driver (single-threaded, hence
+    /// deterministic down to the telemetry counters).
     #[test]
-    fn event_trace_writes_jsonl() {
+    fn jsonl_sink_writes_one_line_per_event() {
         let path =
             std::env::temp_dir().join(format!("hotg-event-trace-{}.jsonl", std::process::id()));
         let (program, natives) = corpus::foo();
         let config = DriverConfig {
-            event_trace: Some(path.clone()),
+            threads: 1,
             ..DriverConfig::with_initial(vec![567, 42])
         };
-        let driver = Driver::new(&program, &natives, config);
+        let mut sink = JsonlSink::create(&path).expect("trace file created");
+        Driver::new(&program, &natives, config.clone())
+            .run_with_sink(Technique::HigherOrder, &mut sink);
+        drop(sink);
         let mut log = EventLog::new();
-        driver.run_with_sink(Technique::HigherOrder, &mut log);
+        Driver::new(&program, &natives, config).run_with_sink(Technique::HigherOrder, &mut log);
         let trace = std::fs::read_to_string(&path).expect("trace file written");
         let _ = std::fs::remove_file(&path);
         let lines: Vec<&str> = trace.lines().collect();

@@ -42,7 +42,7 @@
 
 use crate::chaos::{FaultPlan, FaultSite};
 use crate::config::Technique;
-use crate::events::CampaignEvent;
+use crate::events::{json_str, CampaignEvent};
 use crate::report::{DegradationLevel, DegradationReason, DegradationRecord, Origin, RunRecord};
 use hotg_lang::{BranchId, Fault, FaultKind, Outcome, Program};
 use hotg_logic::StableHasher;
@@ -271,7 +271,7 @@ impl TraceHeader {
             "{{\"trace\":\"{TRACE_VERSION}\",\"program\":{},\
              \"program_digest\":\"{:016x}\",\"config_digest\":\"{:016x}\",\
              \"technique\":\"{}\",\"seed\":{},\"fsync\":\"{}\"}}",
-            json_quote(&self.program),
+            json_str(&self.program),
             self.program_digest,
             self.config_digest,
             self.technique.name(),
@@ -1215,26 +1215,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
         "campaign_finished" => CampaignEvent::CampaignFinished,
         _ => return None,
     })
-}
-
-/// JSON string escaping for the header (same rules as the event
-/// serializer's).
-fn json_quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

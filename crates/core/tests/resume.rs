@@ -8,8 +8,8 @@ mod common;
 
 use common::{canonical, frame_ends, quiet_injected_panics, tmp};
 use hotg_core::{
-    Driver, DriverConfig, FaultPlan, FsyncPolicy, Report, ResumeError, Technique, TraceConfig,
-    TraceErrorPolicy,
+    CampaignEvent, Driver, DriverConfig, EventSink, FaultPlan, FsyncPolicy, Report, ResumeError,
+    Technique, TraceConfig, TraceErrorPolicy,
 };
 use hotg_lang::{corpus, NativeRegistry, Program};
 use std::time::Duration;
@@ -438,22 +438,45 @@ fn trace_io_chaos_counts_drops_and_fail_fast() {
     }
 }
 
-/// `JsonlSink` error accounting (the debugging tap, not the durable
-/// trace): a sink whose file cannot be written disables itself, the
-/// error lands in `Report::sink_errors`, and the campaign proceeds.
+/// A caller sink that fails (drop-and-count): the first `Err` from the
+/// sink passed to `run_with_sink` lands in `Report::sink_errors`, the
+/// sink receives no event after it, and the campaign itself is
+/// unperturbed.
 #[test]
-fn jsonl_sink_errors_are_counted_not_swallowed() {
+fn caller_sink_errors_are_counted_not_swallowed() {
+    /// Returns `Err` on its `fail_at`-th event (0-based) and counts
+    /// every event it is handed.
+    struct FailingSink {
+        fail_at: usize,
+        seen: usize,
+    }
+    impl EventSink for FailingSink {
+        fn emit(&mut self, _event: &CampaignEvent) -> std::io::Result<()> {
+            self.seen += 1;
+            if self.seen == self.fail_at + 1 {
+                return Err(std::io::Error::other("injected sink failure"));
+            }
+            Ok(())
+        }
+    }
     let (program, natives) = corpus::obscure();
     let width = program.input_width();
     let clean = Driver::new(&program, &natives, small_config(width, 4)).run(Technique::HigherOrder);
-    let mut cfg = small_config(width, 4);
-    // A directory path: opening succeeds as a create error — the sink
-    // reports on stderr and the campaign runs untraced but healthy.
-    cfg.event_trace = Some(std::env::temp_dir());
-    let r = Driver::new(&program, &natives, cfg).run(Technique::HigherOrder);
+    assert_eq!(clean.sink_errors, 0);
+    let mut sink = FailingSink {
+        fail_at: 3,
+        seen: 0,
+    };
+    let r = Driver::new(&program, &natives, small_config(width, 4))
+        .run_with_sink(Technique::HigherOrder, &mut sink);
+    assert_eq!(r.sink_errors, 1, "the failed emit is counted once");
+    assert_eq!(
+        sink.seen, 4,
+        "the sink is dropped after its first failure and sees no later event"
+    );
     assert_eq!(
         canonical(&clean),
         canonical(&r),
-        "a broken debug sink must not perturb the campaign"
+        "a failing caller sink must not perturb the campaign"
     );
 }

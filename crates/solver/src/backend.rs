@@ -8,12 +8,10 @@
 //! search: propagating per-symbol [`Interval`] facts through the
 //! conjunction refutes them in one pass. This module provides
 //!
-//! * [`SolverBackend`] — the trait every backend of the cascade
-//!   implements: a *verdict-only* pre-check that may answer `Unsat` or
-//!   `Valid` but never invents a model, plus an optional *forced-model*
-//!   pre-check for callers that need one;
-//! * [`AbstractBackend`] — the interval/constancy implementation over
-//!   [`LinConstraint`]s;
+//! * [`AbstractBackend`] — the interval/constancy pre-solver over
+//!   [`LinConstraint`]s: a *verdict-only* pre-check that may answer
+//!   `Unsat` or `Valid` but never invents a model, plus a
+//!   *forced-model* pre-check for callers that need one;
 //! * [`Cascade`] — the counter-keeping combinator the
 //!   [`SmtSolver`](crate::smt::SmtSolver) consults after a cache miss and
 //!   before encoding.
@@ -81,37 +79,6 @@ pub enum ModelVerdict {
     Unknown,
 }
 
-/// A cheap, sound, verdict-only solver backend.
-///
-/// Implementations must be *sound*: `Unsat` only for formulas DPLL(T)
-/// would refute, `Valid` only for formulas whose negation it would
-/// refute. They must never require a model and should be orders of
-/// magnitude cheaper than a DPLL(T) check — the cascade runs them on
-/// every cache miss.
-pub trait SolverBackend: fmt::Debug + Send + Sync {
-    /// A short stable name for counters and bench rows.
-    fn name(&self) -> &'static str;
-
-    /// Pre-checks `formula` (already normalized by the caller). With
-    /// `want_valid` false the caller cannot use a `Valid` answer (it
-    /// needs a model on the satisfiable side), so the backend should not
-    /// spend work producing one.
-    fn pre_check(&self, formula: &Formula, want_valid: bool) -> PreVerdict;
-
-    /// Pre-checks `formula` for a model-wanting caller. A backend may
-    /// answer [`ModelVerdict::Forced`] only with the formula's *unique*
-    /// model — a value assignment every model is forced to, verified to
-    /// satisfy the formula — so the answer is bit-identical to the one
-    /// DPLL(T) would build. The default maps the verdict-only pre-check
-    /// (no model capability).
-    fn pre_check_model(&self, formula: &Formula) -> ModelVerdict {
-        match self.pre_check(formula, false) {
-            PreVerdict::Unsat => ModelVerdict::Unsat,
-            PreVerdict::Valid | PreVerdict::Unknown => ModelVerdict::Unknown,
-        }
-    }
-}
-
 /// Outcome of the refutation analysis.
 enum Refute {
     /// Definitely unsatisfiable.
@@ -127,6 +94,11 @@ enum Refute {
 /// [`Interval`] facts propagated through conjunctions by constraint
 /// narrowing, with [`Constancy`] used for three-valued truth of
 /// disjunctive residue.
+///
+/// The backend is *sound*: `Unsat` only for formulas DPLL(T) would
+/// refute, `Valid` only for formulas whose negation it would refute. It
+/// never requires a model and is orders of magnitude cheaper than a
+/// DPLL(T) check — the cascade runs it on every cache miss.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AbstractBackend;
 
@@ -135,12 +107,12 @@ pub struct AbstractBackend;
 /// small cap bounds worst-case work on adversarial chains.
 const MAX_ROUNDS: usize = 6;
 
-impl SolverBackend for AbstractBackend {
-    fn name(&self) -> &'static str {
-        "abstract"
-    }
-
-    fn pre_check(&self, formula: &Formula, want_valid: bool) -> PreVerdict {
+impl AbstractBackend {
+    /// Pre-checks `formula` (already normalized by the caller). With
+    /// `want_valid` false the caller cannot use a `Valid` answer (it
+    /// needs a model on the satisfiable side), so the backend does not
+    /// spend work producing one.
+    pub fn pre_check(&self, formula: &Formula, want_valid: bool) -> PreVerdict {
         match refute(formula) {
             Refute::Unsat => PreVerdict::Unsat,
             Refute::NonLinear => PreVerdict::Unknown,
@@ -157,7 +129,12 @@ impl SolverBackend for AbstractBackend {
         }
     }
 
-    fn pre_check_model(&self, formula: &Formula) -> ModelVerdict {
+    /// Pre-checks `formula` for a model-wanting caller. Answers
+    /// [`ModelVerdict::Forced`] only with the formula's *unique* model —
+    /// a value assignment every model is forced to, verified to satisfy
+    /// the formula — so the answer is bit-identical to the one DPLL(T)
+    /// would build.
+    pub fn pre_check_model(&self, formula: &Formula) -> ModelVerdict {
         match analyze(formula) {
             Analysis::Contradiction => ModelVerdict::Unsat,
             Analysis::NonLinear => ModelVerdict::Unknown,
@@ -563,11 +540,11 @@ fn truth(f: &Formula, env: &Env) -> Constancy {
     }
 }
 
-/// Counter snapshot of one backend of a cascade, for the
-/// announcement-only `BackendStats` campaign event and the bench rows.
+/// Counter snapshot of a cascade, for the announcement-only
+/// `BackendStats` campaign event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackendStats {
-    /// Backend name ([`SolverBackend::name`]).
+    /// Backend name (`"abstract"`, the one pre-solver).
     pub backend: &'static str,
     /// Pre-check queries posed to the backend (cache misses).
     pub queries: u64,
@@ -591,10 +568,9 @@ impl BackendStats {
         self.unsat_short_circuits + self.valid_short_circuits + self.sat_short_circuits
     }
 
-    /// Sums counters (same-backend cascades of different solvers, e.g.
-    /// the scheduler's SMT solver and validity checker).
+    /// Sums counters (cascades of different solvers, e.g. the
+    /// scheduler's SMT solver and validity checker).
     pub fn merged(self, other: BackendStats) -> BackendStats {
-        debug_assert_eq!(self.backend, other.backend);
         BackendStats {
             backend: self.backend,
             queries: self.queries + other.queries,
@@ -605,12 +581,13 @@ impl BackendStats {
     }
 }
 
-/// The cascade combinator: one pre-backend consulted before DPLL(T),
-/// with per-backend counters. Shared (via `Arc`) by every clone of a
+/// The cascade combinator: [`AbstractBackend`] consulted before
+/// DPLL(T), with counters. Shared (via `Arc`) by every clone of a
 /// solver, so the counters aggregate across worker threads; they are
 /// announcement-only and never folded into campaign reports.
+#[derive(Default)]
 pub struct Cascade {
-    backend: Box<dyn SolverBackend>,
+    backend: AbstractBackend,
     queries: AtomicU64,
     unsat: AtomicU64,
     valid: AtomicU64,
@@ -618,22 +595,6 @@ pub struct Cascade {
 }
 
 impl Cascade {
-    /// A cascade over any backend.
-    pub fn new(backend: Box<dyn SolverBackend>) -> Cascade {
-        Cascade {
-            backend,
-            queries: AtomicU64::new(0),
-            unsat: AtomicU64::new(0),
-            valid: AtomicU64::new(0),
-            forced: AtomicU64::new(0),
-        }
-    }
-
-    /// The default cascade: [`AbstractBackend`] → DPLL(T).
-    pub fn abstract_interpretation() -> Cascade {
-        Cascade::new(Box::new(AbstractBackend))
-    }
-
     /// Pre-checks `formula`, counting the query and its outcome.
     pub fn pre_check(&self, formula: &Formula, want_valid: bool) -> PreVerdict {
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -670,7 +631,7 @@ impl Cascade {
     /// Counter snapshot.
     pub fn stats(&self) -> BackendStats {
         BackendStats {
-            backend: self.backend.name(),
+            backend: "abstract",
             queries: self.queries.load(Ordering::Relaxed),
             unsat_short_circuits: self.unsat.load(Ordering::Relaxed),
             valid_short_circuits: self.valid.load(Ordering::Relaxed),
@@ -878,7 +839,7 @@ mod tests {
     #[test]
     fn cascade_counts_outcomes() {
         let (_, x, y, _) = setup();
-        let cascade = Cascade::abstract_interpretation();
+        let cascade = Cascade::default();
         let unsat = Formula::atom(Atom::eq(Term::var(x), Term::int(1)))
             .and(Formula::atom(Atom::eq(Term::var(x), Term::int(2))));
         let open = Formula::atom(Atom::ne(Term::var(x), Term::int(1)));

@@ -40,9 +40,7 @@ pub mod simplex;
 pub mod smt;
 pub mod validity;
 
-pub use backend::{
-    AbstractBackend, BackendStats, Cascade, ModelVerdict, PreVerdict, SolverBackend,
-};
+pub use backend::{AbstractBackend, BackendStats, Cascade, ModelVerdict, PreVerdict};
 pub use cache::{CacheStats, Keyed, QueryCache};
 pub use deadline::Deadline;
 pub use smt::{SmtConfig, SmtResult, SmtSolver, Verdict};

@@ -309,9 +309,7 @@ impl SmtSolver {
             cache: Arc::new(QueryCache::new()),
             arena: Arc::new(LogicArena::new()),
             recorder: None,
-            pre: config
-                .pre_solve
-                .then(|| Arc::new(Cascade::abstract_interpretation())),
+            pre: config.pre_solve.then(|| Arc::new(Cascade::default())),
             queries: Arc::default(),
         }
     }
@@ -360,7 +358,7 @@ impl SmtSolver {
             pre: config.pre_solve.then(|| {
                 self.pre
                     .clone()
-                    .unwrap_or_else(|| Arc::new(Cascade::abstract_interpretation()))
+                    .unwrap_or_else(|| Arc::new(Cascade::default()))
             }),
             queries: Arc::clone(&self.queries),
         }
@@ -384,9 +382,7 @@ impl SmtSolver {
             // A private cascade for the same reason as the private cache:
             // escalated-retry traffic must not skew the campaign's
             // published backend counters.
-            pre: config
-                .pre_solve
-                .then(|| Arc::new(Cascade::abstract_interpretation())),
+            pre: config.pre_solve.then(|| Arc::new(Cascade::default())),
             queries: Arc::default(),
         }
     }

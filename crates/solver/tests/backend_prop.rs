@@ -4,7 +4,7 @@
 
 use hotg_logic::{Atom, Formula, Rel, Signature, Sort, Term, Var};
 use hotg_prop::prelude::*;
-use hotg_solver::{AbstractBackend, PreVerdict, SmtConfig, SmtResult, SmtSolver, SolverBackend};
+use hotg_solver::{AbstractBackend, PreVerdict, SmtConfig, SmtResult, SmtSolver};
 
 fn arb_term() -> impl Strategy<Value = Term> {
     let leaf = prop_oneof![
