@@ -23,8 +23,8 @@
 //! IOF sampling, and the suppress counter for summarized calls — lives
 //! in [`SymSide`], shared verbatim with the bytecode shadow VM in
 //! [`crate::vm`]. The two execution engines differ only in how they
-//! *drive* that core (AST walk vs. flat bytecode), which is the
-//! bit-identity argument for `DriverConfig::bytecode`.
+//! *drive* that core (AST walk vs. flat bytecode), which is why the
+//! walker can serve as the VM's reference oracle.
 
 use crate::context::ConcolicContext;
 use crate::path::PathConstraint;
@@ -134,6 +134,34 @@ pub struct ConcolicRun {
     /// run came from the tree-walker (announcement-only accounting; not
     /// part of a run's observable behavior).
     pub instructions: u64,
+}
+
+/// Equality is over the run's observable behaviour: every field but the
+/// `instructions` telemetry, so a walker run equals the VM run of the
+/// same inputs. The destructure is exhaustive, so a new field does not
+/// compile until it is classified here.
+impl PartialEq for ConcolicRun {
+    fn eq(&self, other: &ConcolicRun) -> bool {
+        let ConcolicRun {
+            outcome,
+            trace,
+            pc,
+            samples,
+            concretizations,
+            uf_apps,
+            result,
+            result_term,
+            instructions: _,
+        } = self;
+        *outcome == other.outcome
+            && *trace == other.trace
+            && *pc == other.pc
+            && *samples == other.samples
+            && *concretizations == other.concretizations
+            && *uf_apps == other.uf_apps
+            && *result == other.result
+            && *result_term == other.result_term
+    }
 }
 
 /// A symbolic storage slot.

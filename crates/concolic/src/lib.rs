@@ -17,11 +17,12 @@
 //! The directed-search drivers that turn these pieces into the paper's
 //! four test-generation techniques live in `hotg-core`.
 //!
-//! Two engines produce identical runs: the AST tree-walker
-//! ([`execute_profiled`], the reference semantics) and the bytecode
-//! shadow VM ([`execute_compiled_profiled`], the campaign fast path over
-//! a [`hotg_lang::CompiledProgram`]). Both drive the same symbolic core,
-//! so their [`ConcolicRun`]s are bit-identical.
+//! Two engines produce identical runs: the bytecode shadow VM
+//! ([`execute_compiled_profiled`], which executes every campaign run
+//! over a [`hotg_lang::CompiledProgram`]) and the AST tree-walker
+//! ([`execute_profiled`], the reference oracle the VM is tested
+//! against). Both drive the same symbolic core, so their
+//! [`ConcolicRun`]s are bit-identical.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -474,26 +474,6 @@ mod tests {
     use hotg_lang::compile::compile;
     use hotg_lang::corpus;
 
-    /// Field-by-field equality of everything observable in a run
-    /// (`instructions` excluded: it is announcement-only accounting).
-    fn assert_runs_equal(a: &ConcolicRun, b: &ConcolicRun, what: &str) {
-        assert_eq!(a.outcome, b.outcome, "{what}: outcome");
-        assert_eq!(a.trace.branches, b.trace.branches, "{what}: branches");
-        assert_eq!(
-            a.trace.native_calls, b.trace.native_calls,
-            "{what}: native calls"
-        );
-        assert_eq!(a.pc, b.pc, "{what}: path constraint");
-        assert_eq!(a.samples, b.samples, "{what}: samples");
-        assert_eq!(
-            a.concretizations, b.concretizations,
-            "{what}: concretizations"
-        );
-        assert_eq!(a.uf_apps, b.uf_apps, "{what}: uf_apps");
-        assert_eq!(a.result, b.result, "{what}: result");
-        assert_eq!(a.result_term, b.result_term, "{what}: result term");
-    }
-
     #[test]
     fn shadow_vm_matches_walker_across_corpus_and_modes() {
         for (name, ctor) in corpus::all() {
@@ -522,10 +502,9 @@ mod tests {
                                 summarize_calls: summarize,
                             },
                         );
-                        assert_runs_equal(
-                            &tree,
-                            &vm,
-                            &format!("{name}/{:?}/summarize={summarize}/seed={seed}", mode),
+                        assert_eq!(
+                            tree, vm,
+                            "{name}/{mode:?}/summarize={summarize}/seed={seed}"
                         );
                         assert!(vm.instructions > 0, "{name}: instructions retired");
                     }
@@ -557,7 +536,7 @@ mod tests {
                 fuel,
                 ExecProfile::new(SymbolicMode::Uninterpreted),
             );
-            assert_runs_equal(&tree, &vm, &format!("fuel={fuel}"));
+            assert_eq!(tree, vm, "fuel={fuel}");
         }
     }
 
@@ -580,7 +559,7 @@ mod tests {
         for _ in 0..3 {
             let reused =
                 execute_compiled_with_scratch(&mut scratch, &ctx, &cp, &iv, 10_000, profile);
-            assert_runs_equal(&fresh, &reused, "scratch reuse");
+            assert_eq!(fresh, reused, "scratch reuse");
             assert_eq!(fresh.instructions, reused.instructions);
         }
     }

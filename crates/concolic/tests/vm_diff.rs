@@ -14,35 +14,11 @@
 //! same fault classification after the same recorded prefix.
 
 use hotg_concolic::{
-    execute_compiled_profiled, execute_opts, ConcolicContext, ConcolicRun, ExecProfile,
-    SymbolicMode,
+    execute_compiled_profiled, execute_opts, ConcolicContext, ExecProfile, SymbolicMode,
 };
 use hotg_lang::{compile, corpus, CompiledProgram, InputVector, NativeRegistry, Program};
 use hotg_prop::prelude::*;
 use hotg_prop::TestRng;
-
-/// Everything observable in a run must match; `instructions` is
-/// excluded by design (telemetry: always 0 for the walker).
-fn assert_runs_equal(tree: &ConcolicRun, vm: &ConcolicRun, what: &str) {
-    assert_eq!(tree.outcome, vm.outcome, "{what}: outcome");
-    assert_eq!(
-        tree.trace.branches, vm.trace.branches,
-        "{what}: branch trace"
-    );
-    assert_eq!(
-        tree.trace.native_calls, vm.trace.native_calls,
-        "{what}: native-call trace"
-    );
-    assert_eq!(tree.pc, vm.pc, "{what}: path constraint");
-    assert_eq!(tree.samples, vm.samples, "{what}: IOF samples");
-    assert_eq!(
-        tree.concretizations, vm.concretizations,
-        "{what}: concretization count"
-    );
-    assert_eq!(tree.uf_apps, vm.uf_apps, "{what}: UF application count");
-    assert_eq!(tree.result, vm.result, "{what}: result value");
-    assert_eq!(tree.result_term, vm.result_term, "{what}: result term");
-}
 
 /// One seeded input vector with tiered magnitudes.
 fn seeded_inputs(rng: &mut TestRng, width: usize) -> Vec<i64> {
@@ -95,12 +71,9 @@ proptest! {
                         5_000,
                         ExecProfile { mode, summarize_calls: summarize },
                     );
-                    assert_runs_equal(
-                        &tree,
-                        &vm,
-                        &format!(
-                            "{name}/{mode:?}/summarize={summarize}/inputs={inputs:?}"
-                        ),
+                    assert_eq!(
+                        tree, vm,
+                        "{name}/{mode:?}/summarize={summarize}/inputs={inputs:?}"
                     );
                 }
             }
@@ -134,11 +107,7 @@ proptest! {
                 fuel,
                 ExecProfile::new(SymbolicMode::Uninterpreted),
             );
-            assert_runs_equal(
-                &tree,
-                &vm,
-                &format!("{name}/fuel={fuel}/inputs={inputs:?}"),
-            );
+            assert_eq!(tree, vm, "{name}/fuel={fuel}/inputs={inputs:?}");
         }
     }
 }

@@ -134,17 +134,6 @@ pub struct DriverConfig {
     /// initial `IOF` table. Sound — the analysis over-approximates, so
     /// only targets no execution can reach are dropped.
     pub static_pruning: bool,
-    /// Execute campaign runs on the bytecode VMs: the driver compiles
-    /// the program once ([`hotg_lang::compile`]) and every concrete and
-    /// concolic run dispatches flat bytecode instead of walking the AST.
-    /// Behaviour-invisible by construction — the VMs charge fuel at the
-    /// tree-walkers' exact points and drive the same symbolic core, so
-    /// reports are bit-identical either way (only throughput and the
-    /// announcement-only `ExecStats` telemetry change). Programs that
-    /// fail the static checker fall back to the tree-walkers
-    /// automatically. Default `true`; turn off to A/B the reference
-    /// interpreter.
-    pub bytecode: bool,
     /// Worker threads **per shard** for the generational directed
     /// search: each shard's share of a generation is solved and executed
     /// concurrently against a snapshot of the sample table, and merged
@@ -235,7 +224,6 @@ impl Default for DriverConfig {
             initial_inputs: None,
             seed_corpus: Vec::new(),
             static_pruning: true,
-            bytecode: true,
             threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -267,7 +255,7 @@ impl DriverConfig {
     /// [`ResumeError::HeaderMismatch`](crate::ResumeError).
     ///
     /// Deliberately excluded, because they cannot change the event
-    /// stream: `threads`, `shards`, and `bytecode` (bit-identical by
+    /// stream: `threads` and `shards` (bit-identical by
     /// construction), the trace/observability sinks (`query_log`,
     /// `trace` — announcement-only), and the wall-clock
     /// `Deadline` carriers inside the solver configs (schedule state, not
@@ -288,7 +276,6 @@ impl DriverConfig {
             initial_inputs,
             seed_corpus,
             static_pruning,
-            bytecode: _,
             threads: _,
             shards: _,
             target_deadline,
@@ -387,9 +374,6 @@ mod tests {
         assert!(c.random_range.0 <= c.random_range.1);
         assert!(c.cross_run_samples);
         assert!(c.static_pruning);
-        // The bytecode fast path is on by default: behaviour-invisible
-        // (bit-identical reports), only faster.
-        assert!(c.bytecode);
         assert!(c.threads >= 1);
         assert_eq!(c.shards, 1);
         // Resilience features default to deterministic behaviour: no
@@ -415,7 +399,6 @@ mod tests {
         // block a resume.
         b.threads = a.threads + 7;
         b.shards = 4;
-        b.bytecode = !a.bytecode;
         b.trace = Some(TraceConfig::new("/tmp/x.trace"));
         assert_eq!(a.resume_digest(), b.resume_digest());
         // Behavioural fields must.

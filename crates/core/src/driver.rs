@@ -21,10 +21,13 @@
 //! stream from which the returned [`Report`] is folded. See the engine
 //! module docs for the parallel generation structure and the determinism
 //! argument.
+//!
+//! Every run executes on the bytecode VMs; a program that fails
+//! [`hotg_lang::check`] is refused instead (no run executes).
 
 use crate::config::{DriverConfig, Technique};
 use crate::engine::{Engine, ResumeData};
-use crate::events::{fold_report, EventSink, NullSink};
+use crate::events::{fold_report, CampaignEvent, EventSink, NullSink};
 use crate::report::Report;
 use crate::strategy;
 use crate::trace::{
@@ -33,7 +36,7 @@ use crate::trace::{
 };
 use hotg_analysis::{analyze, AnalysisResult};
 use hotg_concolic::ConcolicContext;
-use hotg_lang::{CompiledProgram, NativeRegistry, Program};
+use hotg_lang::{CompileError, CompiledProgram, NativeRegistry, Program};
 use hotg_logic::LogicArena;
 use std::sync::Arc;
 
@@ -50,17 +53,11 @@ pub struct Driver<'p> {
     /// it, and two concurrent drivers in one process get disjoint id
     /// spaces and share no interned allocations.
     arena: Arc<LogicArena>,
-    /// The program lowered to bytecode, compiled once per driver when
-    /// [`DriverConfig::bytecode`] is on. `None` when the fast path is
-    /// disabled or the program fails the static checker — campaigns then
-    /// run on the reference tree-walkers with identical results.
-    compiled: Option<CompiledProgram>,
-    /// Why compilation failed when `compiled` is `None` despite
-    /// [`DriverConfig::bytecode`]: announced per campaign as
-    /// [`CampaignEvent::BytecodeFallback`](crate::CampaignEvent) and
-    /// counted in [`Report::bytecode_fallbacks`], so the tree-walker
-    /// fallback is never silent.
-    compile_error: Option<String>,
+    /// The program lowered to bytecode, compiled once per driver; every
+    /// campaign run executes on it. `Err` holds the static checker's
+    /// message for a program it rejected: campaigns on that program are
+    /// refused ([`CampaignEvent::ProgramRejected`]).
+    compiled: Result<CompiledProgram, String>,
 }
 
 impl<'p> Driver<'p> {
@@ -70,14 +67,8 @@ impl<'p> Driver<'p> {
         natives: &'p NativeRegistry,
         config: DriverConfig,
     ) -> Driver<'p> {
-        let (compiled, compile_error) = if config.bytecode {
-            match hotg_lang::compile(program, natives) {
-                Ok(cp) => (Some(cp), None),
-                Err(e) => (None, Some(e.to_string())),
-            }
-        } else {
-            (None, None)
-        };
+        let compiled =
+            hotg_lang::compile(program, natives).map_err(|CompileError::Check(e)| e.to_string());
         Driver {
             program,
             natives,
@@ -86,7 +77,6 @@ impl<'p> Driver<'p> {
             config,
             arena: Arc::new(LogicArena::new()),
             compiled,
-            compile_error,
         }
     }
 
@@ -106,10 +96,10 @@ impl<'p> Driver<'p> {
     }
 
     /// The once-per-driver compiled program the campaign VMs execute;
-    /// `None` when [`DriverConfig::bytecode`] is off or the program did
-    /// not compile (tree-walker fallback).
+    /// `None` when the static checker rejected the program, so every
+    /// campaign on it is refused.
     pub fn compiled(&self) -> Option<&CompiledProgram> {
-        self.compiled.as_ref()
+        self.compiled.as_ref().ok()
     }
 
     /// Runs a campaign with the given technique and returns its report.
@@ -125,25 +115,52 @@ impl<'p> Driver<'p> {
     /// [`CampaignEvent`]: crate::CampaignEvent
     pub fn run_with_sink(&self, technique: Technique, sink: &mut dyn EventSink) -> Report {
         let start = std::time::Instant::now();
-        let (mut report, _) =
-            self.engine()
-                .run(strategy::for_technique(technique), sink, Vec::new());
+        let mut report = match self.engine() {
+            Ok(engine) => {
+                engine
+                    .run(strategy::for_technique(technique), sink, Vec::new())
+                    .0
+            }
+            Err(reason) => self.refuse(technique, reason, sink),
+        };
         report.elapsed = start.elapsed();
         report
     }
 
-    fn engine(&self) -> Engine<'_> {
-        Engine {
+    /// The campaign engine over the compiled program, or the checker's
+    /// message when the program was rejected.
+    fn engine(&self) -> Result<Engine<'_>, &str> {
+        let compiled = self.compiled.as_ref().map_err(String::as_str)?;
+        Ok(Engine {
             program: self.program,
             natives: self.natives,
             ctx: &self.ctx,
             analysis: &self.analysis,
             config: &self.config,
             arena: &self.arena,
-            compiled: self.compiled.as_ref(),
-            compile_error: self.compile_error.as_deref(),
+            compiled,
             exec: Default::default(),
+        })
+    }
+
+    /// The whole campaign on a rejected program: started, refused,
+    /// finished. No run executes and no trace is written.
+    fn refuse(&self, technique: Technique, reason: &str, sink: &mut dyn EventSink) -> Report {
+        let events = [
+            CampaignEvent::CampaignStarted {
+                technique,
+                program: self.program.name.clone(),
+                branch_sites: self.program.branch_count,
+            },
+            CampaignEvent::ProgramRejected {
+                reason: reason.to_string(),
+            },
+            CampaignEvent::CampaignFinished,
+        ];
+        for event in &events {
+            let _ = sink.emit(event);
         }
+        fold_report(&events)
     }
 
     /// Resumes an interrupted campaign from the durable trace configured
@@ -173,7 +190,9 @@ impl<'p> Driver<'p> {
     /// is left untouched. A sharded campaign (`DriverConfig::shards` > 1)
     /// otherwise resumes from its per-shard traces, each salvaged and
     /// header-checked the same way; the counts in the [`RecoveryReport`]
-    /// are then summed over the shards.
+    /// are then summed over the shards. A rejected program has no trace
+    /// to resume: it is refused as by [`run`](Driver::run), with an
+    /// empty [`RecoveryReport`].
     pub fn resume_with_sink(
         &self,
         technique: Technique,
@@ -185,6 +204,12 @@ impl<'p> Driver<'p> {
             .trace
             .as_ref()
             .ok_or(ResumeError::NoTraceConfigured)?;
+        let Ok(engine) = self.engine() else {
+            return Ok(Resumed {
+                report: self.run_with_sink(technique, sink),
+                recovery: RecoveryReport::default(),
+            });
+        };
         let shards = self.config.shards.max(1);
         let cdigest = self.config.resume_digest();
         let canonical = match recover(&tc.path) {
@@ -255,8 +280,7 @@ impl<'p> Driver<'p> {
             })
             .collect();
         let (mut report, events_replayed) =
-            self.engine()
-                .run(strategy::for_technique(technique), sink, resume);
+            engine.run(strategy::for_technique(technique), sink, resume);
         report.elapsed = start.elapsed();
         recovery.events_replayed = events_replayed;
         Ok(Resumed { report, recovery })

@@ -55,8 +55,7 @@ use crate::trace::{
 };
 use hotg_analysis::AnalysisResult;
 use hotg_concolic::{
-    diverged, execute_compiled_profiled, execute_profiled, ConcolicContext, ConcolicRun,
-    ExecProfile,
+    diverged, execute_compiled_profiled, ConcolicContext, ConcolicRun, ExecProfile,
 };
 use hotg_lang::{BranchId, CompiledProgram, InputVector, NativeRegistry, Program};
 use hotg_logic::LogicArena;
@@ -82,14 +81,9 @@ pub(crate) struct Engine<'a> {
     /// The campaign's term/formula arena (owned by the driver, never
     /// global): all solver instances of this campaign intern through it.
     pub(crate) arena: &'a Arc<LogicArena>,
-    /// The driver's once-compiled bytecode; `None` runs the campaign on
-    /// the reference tree-walkers (identical reports, lower throughput).
-    pub(crate) compiled: Option<&'a CompiledProgram>,
-    /// Why compilation failed when bytecode execution was requested but
-    /// `compiled` is `None`. Announced as
-    /// [`CampaignEvent::BytecodeFallback`] right after campaign start so
-    /// the tree-walker fallback is never silent.
-    pub(crate) compile_error: Option<&'a str>,
+    /// The driver's once-compiled program: every concrete and concolic
+    /// run of the campaign executes on it.
+    pub(crate) compiled: &'a CompiledProgram,
     /// Execution-layer telemetry for this campaign, summed across worker
     /// threads and announced once as [`CampaignEvent::ExecStats`].
     pub(crate) exec: ExecCounters,
@@ -105,8 +99,6 @@ pub(crate) struct ExecCounters {
     pub(crate) instructions: AtomicU64,
     /// Runs executed on the bytecode VMs (concrete or concolic).
     pub(crate) vm_runs: AtomicU64,
-    /// Runs executed by the tree-walkers (fallback or `bytecode: false`).
-    pub(crate) tree_runs: AtomicU64,
 }
 
 /// The salvaged event prefix a resumed campaign replays: the engine's
@@ -433,11 +425,6 @@ impl<'a> Engine<'a> {
             program: self.program.name.clone(),
             branch_sites: self.program.branch_count,
         });
-        if let Some(reason) = self.compile_error {
-            em.emit(CampaignEvent::BytecodeFallback {
-                reason: reason.to_string(),
-            });
-        }
         em
     }
 
@@ -492,68 +479,39 @@ impl<'a> Engine<'a> {
         }
         em.emit(CampaignEvent::ExecStats {
             instructions: self.exec.instructions.load(Ordering::Relaxed),
-            compiled_blocks: self.compiled.map_or(0, |cp| cp.blocks.len()),
+            compiled_blocks: self.compiled.blocks.len(),
             vm_runs: self.exec.vm_runs.load(Ordering::Relaxed),
-            tree_runs: self.exec.tree_runs.load(Ordering::Relaxed),
         });
         em.emit(CampaignEvent::CampaignFinished);
         em.finish();
         (em.report, em.replayed)
     }
 
-    /// One concrete run: bytecode VM when a compiled program is
-    /// available, reference tree-walker otherwise. Identical `(Outcome,
-    /// Trace)` either way — only the telemetry counters differ.
+    /// One concrete run on the bytecode VM.
     pub(crate) fn run_concrete(
         &self,
         inputs: &InputVector,
     ) -> (hotg_lang::Outcome, hotg_lang::Trace) {
-        match self.compiled {
-            Some(cp) => {
-                let (outcome, trace, retired) =
-                    hotg_lang::run_compiled_counted(cp, inputs, self.config.fuel);
-                self.exec.instructions.fetch_add(retired, Ordering::Relaxed);
-                self.exec.vm_runs.fetch_add(1, Ordering::Relaxed);
-                (outcome, trace)
-            }
-            None => {
-                self.exec.tree_runs.fetch_add(1, Ordering::Relaxed);
-                hotg_lang::run(self.program, self.natives, inputs, self.config.fuel)
-            }
-        }
+        let (outcome, trace, retired) =
+            hotg_lang::run_compiled_counted(self.compiled, inputs, self.config.fuel);
+        self.exec.instructions.fetch_add(retired, Ordering::Relaxed);
+        self.exec.vm_runs.fetch_add(1, Ordering::Relaxed);
+        (outcome, trace)
     }
 
-    /// One concolic run: shadow VM when a compiled program is available,
-    /// reference tree-walker otherwise. Both drive the same symbolic
-    /// core, so the returned [`ConcolicRun`] is bit-identical either way
-    /// (the `instructions` field is telemetry, not behaviour).
+    /// One concolic run on the shadow VM.
     pub(crate) fn execute_concolic(
         &self,
         inputs: &InputVector,
         profile: ExecProfile,
     ) -> ConcolicRun {
-        match self.compiled {
-            Some(cp) => {
-                let run =
-                    execute_compiled_profiled(self.ctx, cp, inputs, self.config.fuel, profile);
-                self.exec
-                    .instructions
-                    .fetch_add(run.instructions, Ordering::Relaxed);
-                self.exec.vm_runs.fetch_add(1, Ordering::Relaxed);
-                run
-            }
-            None => {
-                self.exec.tree_runs.fetch_add(1, Ordering::Relaxed);
-                execute_profiled(
-                    self.ctx,
-                    self.program,
-                    self.natives,
-                    inputs,
-                    self.config.fuel,
-                    profile,
-                )
-            }
-        }
+        let run =
+            execute_compiled_profiled(self.ctx, self.compiled, inputs, self.config.fuel, profile);
+        self.exec
+            .instructions
+            .fetch_add(run.instructions, Ordering::Relaxed);
+        self.exec.vm_runs.fetch_add(1, Ordering::Relaxed);
+        run
     }
 
     /// The campaign-wide wall-clock cutoff, fixed at campaign start.

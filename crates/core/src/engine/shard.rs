@@ -449,7 +449,6 @@ impl Engine<'_> {
             .fold(None, |acc, s| join_backend(acc, s.backend_stats()));
         if let Some(b) = backend {
             em.emit(CampaignEvent::BackendStats {
-                backend: b.backend.to_string(),
                 queries: b.queries,
                 unsat_short_circuits: b.unsat_short_circuits,
                 valid_short_circuits: b.valid_short_circuits,

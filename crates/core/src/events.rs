@@ -40,6 +40,16 @@ pub enum CampaignEvent {
         /// Total branch sites of the program (for coverage ratios).
         branch_sites: u32,
     },
+    /// The program under test failed the static checker
+    /// ([`hotg_lang::check`]), so the campaign was refused: this event
+    /// follows [`CampaignEvent::CampaignStarted`], only
+    /// [`CampaignEvent::CampaignFinished`] follows it, and no run
+    /// executes. Folded into
+    /// [`Report::rejected`](crate::Report::rejected).
+    ProgramRejected {
+        /// The checker's error message.
+        reason: String,
+    },
     /// A native call site with statically-constant arguments was
     /// pre-sampled into the initial `IOF` table.
     SitePresampled,
@@ -61,16 +71,6 @@ pub enum CampaignEvent {
         /// interleave the shard streams back into the exact single-shard
         /// event order.
         ordinal: usize,
-    },
-    /// Bytecode compilation of the program under test failed and the
-    /// campaign fell back to the reference tree-walkers (identical
-    /// behavior, lower throughput). Emitted right after
-    /// [`CampaignEvent::CampaignStarted`]; folded into
-    /// [`Report::bytecode_fallbacks`](crate::Report::bytecode_fallbacks)
-    /// so the fallback is never silent.
-    BytecodeFallback {
-        /// The compiler's error message.
-        reason: String,
     },
     /// Solver/validity queries were issued while processing a target.
     SolverQueries {
@@ -163,8 +163,6 @@ pub enum CampaignEvent {
     /// thread first poses it charges the backend), exactly like the
     /// cache hit/miss split.
     BackendStats {
-        /// Name of the pre-solver backend (`"abstract"`).
-        backend: String,
         /// Queries posed to the backend (solver-cache misses).
         queries: u64,
         /// Queries refuted without any DPLL(T) work.
@@ -175,23 +173,18 @@ pub enum CampaignEvent {
         sat_short_circuits: u64,
     },
     /// Execution-layer telemetry, emitted once at the end of every
-    /// campaign. Announcement-only: not folded into the report — which
-    /// engine ran the program is behaviour-invisible by construction
-    /// (the bytecode VMs produce bit-identical runs to the
-    /// tree-walkers), so throughput accounting is observability, not a
+    /// campaign that was not refused. Announcement-only: not folded
+    /// into the report — throughput accounting is observability, not a
     /// campaign result.
     ExecStats {
         /// Bytecode instructions retired across all VM runs of the
-        /// campaign (`0` on the tree-walker fallback).
+        /// campaign.
         instructions: u64,
         /// Code blocks in the campaign's compiled program — defined
-        /// functions plus the program body; `0` when no compiled
-        /// program was available.
+        /// functions plus the program body.
         compiled_blocks: usize,
         /// Runs executed on the bytecode VMs (concrete or concolic).
         vm_runs: u64,
-        /// Runs executed by the reference tree-walkers.
-        tree_runs: u64,
     },
     /// Sharding telemetry of a sharded campaign, emitted once near the
     /// end alongside the solver totals. Announcement-only: not folded
@@ -238,10 +231,10 @@ impl CampaignEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             CampaignEvent::CampaignStarted { .. } => "campaign_started",
+            CampaignEvent::ProgramRejected { .. } => "program_rejected",
             CampaignEvent::SitePresampled => "site_presampled",
             CampaignEvent::GenerationStarted { .. } => "generation_started",
             CampaignEvent::TargetScheduled { .. } => "target_scheduled",
-            CampaignEvent::BytecodeFallback { .. } => "bytecode_fallback",
             CampaignEvent::ShardStats { .. } => "shard_stats",
             CampaignEvent::SolverQueries { .. } => "solver_queries",
             CampaignEvent::TargetSolved { .. } => "target_solved",
@@ -280,14 +273,14 @@ impl CampaignEvent {
                     json_str(program)
                 ));
             }
+            CampaignEvent::ProgramRejected { reason } => {
+                s.push_str(&format!(",\"reason\":{}", json_str(reason)));
+            }
             CampaignEvent::GenerationStarted { index, width } => {
                 s.push_str(&format!(",\"index\":{index},\"width\":{width}"));
             }
             CampaignEvent::TargetScheduled { target, ordinal } => {
                 s.push_str(&format!(",\"target\":{},\"ordinal\":{ordinal}", target.0));
-            }
-            CampaignEvent::BytecodeFallback { reason } => {
-                s.push_str(&format!(",\"reason\":{}", json_str(reason)));
             }
             CampaignEvent::ShardStats {
                 shards,
@@ -358,29 +351,26 @@ impl CampaignEvent {
                 ));
             }
             CampaignEvent::BackendStats {
-                backend,
                 queries,
                 unsat_short_circuits,
                 valid_short_circuits,
                 sat_short_circuits,
             } => {
                 s.push_str(&format!(
-                    ",\"backend\":{},\"queries\":{queries},\
+                    ",\"queries\":{queries},\
                      \"unsat_short_circuits\":{unsat_short_circuits},\
                      \"valid_short_circuits\":{valid_short_circuits},\
-                     \"sat_short_circuits\":{sat_short_circuits}",
-                    json_str(backend)
+                     \"sat_short_circuits\":{sat_short_circuits}"
                 ));
             }
             CampaignEvent::ExecStats {
                 instructions,
                 compiled_blocks,
                 vm_runs,
-                tree_runs,
             } => {
                 s.push_str(&format!(
                     ",\"instructions\":{instructions},\"compiled_blocks\":{compiled_blocks},\
-                     \"vm_runs\":{vm_runs},\"tree_runs\":{tree_runs}"
+                     \"vm_runs\":{vm_runs}"
                 ));
             }
             CampaignEvent::SitePresampled

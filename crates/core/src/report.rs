@@ -183,12 +183,10 @@ pub struct Report {
     /// Kept apart from [`Report::faults_injected`]: trace faults damage
     /// the on-disk trace, never the campaign's results.
     pub trace_faults: TraceFaultCounters,
-    /// Campaigns (0 or 1) that requested bytecode execution but fell
-    /// back to the reference tree-walkers because compilation failed.
-    /// The fallback is behavior-invisible (identical runs, lower
-    /// throughput) but never silent: it is announced as
-    /// [`CampaignEvent::BytecodeFallback`] and counted here.
-    pub bytecode_fallbacks: usize,
+    /// The static checker's error when the program under test was
+    /// refused ([`CampaignEvent::ProgramRejected`]); such a campaign
+    /// executes no run. `None` for every program that checks.
+    pub rejected: Option<String>,
     /// Wall-clock duration of the campaign.
     pub elapsed: std::time::Duration,
 }
@@ -225,7 +223,7 @@ impl Report {
             campaign_timed_out: false,
             sink_errors: 0,
             trace_faults: TraceFaultCounters::default(),
-            bytecode_fallbacks: 0,
+            rejected: None,
             elapsed: std::time::Duration::ZERO,
         }
     }
@@ -304,7 +302,7 @@ impl Report {
             }
             CampaignEvent::CampaignTimedOut => self.campaign_timed_out = true,
             CampaignEvent::SinkErrors { count } => self.sink_errors += count,
-            CampaignEvent::BytecodeFallback { .. } => self.bytecode_fallbacks += 1,
+            CampaignEvent::ProgramRejected { reason } => self.rejected = Some(reason.clone()),
             // Announcement-only events: the facts they describe are
             // folded from the detailed events that accompany them, or
             // (session/shard stats) are telemetry outside the report.
@@ -436,8 +434,8 @@ impl fmt::Display for Report {
         if self.sink_errors > 0 {
             write!(f, ", {} sink errors", self.sink_errors)?;
         }
-        if self.bytecode_fallbacks > 0 {
-            write!(f, " (bytecode compile failed; tree-walker fallback)")?;
+        if let Some(reason) = &self.rejected {
+            write!(f, " (program rejected: {reason})")?;
         }
         if self.campaign_timed_out {
             write!(f, " (campaign deadline hit)")?;
@@ -645,7 +643,7 @@ mod tests {
             campaign_timed_out: false,
             sink_errors: 0,
             trace_faults: TraceFaultCounters::default(),
-            bytecode_fallbacks: 0,
+            rejected: None,
             elapsed: std::time::Duration::from_millis(1),
         }
     }

@@ -53,11 +53,14 @@ use std::path::{Path, PathBuf};
 /// File magic identifying version 1 of the framed trace format.
 pub const TRACE_MAGIC: &[u8; 8] = b"HOTGTRC1";
 
-/// Header version string carried inside the header frame. Version 2
-/// added the canonical `ordinal` to `target_scheduled` frames (the
-/// shard-merge key) plus the `bytecode_fallback` and `shard_stats`
-/// events; version-1 traces decode no campaign to resume.
-const TRACE_VERSION: &str = "hotg-trace/2";
+/// Header version string carried inside the header frame; a trace of
+/// any other version is refused. Version 2 added the canonical
+/// `ordinal` to `target_scheduled` frames (the shard-merge key) and the
+/// `shard_stats` event. Version 3: `program_rejected` replaces the
+/// bytecode-fallback event, `exec_stats` drops its tree-walker run
+/// count, `backend_stats` drops its `backend` name, and the header's
+/// program digest is taken over the program's source text.
+const TRACE_VERSION: &str = "hotg-trace/3";
 
 /// Sanity cap on a frame's claimed payload length: no event of a real
 /// campaign comes anywhere near it, so a larger length field means the
@@ -108,11 +111,13 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     c ^ 0xffff_ffff
 }
 
-/// Digest of a program's full structure. `Program` derives a complete
-/// `Debug` (every statement, parameter, and native declaration), so the
-/// digest changes whenever the program under test does.
+/// Digest of a program's full structure, taken over its pretty-printed
+/// source ([`hotg_lang::pretty::to_source`], whose contract is
+/// `parse(to_source(p)) == p`). It changes whenever the program under
+/// test does, but not with source formatting: parser spans are not
+/// part of the program (`Program`'s `PartialEq` ignores them too).
 pub(crate) fn program_digest(program: &Program) -> u64 {
-    StableHasher::digest(format!("{program:?}").as_bytes())
+    StableHasher::digest(hotg_lang::pretty::to_source(program).as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,6 +1115,9 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
             program: v.str_field("program")?.to_string(),
             branch_sites: u32::try_from(v.num_field("branch_sites")?).ok()?,
         },
+        "program_rejected" => CampaignEvent::ProgramRejected {
+            reason: v.str_field("reason")?.to_string(),
+        },
         "site_presampled" => CampaignEvent::SitePresampled,
         "generation_started" => CampaignEvent::GenerationStarted {
             index: v.usize_field("index")?,
@@ -1118,9 +1126,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
         "target_scheduled" => CampaignEvent::TargetScheduled {
             target: v.target_field("target")?,
             ordinal: v.usize_field("ordinal")?,
-        },
-        "bytecode_fallback" => CampaignEvent::BytecodeFallback {
-            reason: v.str_field("reason")?.to_string(),
         },
         "shard_stats" => CampaignEvent::ShardStats {
             shards: v.usize_field("shards")?,
@@ -1193,7 +1198,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
             intern_hits: v.u64_field("intern_hits")?,
         },
         "backend_stats" => CampaignEvent::BackendStats {
-            backend: v.str_field("backend")?.to_string(),
             queries: v.u64_field("queries")?,
             unsat_short_circuits: v.u64_field("unsat_short_circuits")?,
             valid_short_circuits: v.u64_field("valid_short_circuits")?,
@@ -1203,7 +1207,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
             instructions: v.u64_field("instructions")?,
             compiled_blocks: v.usize_field("compiled_blocks")?,
             vm_runs: v.u64_field("vm_runs")?,
-            tree_runs: v.u64_field("tree_runs")?,
         },
         "campaign_timed_out" => CampaignEvent::CampaignTimedOut,
         "target_closed" => CampaignEvent::TargetClosed {
@@ -1262,14 +1265,14 @@ mod tests {
                 program: "p\"q\\r\n".to_string(),
                 branch_sites: 7,
             },
+            CampaignEvent::ProgramRejected {
+                reason: "duplicate \"native\"\nat line 2".to_string(),
+            },
             CampaignEvent::SitePresampled,
             CampaignEvent::GenerationStarted { index: 0, width: 3 },
             CampaignEvent::TargetScheduled {
                 target: BranchId(2),
                 ordinal: 1,
-            },
-            CampaignEvent::BytecodeFallback {
-                reason: "program failed checking: duplicate \"native\"".to_string(),
             },
             CampaignEvent::ShardStats {
                 shards: 4,
@@ -1337,7 +1340,6 @@ mod tests {
                 intern_hits: 100,
             },
             CampaignEvent::BackendStats {
-                backend: "abstract".to_string(),
                 queries: 8,
                 unsat_short_circuits: 1,
                 valid_short_circuits: 2,
@@ -1347,7 +1349,6 @@ mod tests {
                 instructions: 1000,
                 compiled_blocks: 4,
                 vm_runs: 12,
-                tree_runs: 0,
             },
             CampaignEvent::CampaignTimedOut,
             CampaignEvent::TargetClosed {
@@ -1382,8 +1383,44 @@ mod tests {
             fsync: FsyncPolicy::Close,
         };
         assert_eq!(TraceHeader::from_json(&h.to_json()), Some(h.clone()));
-        let other = h.to_json().replace("hotg-trace/2", "hotg-trace/1");
-        assert_eq!(TraceHeader::from_json(&other), None);
+        for old in ["hotg-trace/1", "hotg-trace/2"] {
+            let other = h.to_json().replace(TRACE_VERSION, old);
+            assert_eq!(TraceHeader::from_json(&other), None, "{old}");
+        }
+    }
+
+    /// The program digest ignores source formatting: one program parsed
+    /// from differently laid-out text digests the same, so a campaign
+    /// traced from one layout resumes under the other. A one-token edit
+    /// still changes the digest.
+    #[test]
+    fn program_digest_ignores_formatting() {
+        let compact = "program t(x: int) { if (x == 0) { error(1); } }";
+        let spread = "program t(\n    x: int\n)\n{\n  if (x == 0)\n  {\n    error(1);\n  }\n}\n";
+        let edited = "program t(x: int) { if (x == 1) { error(1); } }";
+        let parse = |src| hotg_lang::parse(src).expect("parses");
+        let (a, b, c) = (parse(compact), parse(spread), parse(edited));
+        assert_eq!(a, b);
+        assert_eq!(program_digest(&a), program_digest(&b));
+        assert_ne!(program_digest(&a), program_digest(&c));
+
+        let path = tmp("formatting");
+        let natives = hotg_lang::NativeRegistry::new();
+        let config = crate::DriverConfig {
+            max_runs: 6,
+            threads: 1,
+            trace: Some(TraceConfig::new(&path)),
+            ..crate::DriverConfig::with_initial(vec![7])
+        };
+        let want = crate::Driver::new(&a, &natives, config.clone()).run(Technique::DartSound);
+        let data = std::fs::read(&path).expect("read trace");
+        std::fs::write(&path, &data[..data.len() / 2]).expect("crash the trace");
+        let got = crate::Driver::new(&b, &natives, config)
+            .resume(Technique::DartSound)
+            .expect("a reformatted program resumes its trace");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(got.runs, want.runs);
+        assert!(got.found_error(1));
     }
 
     #[test]

@@ -29,10 +29,11 @@
 mod common;
 
 use common::{canonical, fnv64, quiet_injected_panics};
+use hotg_concolic::{execute_compiled_profiled, execute_profiled, ConcolicContext, ExecProfile};
 use hotg_core::{
     fold_report, CampaignEvent, Driver, DriverConfig, EventLog, FaultPlan, Technique, TraceConfig,
 };
-use hotg_lang::corpus;
+use hotg_lang::{corpus, FaultKind, InputVector, Outcome};
 use hotg_logic::StableHasher;
 use std::time::Duration;
 
@@ -343,33 +344,68 @@ fn digests_are_shard_count_invariant() {
     }
 }
 
-/// The bytecode execution layer is report-invisible: for every program
-/// × technique, a campaign on the compiled VMs (the default) produces
-/// the bit-identical canonical report of one on the reference
-/// tree-walkers. The flag may only change throughput (and the
-/// announcement-only `ExecStats` telemetry), never a single run record,
-/// counter, or degradation rung — the campaign-level capstone of the
-/// per-run differential suites in `hotg-lang` and `hotg-concolic`.
+/// The tree-walkers are the reference oracle for the bytecode VMs that
+/// execute every campaign run. For every program × technique × chaos
+/// {off, seed 3} × fuel {default, 10}, each recorded run re-executed
+/// with [`hotg_lang::run`] ends in the recorded outcome (unless chaos
+/// replaced it with an injected fault) and takes the recorded path —
+/// except under higher-order-comp, whose runs do not record the
+/// branches inside summarized calls (§8), so there only the concolic
+/// walker's path is the reference. For whitebox techniques the concolic
+/// walker and the shadow VM also return equal runs (everything but the
+/// `instructions` telemetry) on each recorded input under the
+/// technique's profile. The default fuel never runs out on the corpus;
+/// the 10-statement leg stops `crc_guard` mid-loop, so the engines must
+/// also agree on where fuel runs out.
 #[test]
-fn bytecode_is_report_invisible() {
+fn campaign_runs_match_the_reference_walkers() {
     quiet_injected_panics();
     for (name, ctor) in corpus::all() {
         let (program, natives) = ctor();
+        let ctx = ConcolicContext::new(&program);
         let width = program.input_width();
         for technique in Technique::ALL {
-            // Chaos leg included: injected interpreter faults and worker
-            // panics key off inputs/paths, which must be engine-independent.
-            for chaos in [None, Some(3)] {
-                let on = combo_config(width, 1, chaos);
-                let mut off = combo_config(width, 1, chaos);
-                off.bytecode = false;
-                let r_on = Driver::new(&program, &natives, on).run(technique);
-                let r_off = Driver::new(&program, &natives, off).run(technique);
-                assert_eq!(
-                    canonical(&r_on),
-                    canonical(&r_off),
-                    "{name}/{technique}/chaos-{chaos:?}: the bytecode VM changed the report"
-                );
+            let profile = technique.symbolic_mode().map(|mode| {
+                if technique == Technique::HigherOrderCompositional {
+                    ExecProfile::summarized(mode)
+                } else {
+                    ExecProfile::new(mode)
+                }
+            });
+            for (chaos, fuel) in [None, Some(3)]
+                .into_iter()
+                .flat_map(|chaos| [(chaos, DriverConfig::default().fuel), (chaos, 10)])
+            {
+                let config = DriverConfig {
+                    fuel,
+                    ..combo_config(width, 1, chaos)
+                };
+                let driver = Driver::new(&program, &natives, config);
+                let compiled = driver.compiled().expect("corpus programs check");
+                let report = driver.run(technique);
+                assert!(report.total_runs() > 0, "{name}/{technique}: runs executed");
+                for (i, run) in report.runs.iter().enumerate() {
+                    let what = format!("{name}/{technique}/chaos-{chaos:?}/fuel-{fuel} run {i}");
+                    let inputs = InputVector::new(run.inputs.clone());
+                    let (outcome, trace) = hotg_lang::run(&program, &natives, &inputs, fuel);
+                    if !profile.is_some_and(|p| p.summarize_calls) {
+                        assert_eq!(trace.branches, run.path, "{what}: path");
+                    }
+                    let injected = matches!(
+                        &run.outcome,
+                        Outcome::RuntimeFault(f) if f.kind == FaultKind::Injected
+                    );
+                    if !injected {
+                        assert_eq!(outcome, run.outcome, "{what}: outcome");
+                    }
+                    if let Some(profile) = profile {
+                        let walker =
+                            execute_profiled(&ctx, &program, &natives, &inputs, fuel, profile);
+                        assert_eq!(walker.trace.branches, run.path, "{what}: concolic path");
+                        let vm = execute_compiled_profiled(&ctx, compiled, &inputs, fuel, profile);
+                        assert_eq!(walker, vm, "{what}: concolic run");
+                    }
+                }
             }
         }
     }
@@ -378,101 +414,49 @@ fn bytecode_is_report_invisible() {
 /// `ExecStats` is announcement-only: every campaign emits exactly one,
 /// immediately before `CampaignFinished`, and the report fold ignores it
 /// — mirroring the `BackendStats`/`SolverSessionStats` contract. Also
-/// pins the run-split accounting: with the default config every run
-/// executes on a VM; with `bytecode: false` every run tree-walks.
+/// pins the run accounting: every run executes on a VM.
 #[test]
 fn exec_stats_is_report_invisible() {
     let (program, natives) = corpus::fanout();
     let width = program.input_width();
-    for bytecode in [true, false] {
-        let config = DriverConfig {
-            bytecode,
-            ..combo_config(width, 1, None)
-        };
-        let driver = Driver::new(&program, &natives, config);
-        let mut log = EventLog::new();
-        let report = driver.run_with_sink(Technique::HigherOrder, &mut log);
-        let events = log.events();
-        let stats: Vec<_> = events
+    let driver = Driver::new(&program, &natives, combo_config(width, 1, None));
+    let mut log = EventLog::new();
+    let report = driver.run_with_sink(Technique::HigherOrder, &mut log);
+    let events = log.events();
+    let stats: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e, CampaignEvent::ExecStats { .. }))
+        .collect();
+    assert_eq!(stats.len(), 1, "one ExecStats per campaign");
+    assert!(
+        matches!(
+            &events[events.len() - 2..],
+            [
+                CampaignEvent::ExecStats { .. },
+                CampaignEvent::CampaignFinished
+            ]
+        ),
+        "ExecStats precedes CampaignFinished"
+    );
+    let CampaignEvent::ExecStats {
+        instructions,
+        compiled_blocks,
+        vm_runs,
+    } = stats[0]
+    else {
+        unreachable!()
+    };
+    assert_eq!(*vm_runs, report.total_runs() as u64, "every run on the VM");
+    assert!(*instructions > 0, "instructions retired");
+    assert!(*compiled_blocks > 0, "compiled program present");
+    // The fold ignores the event: replaying the stream reconstructs
+    // the report whether or not ExecStats is filtered out.
+    let folded_all = fold_report(events.iter());
+    let folded_without = fold_report(
+        events
             .iter()
-            .filter(|e| matches!(e, CampaignEvent::ExecStats { .. }))
-            .collect();
-        assert_eq!(stats.len(), 1, "one ExecStats per campaign");
-        assert!(
-            matches!(
-                &events[events.len() - 2..],
-                [
-                    CampaignEvent::ExecStats { .. },
-                    CampaignEvent::CampaignFinished
-                ]
-            ),
-            "ExecStats precedes CampaignFinished"
-        );
-        let CampaignEvent::ExecStats {
-            instructions,
-            compiled_blocks,
-            vm_runs,
-            tree_runs,
-        } = stats[0]
-        else {
-            unreachable!()
-        };
-        let total = report.total_runs() as u64;
-        if bytecode {
-            assert_eq!(*vm_runs, total, "every run on the VM");
-            assert_eq!(*tree_runs, 0);
-            assert!(*instructions > 0, "instructions retired");
-            assert!(*compiled_blocks > 0, "compiled program present");
-        } else {
-            assert_eq!(*tree_runs, total, "every run tree-walked");
-            assert_eq!(*vm_runs, 0);
-            assert_eq!(*instructions, 0);
-            assert_eq!(*compiled_blocks, 0);
-        }
-        // The fold ignores the event: replaying the stream reconstructs
-        // the report whether or not ExecStats is filtered out.
-        let folded_all = fold_report(events.iter());
-        let folded_without = fold_report(
-            events
-                .iter()
-                .filter(|e| !matches!(e, CampaignEvent::ExecStats { .. })),
-        );
-        assert_eq!(canonical(&folded_all), canonical(&report));
-        assert_eq!(canonical(&folded_without), canonical(&report));
-    }
-}
-
-/// Bytecode × resilience interaction: with chaos injection *and* a
-/// (generous, never-firing) target/campaign deadline configured, the VM
-/// and tree-walker campaigns still agree bit-for-bit — the deadline
-/// plumbing and chaos keys observe inputs and paths, not the engine.
-#[test]
-fn bytecode_survives_chaos_and_deadlines() {
-    quiet_injected_panics();
-    let (program, natives) = corpus::budget_cliff();
-    let width = program.input_width();
-    for technique in [Technique::DartSound, Technique::HigherOrder] {
-        let mk = |bytecode: bool| DriverConfig {
-            bytecode,
-            fault_plan: Some(FaultPlan::uniform(7, 0.3)),
-            target_deadline: Some(Duration::from_secs(30)),
-            campaign_deadline: Some(Duration::from_secs(120)),
-            // Tight statement budget: some runs must hit the fuel cliff,
-            // so the engines also agree on mid-loop `OutOfFuel` stops.
-            fuel: 150,
-            max_runs: 12,
-            ..DriverConfig::with_initial(vec![0; width])
-        };
-        let r_on = Driver::new(&program, &natives, mk(true)).run(technique);
-        let r_off = Driver::new(&program, &natives, mk(false)).run(technique);
-        assert_eq!(
-            canonical(&r_on),
-            canonical(&r_off),
-            "{technique}: chaos+deadline campaign diverged across engines"
-        );
-        assert!(
-            r_on.total_runs() > 0,
-            "{technique}: campaign executed under chaos+deadlines"
-        );
-    }
+            .filter(|e| !matches!(e, CampaignEvent::ExecStats { .. })),
+    );
+    assert_eq!(canonical(&folded_all), canonical(&report));
+    assert_eq!(canonical(&folded_without), canonical(&report));
 }

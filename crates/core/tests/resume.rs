@@ -124,46 +124,39 @@ fn every_crash_point_resumes_bit_identically() {
     std::fs::remove_file(&crash_path).ok();
 }
 
-/// The same sweep holds with the tree-walker engine and under chaos
-/// injection (worker panics, forced solver unknowns, probe sample
-/// loss): the replay re-rolls the same deterministic faults.
+/// The same sweep holds under chaos injection (worker panics, forced
+/// solver unknowns, probe sample loss): the replay re-rolls the same
+/// deterministic faults.
 #[test]
-fn crash_sweep_survives_chaos_and_tree_walkers() {
+fn crash_sweep_survives_chaos() {
     quiet_injected_panics();
     let (program, natives) = corpus::obscure();
     let width = program.input_width();
-    for (leg, bytecode, chaos) in [
-        ("nobytecode", false, None),
-        ("chaos", true, Some(3)),
-        ("chaos-nobytecode", false, Some(3)),
-    ] {
-        let mk = move || DriverConfig {
-            bytecode,
-            fault_plan: chaos.map(|seed| FaultPlan::uniform(seed, 0.2)),
-            target_deadline: chaos.map(|_| Duration::from_secs(10)),
-            ..small_config(width, 6)
-        };
-        let trace_path = tmp(&format!("leg-{leg}.trace"));
-        let mut cfg = mk();
-        cfg.trace = Some(TraceConfig::new(&trace_path));
-        Driver::new(&program, &natives, cfg).run(Technique::HigherOrder);
-        let ends = frame_ends(&trace_path);
-        let cuts: Vec<(u64, Option<usize>)> = ends
-            .iter()
-            .enumerate()
-            .step_by(3)
-            .map(|(k, end)| (*end, Some(k)))
-            .collect();
-        assert_resume_parity_at(
-            &format!("leg-{leg}"),
-            &program,
-            &natives,
-            Technique::HigherOrder,
-            &mk,
-            &cuts,
-        );
-        std::fs::remove_file(&trace_path).ok();
-    }
+    let mk = move || DriverConfig {
+        fault_plan: Some(FaultPlan::uniform(3, 0.2)),
+        target_deadline: Some(Duration::from_secs(10)),
+        ..small_config(width, 6)
+    };
+    let trace_path = tmp("leg-chaos.trace");
+    let mut cfg = mk();
+    cfg.trace = Some(TraceConfig::new(&trace_path));
+    Driver::new(&program, &natives, cfg).run(Technique::HigherOrder);
+    let ends = frame_ends(&trace_path);
+    let cuts: Vec<(u64, Option<usize>)> = ends
+        .iter()
+        .enumerate()
+        .step_by(3)
+        .map(|(k, end)| (*end, Some(k)))
+        .collect();
+    assert_resume_parity_at(
+        "leg-chaos",
+        &program,
+        &natives,
+        Technique::HigherOrder,
+        &mk,
+        &cuts,
+    );
+    std::fs::remove_file(&trace_path).ok();
 }
 
 /// Property over the whole matrix: for every corpus program × every

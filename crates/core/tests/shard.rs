@@ -1,6 +1,6 @@
 //! Sharded-campaign suite: shard traces as checkpoints (single-crashed-
 //! shard resume), the offline multi-trace merger, the exchange/balance
-//! accounting, and the bytecode-fallback announcement.
+//! accounting, and the refusal of checker-rejected programs.
 //!
 //! Shard-count bit-identity itself (shards ∈ {2, 4} vs the blessed
 //! single-shard goldens, across the whole corpus × technique × chaos
@@ -301,15 +301,19 @@ fn shard_stats_announced_and_balanced() {
     );
 }
 
-/// The bytecode fallback is never silent: a program that fails the
-/// static checker (duplicate native declaration) runs on the
-/// tree-walkers, announces `BytecodeFallback` right after campaign
-/// start, and counts it in the report — in sharded campaigns too.
+/// A program that fails the static checker (duplicate native
+/// declaration) is refused, in sharded campaigns too: it has no
+/// compiled program, its stream is `CampaignStarted`, `ProgramRejected`,
+/// `CampaignFinished`, no run executes, and the report names the check
+/// error.
 #[test]
-fn bytecode_fallback_is_announced() {
+fn checker_rejected_program_is_refused() {
     let (mut program, natives) = corpus::obscure();
     let dup = program.natives[0].clone();
     program.natives.push(dup);
+    let check_error = hotg_lang::check(&program)
+        .expect_err("duplicate native")
+        .to_string();
     let width = program.input_width();
     for shards in [1usize, 2] {
         let cfg = sharded_config(width, shards, None);
@@ -317,30 +321,35 @@ fn bytecode_fallback_is_announced() {
         assert!(driver.compiled().is_none(), "checker rejected the program");
         let mut log = EventLog::new();
         let report = driver.run_with_sink(Technique::HigherOrder, &mut log);
-        assert_eq!(report.bytecode_fallbacks, 1, "shards={shards}");
-        assert!(report.total_runs() > 0, "tree-walker campaign ran");
-        let idx = log
-            .events()
-            .iter()
-            .position(|e| matches!(e, CampaignEvent::BytecodeFallback { .. }))
-            .expect("fallback announced");
-        assert_eq!(idx, 1, "announced right after CampaignStarted");
+        assert_eq!(report.total_runs(), 0, "shards={shards}: no run executes");
+        assert_eq!(report.rejected.as_deref(), Some(check_error.as_str()));
         assert!(
-            format!("{report}").contains("tree-walker fallback"),
-            "report display names the fallback"
+            matches!(
+                log.events(),
+                [
+                    CampaignEvent::CampaignStarted { .. },
+                    CampaignEvent::ProgramRejected { .. },
+                    CampaignEvent::CampaignFinished,
+                ]
+            ),
+            "shards={shards}: refused right after CampaignStarted: {:?}",
+            log.events()
         );
-        // Fold parity: the announcement carries the counter.
+        assert!(
+            format!("{report}").contains(&check_error),
+            "report display names the check error"
+        );
         let folded = fold_report(log.events());
-        assert_eq!(folded.bytecode_fallbacks, 1);
+        assert_eq!(folded.rejected, report.rejected);
     }
-    // A clean program never announces one.
+    // A clean program is never rejected.
     let (program, natives) = corpus::obscure();
     let driver = Driver::new(&program, &natives, sharded_config(width, 1, None));
     let mut log = EventLog::new();
     let report = driver.run_with_sink(Technique::HigherOrder, &mut log);
-    assert_eq!(report.bytecode_fallbacks, 0);
+    assert_eq!(report.rejected, None);
     assert!(!log
         .events()
         .iter()
-        .any(|e| matches!(e, CampaignEvent::BytecodeFallback { .. })),);
+        .any(|e| matches!(e, CampaignEvent::ProgramRejected { .. })));
 }

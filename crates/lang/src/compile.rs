@@ -119,8 +119,8 @@ pub struct ArrayDecl {
     pub len: usize,
 }
 
-/// A compiled block of straight-line bytecode: the program body or one
-/// function body, with its frame layout.
+/// A compiled block of straight-line bytecode (the program body or one
+/// function body) with its frame layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodeBlock {
     /// Flat instruction array (jump targets are indices into it).

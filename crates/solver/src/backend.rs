@@ -544,8 +544,6 @@ fn truth(f: &Formula, env: &Env) -> Constancy {
 /// `BackendStats` campaign event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackendStats {
-    /// Backend name (`"abstract"`, the one pre-solver).
-    pub backend: &'static str,
     /// Pre-check queries posed to the backend (cache misses).
     pub queries: u64,
     /// Queries answered `Unsat` without invoking DPLL(T).
@@ -572,7 +570,6 @@ impl BackendStats {
     /// scheduler's SMT solver and validity checker).
     pub fn merged(self, other: BackendStats) -> BackendStats {
         BackendStats {
-            backend: self.backend,
             queries: self.queries + other.queries,
             unsat_short_circuits: self.unsat_short_circuits + other.unsat_short_circuits,
             valid_short_circuits: self.valid_short_circuits + other.valid_short_circuits,
@@ -631,7 +628,6 @@ impl Cascade {
     /// Counter snapshot.
     pub fn stats(&self) -> BackendStats {
         BackendStats {
-            backend: "abstract",
             queries: self.queries.load(Ordering::Relaxed),
             unsat_short_circuits: self.unsat.load(Ordering::Relaxed),
             valid_short_circuits: self.valid.load(Ordering::Relaxed),
@@ -852,7 +848,6 @@ mod tests {
             ModelVerdict::Forced(_)
         ));
         let stats = cascade.stats();
-        assert_eq!(stats.backend, "abstract");
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.unsat_short_circuits, 1);
         assert_eq!(stats.valid_short_circuits, 0);
