@@ -90,7 +90,7 @@ pub struct AnalysisResult {
 }
 
 impl AnalysisResult {
-    /// Facts for conditional site `id` ([`BranchFact::dead`]-shaped for
+    /// Facts for conditional site `id` (`BranchFact::dead`-shaped for
     /// out-of-range ids).
     pub fn branch(&self, id: BranchId) -> &BranchFact {
         static DEAD: BranchFact = BranchFact {

@@ -21,7 +21,7 @@
 //!   always-false via constant propagation and interval reasoning:
 //!   flipping a statically-decided branch is unsatisfiable, so the
 //!   driver drops such targets without a solver or validity query.
-//! * [`lint`] turns the same facts into structured [`Diagnostic`]s
+//! * [`mod@lint`] turns the same facts into structured [`Diagnostic`]s
 //!   (`HA###` codes) with a JSON encoding ([`json`]) used by the
 //!   `hotg-lint` example binary.
 //!

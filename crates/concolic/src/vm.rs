@@ -1,12 +1,12 @@
 //! Concolic shadow VM: executes a [`CompiledProgram`] carrying a
 //! `(concrete, symbolic)` pair per operand and frame slot, producing
 //! [`ConcolicRun`]s bit-identical to the tree-walking executor in
-//! [`crate::exec`].
+//! `crate::exec`.
 //!
 //! The symbolic semantics — concretization policy, delayed
 //! concretization, IOF sampling, uninterpreted applications, branch
 //! recording and the summarized-call suppress counter — are not
-//! reimplemented here: the VM drives the same [`SymSide`] core the
+//! reimplemented here: the VM drives the same `SymSide` core the
 //! walker drives, at the same points in the same order. What the VM
 //! replaces is only the *driving* machinery: name-hashed environments
 //! become index-addressed frame slots, and the AST walk becomes flat

@@ -11,8 +11,8 @@
 //! an injected campaign is as deterministic as a healthy one: the same
 //! plan produces bit-identical reports for every thread count.
 //!
-//! The point is to exercise the driver's degradation ladder, deadline
-//! handling, and panic isolation under adversarial conditions and assert
+//! The point is to exercise the driver's degradation ladder and panic
+//! isolation under adversarial conditions and assert
 //! the campaign still terminates, stays sound, and accounts for every
 //! fault it absorbed (see `crates/core/tests/chaos.rs`).
 

@@ -7,7 +7,6 @@ use hotg_logic::{Formula, StableHasher};
 use hotg_solver::lia::LiaConfig;
 use hotg_solver::{SmtConfig, ValidityConfig};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// The four test-generation techniques compared throughout the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -157,27 +156,6 @@ pub struct DriverConfig {
     /// state exchange and no shard traces; the random baseline has no
     /// targets to partition and ignores it.
     pub shards: usize,
-    /// Wall-clock budget for one search target (solver queries, strategy
-    /// interpretation, probes, degradation attempts). The cutoff is
-    /// cooperative: it is threaded into the solver stack as a
-    /// [`Deadline`](hotg_solver::Deadline) polled per branch-and-bound
-    /// node, so an expired target concedes `Unknown` and enters the
-    /// degradation ladder instead of stalling the campaign. `None` (the
-    /// default) disables the cutoff — campaigns stay bit-identical across
-    /// thread counts only when no deadline fires, so deterministic
-    /// experiments should leave this unset.
-    pub target_deadline: Option<Duration>,
-    /// Wall-clock budget for the whole campaign. Checked between
-    /// generations and between merged targets; also bounds every
-    /// per-target deadline. A campaign that hits it stops early and sets
-    /// [`Report::campaign_timed_out`](crate::Report::campaign_timed_out).
-    pub campaign_deadline: Option<Duration>,
-    /// Budget-escalation factor for one retry of a solver/validity query
-    /// that conceded `Unknown`: the retry runs detached (private caches,
-    /// so the inflated verdict never leaks into other targets) with the
-    /// node budgets multiplied by this factor. Values `<= 1.0` (the
-    /// default `0.0`) disable the retry.
-    pub retry_escalation: f64,
     /// Theorem 4's fallback as a *degradation ladder*: when a validity
     /// check or alternate-path query concedes `Unknown` (or errors), the
     /// same branch-flip target is re-attempted under sound concretization
@@ -195,16 +173,15 @@ pub struct DriverConfig {
     /// record behind a versioned header, so an interrupted campaign can
     /// be picked up with [`Driver::resume`](crate::Driver::resume) and
     /// finish with a report bit-identical to an uninterrupted run.
-    /// The trace has explicit durability
-    /// ([`FsyncPolicy`](crate::FsyncPolicy)) and error
-    /// ([`TraceErrorPolicy`](crate::TraceErrorPolicy)) policies. `None`
-    /// (the default) writes no durable trace.
+    /// The trace has an explicit durability policy
+    /// ([`FsyncPolicy`](crate::FsyncPolicy)); a write error disables it
+    /// and is counted (drop-and-count). `None` (the default) writes no
+    /// durable trace.
     pub trace: Option<TraceConfig>,
     /// Optional solver-query tap: every satisfiability query the
-    /// campaign poses to its shards' SMT solvers (`SmtSolver::check`,
-    /// per-target deadline clones included) is appended here,
-    /// pre-normalization and in query order. Escalated (detached)
-    /// retries and validity queries are not recorded. The
+    /// campaign poses to its shards' SMT solvers (`SmtSolver::check`)
+    /// is appended here, pre-normalization and in query order.
+    /// Validity queries are not recorded. The
     /// benchmark harness uses the captured stream for offline
     /// throughput replay; `None` (the default) records nothing and the
     /// tap never affects campaign behaviour.
@@ -228,9 +205,6 @@ impl Default for DriverConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             shards: 1,
-            target_deadline: None,
-            campaign_deadline: None,
-            retry_escalation: 0.0,
             degradation_ladder: true,
             fault_plan: None,
             trace: None,
@@ -256,12 +230,9 @@ impl DriverConfig {
     ///
     /// Deliberately excluded, because they cannot change the event
     /// stream: `threads` and `shards` (bit-identical by
-    /// construction), the trace/observability sinks (`query_log`,
-    /// `trace` — announcement-only), and the wall-clock
-    /// `Deadline` carriers inside the solver configs (schedule state, not
-    /// configuration). Deadline
-    /// *durations* are included: resuming under a different budget is a
-    /// behavioural change.
+    /// construction) and the trace/observability sinks (`query_log`,
+    /// `trace` — announcement-only). Every budget is included:
+    /// resuming under a different budget is a behavioural change.
     pub fn resume_digest(&self) -> u64 {
         // Exhaustive destructures (no `..`): a new field does not compile
         // until it is classified as behavioural (rendered) or excluded.
@@ -278,9 +249,6 @@ impl DriverConfig {
             static_pruning,
             threads: _,
             shards: _,
-            target_deadline,
-            campaign_deadline,
-            retry_escalation,
             degradation_ladder,
             fault_plan,
             trace: _,
@@ -296,7 +264,6 @@ impl DriverConfig {
             lia,
             max_rounds,
             total_node_budget,
-            deadline: _,
             pre_solve,
         } = smt;
         let LiaConfig {
@@ -304,16 +271,14 @@ impl DriverConfig {
             var_max,
             node_budget,
             prefer_small,
-            deadline: _,
         } = lia;
         let rendered = format!(
             "max_runs={max_runs} fuel={fuel} seed={seed} random_range={random_range:?} \
              cross_run_samples={cross_run_samples} \
              max_probes_per_target={max_probes_per_target} initial_inputs={initial_inputs:?} \
              seed_corpus={seed_corpus:?} static_pruning={static_pruning} \
-             retry_escalation={retry_escalation} degradation_ladder={degradation_ladder} \
-             fault_plan={fault_plan:?} target_deadline={target_deadline:?} \
-             campaign_deadline={campaign_deadline:?} validity.max_cubes={max_cubes} \
+             degradation_ladder={degradation_ladder} \
+             fault_plan={fault_plan:?} validity.max_cubes={max_cubes} \
              validity.max_candidates={max_candidates} validity.counter_shifts={counter_shifts:?} \
              smt.max_rounds={max_rounds} smt.total_node_budget={total_node_budget} \
              smt.pre_solve={pre_solve} lia.var_min={var_min} \
@@ -376,12 +341,8 @@ mod tests {
         assert!(c.static_pruning);
         assert!(c.threads >= 1);
         assert_eq!(c.shards, 1);
-        // Resilience features default to deterministic behaviour: no
-        // deadlines, no escalation retries, no fault injection — only the
-        // (deterministic) degradation ladder is on.
-        assert_eq!(c.target_deadline, None);
-        assert_eq!(c.campaign_deadline, None);
-        assert_eq!(c.retry_escalation, 0.0);
+        // No fault injection by default; the (deterministic) degradation
+        // ladder is on.
         assert!(c.degradation_ladder);
         assert!(c.fault_plan.is_none());
         assert!(c.trace.is_none());
@@ -420,7 +381,7 @@ mod tests {
     fn default_resume_digest_is_pinned() {
         assert_eq!(
             DriverConfig::default().resume_digest(),
-            0xcffa_1a5b_618c_fc90
+            0x1354_54a6_7eac_daa2
         );
     }
 }

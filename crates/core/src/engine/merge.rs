@@ -77,11 +77,6 @@ pub(crate) fn outcome_block(job: &Job, out: &TargetOutcome) -> Vec<CampaignEvent
             count: out.solver_errors,
         });
     }
-    if out.budget_escalations > 0 {
-        block.push(CampaignEvent::BudgetEscalations {
-            count: out.budget_escalations,
-        });
-    }
     for (site, count) in out.faults.per_site() {
         if count > 0 {
             block.push(CampaignEvent::FaultInjected { site, count });

@@ -3,7 +3,7 @@
 //! The engine owns everything a test-generation campaign shares across
 //! techniques — the generational search ([`shard`]), the
 //! degradation ladder ([`ladder`]), chaos injection, panic isolation,
-//! escalated-budget retries, and the merge of worker results — while
+//! and the merge of worker results — while
 //! the technique-specific behavior (path-constraint production, flip
 //! query construction, probe/multi-step handling) lives behind the
 //! [`Strategy`](crate::strategy::Strategy) trait.
@@ -50,8 +50,7 @@ use crate::events::{CampaignEvent, EventSink};
 use crate::report::{Origin, Report, RunRecord};
 use crate::strategy::{Strategy, TargetCx};
 use crate::trace::{
-    program_digest, shard_digest, shard_trace_path, TraceConfig, TraceErrorPolicy, TraceHeader,
-    TraceWriter,
+    program_digest, shard_digest, shard_trace_path, TraceConfig, TraceHeader, TraceWriter,
 };
 use hotg_analysis::AnalysisResult;
 use hotg_concolic::{
@@ -60,8 +59,8 @@ use hotg_concolic::{
 use hotg_lang::{BranchId, CompiledProgram, InputVector, NativeRegistry, Program};
 use hotg_logic::LogicArena;
 use hotg_logic::{Formula, Var};
-use hotg_solver::{Deadline, Samples, SmtResult, SmtSolver, ValidityChecker, ValidityOutcome};
-use outcome::{path_key, scale_budget, Target, TargetOutcome, WorkerRun};
+use hotg_solver::{Samples, SmtSolver, ValidityChecker};
+use outcome::{path_key, Target, TargetOutcome, WorkerRun};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -142,11 +141,9 @@ struct Replay {
 /// resume replay says it is already on disk) and forwarded to the
 /// caller's sink. Emission happens on the merge thread only.
 ///
-/// Sink error policy (drop-and-count): the first `Err` from any sink
-/// permanently disables that sink, is tallied into `sink_errors`, and
-/// the campaign continues. The durable trace can opt into
-/// [`TraceErrorPolicy::FailFast`] instead, which additionally trips a
-/// flag the directed search checks at merge boundaries.
+/// Sink error policy (drop-and-count): the first `Err` from any sink,
+/// the durable trace included, permanently disables that sink, is
+/// tallied into `sink_errors`, and the campaign continues.
 pub(crate) struct Emitter<'s> {
     pub(crate) report: Report,
     /// The caller's sink (`None` for shard streams, or once it failed).
@@ -155,10 +152,8 @@ pub(crate) struct Emitter<'s> {
     replay: Option<Replay>,
     /// Chaos plan handed to writers opened mid-campaign (resume).
     plan: Option<crate::chaos::FaultPlan>,
-    policy: TraceErrorPolicy,
     /// Sink I/O errors absorbed so far (all sinks).
     sink_errors: usize,
-    fail_fast: bool,
     /// Trace-fault counters absorbed from writers that were disabled.
     absorbed_short_writes: usize,
     absorbed_fsync_fails: usize,
@@ -212,9 +207,6 @@ impl Emitter<'_> {
         };
         if w.write_event(event, Emitter::sync_point(event)).is_err() {
             self.sink_errors += 1;
-            if self.policy == TraceErrorPolicy::FailFast {
-                self.fail_fast = true;
-            }
             self.kill_writer();
         }
     }
@@ -262,9 +254,6 @@ impl Emitter<'_> {
                     config.path.display()
                 );
                 self.sink_errors += 1;
-                if self.policy == TraceErrorPolicy::FailFast {
-                    self.fail_fast = true;
-                }
             }
         }
     }
@@ -275,12 +264,6 @@ impl Emitter<'_> {
             Some(r) => &r.events[r.pos..],
             None => &[],
         }
-    }
-
-    /// Whether a trace I/O error under [`TraceErrorPolicy::FailFast`]
-    /// asked the campaign to stop at the next merge boundary.
-    pub(crate) fn fail_fast_tripped(&self) -> bool {
-        self.fail_fast
     }
 
     /// Total injected trace faults so far (disabled + live writers).
@@ -312,8 +295,8 @@ impl Emitter<'_> {
 
     /// Closes a finished shard emitter and folds its I/O accounting into
     /// this (canonical) emitter: absorbed sink errors, injected
-    /// trace-fault counters, replay consumption, and a tripped fail-fast
-    /// flag all surface through the canonical campaign tail. Digest-safe
+    /// trace-fault counters and replay consumption all surface through
+    /// the canonical campaign tail. Digest-safe
     /// by construction — none of these counters is a campaign result.
     pub(crate) fn absorb_shard(&mut self, mut shard: Emitter<'_>) {
         shard.finish();
@@ -322,9 +305,6 @@ impl Emitter<'_> {
         self.absorbed_fsync_fails += fsync_fails;
         self.sink_errors += shard.sink_errors;
         self.replayed += shard.replayed;
-        if shard.fail_fast {
-            self.fail_fast = true;
-        }
     }
 }
 
@@ -335,8 +315,7 @@ impl<'a> Engine<'a> {
     /// header — for a shard, at the shard path with the
     /// [`shard_digest`]-derived config digest — or, when `resume`
     /// carries a salvaged prefix, left in place behind a replay cursor.
-    /// A trace that cannot be created counts as a sink error (and trips
-    /// fail-fast under that policy).
+    /// A trace that cannot be created counts as a sink error.
     fn open_emitter<'s>(
         &self,
         strategy: &dyn Strategy,
@@ -344,12 +323,6 @@ impl<'a> Engine<'a> {
         resume: Option<ResumeData>,
         external: Option<&'s mut dyn EventSink>,
     ) -> Emitter<'s> {
-        let policy = self
-            .config
-            .trace
-            .as_ref()
-            .map(|t| t.on_error)
-            .unwrap_or_default();
         let shards = self.config.shards;
         let config = self.config.trace.as_ref().map(|tc| TraceConfig {
             path: match shard {
@@ -413,9 +386,7 @@ impl<'a> Engine<'a> {
             durable,
             replay,
             plan: self.config.fault_plan.clone(),
-            policy,
             sink_errors: startup_errors,
-            fail_fast: startup_errors > 0 && policy == TraceErrorPolicy::FailFast,
             absorbed_short_writes: 0,
             absorbed_fsync_fails: 0,
             replayed: 0,
@@ -514,14 +485,6 @@ impl<'a> Engine<'a> {
         run
     }
 
-    /// The campaign-wide wall-clock cutoff, fixed at campaign start.
-    pub(crate) fn campaign_end(&self) -> Deadline {
-        match self.config.campaign_deadline {
-            Some(d) => Deadline::after(d),
-            None => Deadline::NONE,
-        }
-    }
-
     fn random_inputs(&self, rng: &mut StdRng) -> Vec<i64> {
         let (lo, hi) = self.config.random_range;
         (0..self.program.input_width())
@@ -540,8 +503,7 @@ impl<'a> Engine<'a> {
     /// strategy: no symbolic evaluation, no targets, no solver).
     fn random_campaign(&self, em: &mut Emitter<'_>) {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let campaign_end = self.campaign_end();
-        while !self.should_stop(em, campaign_end) {
+        while !self.should_stop(em) {
             let i = em.report.runs.len();
             let inputs = if i == 0 {
                 self.initial_inputs(&mut rng)
@@ -701,54 +663,6 @@ impl<'a> Engine<'a> {
         out
     }
 
-    /// One escalated-budget retry of an `Unknown` satisfiability verdict
-    /// (`DriverConfig::retry_escalation`). Runs on a detached solver:
-    /// the inflated-budget verdict must not leak into the shared caches,
-    /// where it would make other targets' outcomes depend on whether this
-    /// retry ran first.
-    pub(crate) fn escalated_smt(
-        &self,
-        smt: &SmtSolver,
-        alt: &Formula,
-        out: &mut TargetOutcome,
-    ) -> Option<SmtResult> {
-        let factor = self.config.retry_escalation;
-        if factor <= 1.0 {
-            return None;
-        }
-        let mut cfg = *smt.config();
-        cfg.total_node_budget = scale_budget(cfg.total_node_budget, factor);
-        cfg.lia.node_budget = scale_budget(cfg.lia.node_budget, factor);
-        out.budget_escalations += 1;
-        out.solver_calls += 1;
-        smt.detached(cfg).check(alt).ok()
-    }
-
-    /// Escalated-budget retry of an `Unknown` validity verdict; same
-    /// detachment rationale as [`Engine::escalated_smt`].
-    pub(crate) fn escalated_validity(
-        &self,
-        validity: &ValidityChecker,
-        samples: &Samples,
-        extra: &Formula,
-        alt: &Formula,
-        out: &mut TargetOutcome,
-    ) -> Option<ValidityOutcome> {
-        let factor = self.config.retry_escalation;
-        if factor <= 1.0 {
-            return None;
-        }
-        let mut cfg = *validity.config();
-        cfg.smt.total_node_budget = scale_budget(cfg.smt.total_node_budget, factor);
-        cfg.smt.lia.node_budget = scale_budget(cfg.smt.lia.node_budget, factor);
-        out.budget_escalations += 1;
-        out.solver_calls += 1;
-        validity
-            .detached(cfg)
-            .check_with(self.ctx.input_vars(), samples, extra, alt)
-            .ok()
-    }
-
     /// Processes one target against the generation snapshot, with the
     /// worker's panic isolated: a panic (organic or injected) abandons
     /// only this target, which is counted as *faulted* instead of
@@ -764,7 +678,6 @@ impl<'a> Engine<'a> {
         summaries: Option<&crate::summaries::SummaryTable>,
         smt: &SmtSolver,
         validity: &ValidityChecker,
-        campaign_end: Deadline,
     ) -> TargetOutcome {
         let tkey = path_key(&job.expected);
         let inject_panic = self
@@ -777,26 +690,6 @@ impl<'a> Engine<'a> {
                 panic!("chaos: injected worker panic");
             }
             let mut out = TargetOutcome::default();
-            // Per-target wall-clock cutoff, bounded by the campaign
-            // deadline, threaded into the solver stack through
-            // reconfigured clones that share the campaign's caches.
-            // Deadline-induced `Unknown`s are never cached (see
-            // `SmtSolver::check`), so an expired target cannot poison
-            // another target's verdict.
-            let deadline = match self.config.target_deadline {
-                Some(d) => Deadline::after(d).earliest(campaign_end),
-                None => campaign_end,
-            };
-            let (smt_local, validity_local);
-            let (smt, validity) = if deadline.is_set() {
-                let mut vcfg = *validity.config();
-                vcfg.smt.deadline = deadline;
-                smt_local = smt.reconfigured(vcfg.smt);
-                validity_local = validity.reconfigured(vcfg);
-                (&smt_local, &validity_local)
-            } else {
-                (smt, validity)
-            };
             let cx = TargetCx {
                 engine: self,
                 snapshot,

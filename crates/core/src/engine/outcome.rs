@@ -59,8 +59,6 @@ pub(crate) struct TargetOutcome {
     pub(crate) rejected_targets: usize,
     /// Solver/validity queries that failed with an error.
     pub(crate) solver_errors: usize,
-    /// Escalated-budget retries of `Unknown` verdicts.
-    pub(crate) budget_escalations: usize,
     /// The worker processing this target panicked; the panic was caught
     /// and the target abandoned (its partial outcome is discarded so the
     /// merged report never depends on how far the worker got).
@@ -95,14 +93,4 @@ pub(crate) fn path_key(path: &[(BranchId, bool)]) -> u64 {
     let mut h = StableHasher::new();
     path.hash(&mut h);
     h.finish()
-}
-
-/// Multiplies a node budget by the escalation factor, saturating.
-pub(crate) fn scale_budget(budget: u64, factor: f64) -> u64 {
-    let scaled = budget as f64 * factor;
-    if scaled >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        scaled as u64
-    }
 }

@@ -73,10 +73,6 @@ pub(crate) fn reconstruct_outcome(
         out.solver_errors = *count;
         i += 1;
     }
-    if let Some(CampaignEvent::BudgetEscalations { count }) = block.get(i) {
-        out.budget_escalations = *count;
-        i += 1;
-    }
     // Per-site worker fault header. `InterpFault` never appears here
     // (per-run injections are announced inside run units), so it — and
     // the trace sites, which are campaign-level — ends the header.

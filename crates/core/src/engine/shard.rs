@@ -83,7 +83,7 @@ use crate::events::CampaignEvent;
 use crate::report::Origin;
 use crate::strategy::Strategy;
 use crate::summaries::{SummaryConfig, SummaryTable};
-use hotg_solver::{BackendStats, CacheStats, Deadline, Samples, SmtSolver, ValidityChecker};
+use hotg_solver::{BackendStats, CacheStats, Samples, SmtSolver, ValidityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -122,7 +122,6 @@ struct PassCx<'e> {
     engine: &'e Engine<'e>,
     strategy: &'e dyn Strategy,
     summaries: Option<&'e SummaryTable>,
-    campaign_end: Deadline,
 }
 
 /// One shard's pass over its share of a generation: stage-A
@@ -162,7 +161,6 @@ impl<'e> ShardPass<'e> {
             self.cx.summaries,
             &self.solvers.smt,
             &self.solvers.validity,
-            self.cx.campaign_end,
         )
     }
 
@@ -322,7 +320,6 @@ impl Engine<'_> {
             engine: self,
             strategy,
             summaries: summaries.as_ref(),
-            campaign_end: self.campaign_end(),
         };
         let solvers: Vec<Solvers> = (0..shards).map(|_| self.solvers()).collect();
         let shard_ids: Vec<usize> = (0..shards).collect();
@@ -339,7 +336,7 @@ impl Engine<'_> {
         });
 
         while !st.pending.is_empty() {
-            if self.should_stop(em, cx.campaign_end) {
+            if self.should_stop(em) {
                 break;
             }
             let (jobs, fresh_keys) = st.filter_generation();
@@ -400,7 +397,7 @@ impl Engine<'_> {
             });
             let mut stop = false;
             for job in &jobs {
-                if self.should_stop(em, cx.campaign_end) {
+                if self.should_stop(em) {
                     stop = true;
                     break;
                 }
@@ -418,13 +415,6 @@ impl Engine<'_> {
                     em.emit(e);
                 }
                 st.fold_outcome(out);
-            }
-            // A shard's trace I/O fail-fast stops the canonical campaign
-            // at the same merge-boundary granularity as its own.
-            if let Some(x) = &exchange {
-                if x.ems.iter().any(Emitter::fail_fast_tripped) {
-                    em.fail_fast = true;
-                }
             }
             if stop {
                 break;
@@ -460,21 +450,13 @@ impl Engine<'_> {
         }
     }
 
-    /// The directed search's one stop test, run before every generation
-    /// and before every merged target block (and by the random
-    /// baseline before every run): the run budget is spent, a trace I/O
-    /// error under fail-fast asked to stop, or the campaign deadline
-    /// expired — the last is announced as
-    /// [`CampaignEvent::CampaignTimedOut`].
-    pub(crate) fn should_stop(&self, em: &mut Emitter<'_>, campaign_end: Deadline) -> bool {
-        if em.report.runs.len() >= self.config.max_runs || em.fail_fast_tripped() {
-            return true;
-        }
-        if campaign_end.expired() {
-            em.emit(CampaignEvent::CampaignTimedOut);
-            return true;
-        }
-        false
+    /// The campaign's one stop test, run before every generation and
+    /// before every merged target block (and by the random baseline
+    /// before every run): the run budget is spent. It reads only the
+    /// report, so where a campaign stops is a pure function of the
+    /// program and the configuration.
+    pub(crate) fn should_stop(&self, em: &Emitter<'_>) -> bool {
+        em.report.runs.len() >= self.config.max_runs
     }
 
     /// A fresh solver pair on the campaign arena (plus the optional

@@ -41,7 +41,7 @@ pub enum CampaignEvent {
         branch_sites: u32,
     },
     /// The program under test failed the static checker
-    /// ([`hotg_lang::check`]), so the campaign was refused: this event
+    /// ([`fn@hotg_lang::check`]), so the campaign was refused: this event
     /// follows [`CampaignEvent::CampaignStarted`], only
     /// [`CampaignEvent::CampaignFinished`] follows it, and no run
     /// executes. Folded into
@@ -91,11 +91,6 @@ pub enum CampaignEvent {
     /// Solver/validity queries failed with an error.
     SolverErrors {
         /// Number of errored queries.
-        count: usize,
-    },
-    /// Escalated-budget retries of `Unknown` verdicts were run.
-    BudgetEscalations {
-        /// Number of retries.
         count: usize,
     },
     /// Faults were injected by the configured
@@ -150,8 +145,8 @@ pub enum CampaignEvent {
     /// reuse telemetry, not campaign results, and may legitimately vary
     /// with thread count).
     SolverSessionStats {
-        /// `SmtSolver::check` calls on the shards' solvers (escalated
-        /// retries excluded), summed over shards.
+        /// `SmtSolver::check` calls on the shards' solvers, summed over
+        /// shards.
         queries: u64,
         /// Term-arena intern lookups answered by an existing node.
         intern_hits: u64,
@@ -201,10 +196,6 @@ pub enum CampaignEvent {
         /// Dedup keys carried by all broadcast state deltas.
         exchange_keys: u64,
     },
-    /// The campaign stopped early because
-    /// [`DriverConfig::campaign_deadline`](crate::DriverConfig::campaign_deadline)
-    /// expired.
-    CampaignTimedOut,
     /// All events of one scheduled target have been merged (emitted
     /// after the last event of every target's outcome block).
     /// Announcement-only: not folded into the report. The resume replay
@@ -240,7 +231,6 @@ impl CampaignEvent {
             CampaignEvent::TargetSolved { .. } => "target_solved",
             CampaignEvent::TargetsRejected { .. } => "targets_rejected",
             CampaignEvent::SolverErrors { .. } => "solver_errors",
-            CampaignEvent::BudgetEscalations { .. } => "budget_escalations",
             CampaignEvent::FaultInjected { .. } => "fault_injected",
             CampaignEvent::TargetFaulted { .. } => "target_faulted",
             CampaignEvent::TargetDegraded { .. } => "target_degraded",
@@ -251,7 +241,6 @@ impl CampaignEvent {
             CampaignEvent::SolverSessionStats { .. } => "solver_session_stats",
             CampaignEvent::BackendStats { .. } => "backend_stats",
             CampaignEvent::ExecStats { .. } => "exec_stats",
-            CampaignEvent::CampaignTimedOut => "campaign_timed_out",
             CampaignEvent::TargetClosed { .. } => "target_closed",
             CampaignEvent::SinkErrors { .. } => "sink_errors",
             CampaignEvent::CampaignFinished => "campaign_finished",
@@ -302,7 +291,6 @@ impl CampaignEvent {
             CampaignEvent::SolverQueries { count }
             | CampaignEvent::TargetsRejected { count }
             | CampaignEvent::SolverErrors { count }
-            | CampaignEvent::BudgetEscalations { count }
             | CampaignEvent::TargetsPrunedStatic { count }
             | CampaignEvent::SinkErrors { count } => {
                 s.push_str(&format!(",\"count\":{count}"));
@@ -373,9 +361,7 @@ impl CampaignEvent {
                      \"vm_runs\":{vm_runs}"
                 ));
             }
-            CampaignEvent::SitePresampled
-            | CampaignEvent::CampaignTimedOut
-            | CampaignEvent::CampaignFinished => {}
+            CampaignEvent::SitePresampled | CampaignEvent::CampaignFinished => {}
         }
         s.push('}');
         s
@@ -470,9 +456,7 @@ pub(crate) fn json_str(s: &str) -> String {
 /// [`Report::sink_errors`](crate::Report::sink_errors), and the
 /// campaign continues; sinks can never stall or fail the merge thread.
 /// The durable campaign trace ([`DriverConfig::trace`](crate::DriverConfig::trace))
-/// can opt into fail-fast instead
-/// ([`TraceErrorPolicy::FailFast`](crate::TraceErrorPolicy::FailFast)),
-/// which stops the campaign at the next merge boundary.
+/// follows the same policy.
 pub trait EventSink {
     /// Consumes one event.
     fn emit(&mut self, event: &CampaignEvent) -> std::io::Result<()>;

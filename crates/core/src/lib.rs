@@ -56,8 +56,7 @@ pub use report::{
 };
 pub use summaries::{FuncSummary, SummaryConfig, SummaryPath, SummaryTable};
 pub use trace::{
-    shard_trace_path, FsyncPolicy, RecoveryReport, ResumeError, TraceConfig, TraceErrorPolicy,
-    TraceHeader,
+    shard_trace_path, FsyncPolicy, RecoveryReport, ResumeError, TraceConfig, TraceHeader,
 };
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ impl DegradationLevel {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationReason {
     /// A validity check or satisfiability query conceded `Unknown`
-    /// (node-budget pool exhausted or deadline expired).
+    /// (a round or node budget ran out).
     SolverUnknown,
     /// A validity check or satisfiability query failed with an error.
     SolverError,
@@ -156,9 +156,6 @@ pub struct Report {
     /// Targets whose worker panicked; the panic was isolated and the
     /// target counted here instead of aborting the campaign.
     pub targets_faulted: usize,
-    /// Escalated-budget retries of `Unknown` solver/validity verdicts
-    /// (`DriverConfig::retry_escalation`).
-    pub budget_escalations: usize,
     /// Executed runs that exhausted their statement fuel.
     pub fuel_exhausted_runs: usize,
     /// Runtime faults among executed runs, broken down by kind.
@@ -169,9 +166,6 @@ pub struct Report {
     /// [`FaultPlan`](crate::FaultPlan), by site. All zero when
     /// `DriverConfig::fault_plan` is `None`.
     pub faults_injected: FaultCounters,
-    /// Whether the campaign stopped early because
-    /// `DriverConfig::campaign_deadline` expired.
-    pub campaign_timed_out: bool,
     /// Event-sink I/O errors absorbed during the campaign under the
     /// drop-and-count policy (durable trace, legacy JSONL trace, or the
     /// caller's sink). Like the cache hit/miss split this is
@@ -215,12 +209,10 @@ impl Report {
             solver_errors: 0,
             targets_degraded: 0,
             targets_faulted: 0,
-            budget_escalations: 0,
             fuel_exhausted_runs: 0,
             fault_kinds: BTreeMap::new(),
             degradations: Vec::new(),
             faults_injected: FaultCounters::default(),
-            campaign_timed_out: false,
             sink_errors: 0,
             trace_faults: TraceFaultCounters::default(),
             rejected: None,
@@ -277,7 +269,6 @@ impl Report {
             CampaignEvent::SolverQueries { count } => self.solver_calls += count,
             CampaignEvent::TargetsRejected { count } => self.rejected_targets += count,
             CampaignEvent::SolverErrors { count } => self.solver_errors += count,
-            CampaignEvent::BudgetEscalations { count } => self.budget_escalations += count,
             CampaignEvent::FaultInjected { site, count } => match site {
                 FaultSite::SolverUnknown => self.faults_injected.solver_unknowns += count,
                 FaultSite::SolverErr => self.faults_injected.solver_errs += count,
@@ -300,7 +291,6 @@ impl Report {
                 self.cache_hits = *hits;
                 self.cache_misses = *misses;
             }
-            CampaignEvent::CampaignTimedOut => self.campaign_timed_out = true,
             CampaignEvent::SinkErrors { count } => self.sink_errors += count,
             CampaignEvent::ProgramRejected { reason } => self.rejected = Some(reason.clone()),
             // Announcement-only events: the facts they describe are
@@ -417,12 +407,10 @@ impl fmt::Display for Report {
         )?;
         write!(
             f,
-            ", {} solver errors, {} degraded, {} faulted, {} escalations, \
-             {} fuel-exhausted",
+            ", {} solver errors, {} degraded, {} faulted, {} fuel-exhausted",
             self.solver_errors,
             self.targets_degraded,
             self.targets_faulted,
-            self.budget_escalations,
             self.fuel_exhausted_runs,
         )?;
         if self.faults_injected.total() > 0 {
@@ -436,9 +424,6 @@ impl fmt::Display for Report {
         }
         if let Some(reason) = &self.rejected {
             write!(f, " (program rejected: {reason})")?;
-        }
-        if self.campaign_timed_out {
-            write!(f, " (campaign deadline hit)")?;
         }
         writeln!(f)
     }
@@ -630,7 +615,6 @@ mod tests {
             solver_errors: 1,
             targets_degraded: 1,
             targets_faulted: 0,
-            budget_escalations: 0,
             fuel_exhausted_runs: 0,
             fault_kinds: BTreeMap::new(),
             degradations: vec![DegradationRecord {
@@ -640,7 +624,6 @@ mod tests {
                 recovered: true,
             }],
             faults_injected: FaultCounters::default(),
-            campaign_timed_out: false,
             sink_errors: 0,
             trace_faults: TraceFaultCounters::default(),
             rejected: None,
@@ -717,15 +700,13 @@ mod tests {
     }
 
     #[test]
-    fn degradation_labels_and_timeout_note() {
+    fn degradation_labels_and_fault_note() {
         assert_eq!(DegradationLevel::Sound.label(), "sound-concretize");
         assert_eq!(DegradationLevel::Unsound.label(), "unsound-concretize");
         let mut r = dummy();
-        r.campaign_timed_out = true;
         r.faults_injected.worker_panics = 2;
         let s = r.to_string();
         assert!(s.contains("2 faults injected"));
-        assert!(s.contains("campaign deadline hit"));
     }
 
     #[test]

@@ -86,8 +86,8 @@ impl Strategy for DartSoundDelayed {
 }
 
 /// The shared DART target step: one satisfiability query on the
-/// alternate path constraint, one escalated retry on `Unknown`, then
-/// the degradation ladder.
+/// alternate path constraint; `Unknown` or an error goes to the
+/// degradation ladder.
 fn dart_target(strategy: &dyn Strategy, cx: &TargetCx<'_, '_>, job: &Job, out: &mut TargetOutcome) {
     let eng = cx.engine;
     out.solver_calls += 1;
@@ -104,14 +104,7 @@ fn dart_target(strategy: &dyn Strategy, cx: &TargetCx<'_, '_>, job: &Job, out: &
         Checked::Sat(model) => run_solved(strategy, cx, job, &model, out),
         Checked::Unsat => out.rejected_targets += 1,
         Checked::Unknown => {
-            // One escalated-budget retry, then the ladder.
-            match eng.escalated_smt(cx.smt, &job.alt, out) {
-                Some(SmtResult::Sat(model)) => run_solved(strategy, cx, job, &model, out),
-                Some(SmtResult::Unsat) => out.rejected_targets += 1,
-                _ => {
-                    eng.concede_target(job, strategy, cx.smt, DegradationReason::SolverUnknown, out)
-                }
-            }
+            eng.concede_target(job, strategy, cx.smt, DegradationReason::SolverUnknown, out)
         }
         Checked::Errored => {
             out.solver_errors += 1;

@@ -144,29 +144,7 @@ fn higher_order_target(
                 return;
             }
             ValidityOutcome::Unknown => {
-                // One escalated-budget retry; decisive verdicts are
-                // honoured, anything else falls to the ladder.
-                match eng.escalated_validity(cx.validity, &samples, &extra, &job.alt, out) {
-                    Some(ValidityOutcome::Valid(vstrategy)) => {
-                        run_strategy(
-                            strategy,
-                            cx,
-                            &vstrategy,
-                            job,
-                            &mut local,
-                            &mut probes_left,
-                            out,
-                        );
-                    }
-                    Some(ValidityOutcome::Invalid { .. }) => out.rejected_targets += 1,
-                    _ => eng.concede_target(
-                        job,
-                        strategy,
-                        cx.smt,
-                        DegradationReason::SolverUnknown,
-                        out,
-                    ),
-                }
+                eng.concede_target(job, strategy, cx.smt, DegradationReason::SolverUnknown, out);
                 return;
             }
         }

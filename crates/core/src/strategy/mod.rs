@@ -3,7 +3,7 @@
 //! production (the [`ExecProfile`]), flip-query construction
 //! (satisfiability vs. validity), and probe/multi-step behavior —
 //! while the [`Engine`](crate::engine::Engine) owns everything shared
-//! (scheduling, merging, chaos, deadlines, the degradation ladder).
+//! (scheduling, merging, chaos, the degradation ladder).
 //!
 //! The degradation ladder is expressed *between* strategies: each
 //! strategy names the next-weaker strategy via [`Strategy::demoted`],
@@ -35,7 +35,7 @@ pub(crate) use random::Random;
 
 /// Everything a worker has in scope while processing one target: the
 /// engine's shared services, the generation's sample-table snapshot,
-/// and the (possibly deadline-reconfigured) solver stack. Built by
+/// and the shard's solver stack. Built by
 /// [`Engine::process_target`] inside the panic-isolation boundary.
 pub(crate) struct TargetCx<'e, 'a> {
     /// The shared campaign engine (chaos, ladder, execution helpers).
@@ -48,11 +48,10 @@ pub(crate) struct TargetCx<'e, 'a> {
     /// Function summaries (§8), present only for the compositional
     /// strategy on programs with defined functions.
     pub(crate) summaries: Option<&'e SummaryTable>,
-    /// Satisfiability solver: the shard's solver or a per-target
-    /// deadline clone of it, sharing its query cache, arena, query
-    /// counter and query tap.
+    /// The shard's satisfiability solver (shared query cache, arena,
+    /// query counter and query tap).
     pub(crate) smt: &'e SmtSolver,
-    /// Validity checker (shared caches; per-target deadline).
+    /// The shard's validity checker (shared caches).
     pub(crate) validity: &'e ValidityChecker,
     /// Schedule-independent key of this target (chaos injection).
     pub(crate) tkey: u64,

@@ -126,8 +126,9 @@ impl SummaryTable {
         self.entries.is_empty()
     }
 
-    /// Instantiates the summary implications for one application term
-    /// `f#(args)`. Returns `None` if the symbol is not summarized.
+    /// The summary implications of one application term `f#(args)`,
+    /// instantiated at its arguments. Returns `None` if the symbol is
+    /// not summarized.
     pub fn instantiate(&self, app: &Term) -> Option<Formula> {
         let Term::App(fsym, args) = app else {
             return None;

@@ -34,11 +34,10 @@
 //! facts — counted into
 //! [`Report::sink_errors`](crate::Report::sink_errors) and (for
 //! injected faults) [`Report::trace_faults`](crate::Report::trace_faults)
-//! — never silently swallowed. Under
-//! [`TraceErrorPolicy::DropAndCount`] (default) the first write error
-//! permanently disables the writer and the campaign continues; under
-//! [`TraceErrorPolicy::FailFast`] the campaign stops at the next merge
-//! boundary.
+//! — never silently swallowed. The first write error permanently
+//! disables the writer (a torn frame already ends the salvageable
+//! prefix, so later frames could never be recovered anyway) and the
+//! campaign continues.
 
 use crate::chaos::{FaultPlan, FaultSite};
 use crate::config::Technique;
@@ -59,8 +58,10 @@ pub const TRACE_MAGIC: &[u8; 8] = b"HOTGTRC1";
 /// `shard_stats` event. Version 3: `program_rejected` replaces the
 /// bytecode-fallback event, `exec_stats` drops its tree-walker run
 /// count, `backend_stats` drops its `backend` name, and the header's
-/// program digest is taken over the program's source text.
-const TRACE_VERSION: &str = "hotg-trace/3";
+/// program digest is taken over the program's source text. Version 4
+/// removes two event kinds: the budget-retry count and the campaign
+/// time-out marker.
+const TRACE_VERSION: &str = "hotg-trace/4";
 
 /// Sanity cap on a frame's claimed payload length: no event of a real
 /// campaign comes anywhere near it, so a larger length field means the
@@ -168,21 +169,6 @@ impl std::str::FromStr for FsyncPolicy {
     }
 }
 
-/// What a trace write error does to the campaign.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceErrorPolicy {
-    /// Count the error into [`Report::sink_errors`](crate::Report::sink_errors),
-    /// permanently disable the writer (a torn frame already ends the
-    /// salvageable prefix, so later frames could never be recovered
-    /// anyway), and continue the campaign. The default.
-    #[default]
-    DropAndCount,
-    /// Count the error, disable the writer, and stop the campaign at
-    /// the next merge boundary — for callers that would rather have a
-    /// partial campaign than an untraced one.
-    FailFast,
-}
-
 /// Configuration of the durable campaign trace
 /// ([`DriverConfig::trace`](crate::DriverConfig::trace)).
 #[derive(Clone, Debug)]
@@ -192,8 +178,6 @@ pub struct TraceConfig {
     pub path: PathBuf,
     /// Durability policy. Default [`FsyncPolicy::EveryGeneration`].
     pub fsync: FsyncPolicy,
-    /// Write-error policy. Default [`TraceErrorPolicy::DropAndCount`].
-    pub on_error: TraceErrorPolicy,
     /// Chaos hook: simulate the process dying while writing event
     /// number N — half of that event's frame reaches the file, nothing
     /// later ever does, and *no* error is surfaced (a real crash
@@ -212,12 +196,11 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// A durable trace at `path` with default policies.
+    /// A durable trace at `path` with the default fsync policy.
     pub fn new(path: impl Into<PathBuf>) -> TraceConfig {
         TraceConfig {
             path: path.into(),
             fsync: FsyncPolicy::EveryGeneration,
-            on_error: TraceErrorPolicy::DropAndCount,
             chaos_kill_at_event: None,
             chaos_kill_shard: None,
         }
@@ -1152,9 +1135,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
         "solver_errors" => CampaignEvent::SolverErrors {
             count: v.usize_field("count")?,
         },
-        "budget_escalations" => CampaignEvent::BudgetEscalations {
-            count: v.usize_field("count")?,
-        },
         "fault_injected" => CampaignEvent::FaultInjected {
             site: decode_fault_site(v.str_field("site")?)?,
             count: v.usize_field("count")?,
@@ -1208,7 +1188,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
             compiled_blocks: v.usize_field("compiled_blocks")?,
             vm_runs: v.u64_field("vm_runs")?,
         },
-        "campaign_timed_out" => CampaignEvent::CampaignTimedOut,
         "target_closed" => CampaignEvent::TargetClosed {
             target: v.target_field("target")?,
         },
@@ -1286,7 +1265,6 @@ mod tests {
             },
             CampaignEvent::TargetsRejected { count: 1 },
             CampaignEvent::SolverErrors { count: 2 },
-            CampaignEvent::BudgetEscalations { count: 1 },
             CampaignEvent::FaultInjected {
                 site: FaultSite::TraceShortWrite,
                 count: 3,
@@ -1350,7 +1328,6 @@ mod tests {
                 compiled_blocks: 4,
                 vm_runs: 12,
             },
-            CampaignEvent::CampaignTimedOut,
             CampaignEvent::TargetClosed {
                 target: BranchId(2),
             },
@@ -1383,7 +1360,7 @@ mod tests {
             fsync: FsyncPolicy::Close,
         };
         assert_eq!(TraceHeader::from_json(&h.to_json()), Some(h.clone()));
-        for old in ["hotg-trace/1", "hotg-trace/2"] {
+        for old in ["hotg-trace/1", "hotg-trace/2", "hotg-trace/3"] {
             let other = h.to_json().replace(TRACE_VERSION, old);
             assert_eq!(TraceHeader::from_json(&other), None, "{old}");
         }

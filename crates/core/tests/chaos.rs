@@ -1,6 +1,6 @@
 //! Resilience properties of the campaign engine under deterministic
 //! fault injection (`DriverConfig::fault_plan`), plus the degradation
-//! ladder, deadline, and escalation behaviours they exercise.
+//! ladder they exercise.
 //!
 //! The core contract: a campaign bombarded with injected solver
 //! `Unknown`s/errors, synthetic interpreter faults, lost probe samples,
@@ -24,7 +24,6 @@ use hotg_core::{
 };
 use hotg_lang::{corpus, FaultKind, Outcome};
 use hotg_solver::ValidityConfig;
-use std::time::Duration;
 
 /// Is this run's outcome an injected interpreter fault?
 fn is_injected_fault(outcome: &Outcome) -> bool {
@@ -135,9 +134,6 @@ fn injected_campaigns_terminate_sound_and_accounted() {
                 let config = DriverConfig {
                     max_runs: 10,
                     fault_plan: Some(FaultPlan::uniform(seed, 0.2)),
-                    // A generous safety net: chaos must not stall a
-                    // campaign even when every fault site is live.
-                    target_deadline: Some(Duration::from_secs(10)),
                     threads: 1,
                     ..DriverConfig::with_initial(vec![0; width])
                 };
@@ -321,80 +317,28 @@ fn degradation_ladder_recovers_budget_cliff() {
     assert!(without.rejected_targets >= 1);
 }
 
-/// The budget-escalation retry: with a starvation budget (1 node — the
-/// `budget_cliff` flip query's fractional root vertex needs more) and a
-/// large escalation factor, the retried validity query gets enough
-/// nodes to decide, the error is found, and the escalation is counted.
+/// An exhausted node budget makes every solver query concede `Unknown`
+/// — including the ladder's own attempts — so the campaign degrades
+/// (recording unrecovered rungs) and terminates instead of hanging.
+/// The cascade is off: it could otherwise decide a query without
+/// spending a node.
 #[test]
-fn escalated_retry_recovers_starved_validity_query() {
-    let (program, natives) = corpus::budget_cliff();
+fn exhausted_node_budget_degrades_and_terminates() {
+    let (program, natives) = corpus::obscure();
     let mut validity = ValidityConfig::default();
-    validity.smt.total_node_budget = 1;
-    let base = DriverConfig {
-        validity,
-        max_runs: 20,
-        threads: 1,
-        degradation_ladder: false,
-        ..DriverConfig::with_initial(vec![0, 20])
-    };
-
-    let starved = Driver::new(&program, &natives, base.clone()).run(Technique::HigherOrder);
-    let escalated = Driver::new(
-        &program,
-        &natives,
-        DriverConfig {
-            retry_escalation: 8.0,
-            ..base
-        },
-    )
-    .run(Technique::HigherOrder);
-    assert!(escalated.budget_escalations >= 1);
-    assert!(
-        escalated.found_error(1),
-        "escalated budget should decide the validity query"
-    );
-    assert!(!starved.found_error(1), "starved baseline stays stuck");
-    assert_eq!(starved.budget_escalations, 0);
-}
-
-/// A zero campaign deadline stops the directed search after the initial
-/// run and marks the report as timed out; the random baseline stops
-/// before its first run.
-#[test]
-fn zero_campaign_deadline_times_out_immediately() {
-    let (program, natives) = corpus::obscure();
-    let base = DriverConfig {
-        campaign_deadline: Some(Duration::ZERO),
-        ..DriverConfig::with_initial(vec![33, 42])
-    };
-    let directed = Driver::new(&program, &natives, base.clone()).run(Technique::HigherOrder);
-    assert!(directed.campaign_timed_out);
-    assert_eq!(directed.total_runs(), 1, "only the initial run");
-
-    let random = Driver::new(&program, &natives, base).run(Technique::Random);
-    assert!(random.campaign_timed_out);
-    assert_eq!(random.total_runs(), 0);
-}
-
-/// A zero per-target deadline makes every solver query concede
-/// `Unknown` — including the ladder's own attempts — so the campaign
-/// degrades (recording unrecovered rungs) and terminates instead of
-/// hanging.
-#[test]
-fn zero_target_deadline_degrades_and_terminates() {
-    let (program, natives) = corpus::obscure();
+    validity.smt.total_node_budget = 0;
+    validity.smt.pre_solve = false;
     let config = DriverConfig {
-        target_deadline: Some(Duration::ZERO),
+        validity,
         max_runs: 20,
         threads: 1,
         ..DriverConfig::with_initial(vec![33, 42])
     };
     let report = Driver::new(&program, &natives, config).run(Technique::HigherOrder);
     assert!(report.total_runs() >= 1);
-    assert!(!report.found_error(1), "no query can decide in zero time");
+    assert!(!report.found_error(1), "no query can decide without nodes");
     assert!(report.targets_degraded >= 1);
     assert!(report.degradations.iter().all(|d| !d.recovered));
-    assert!(!report.campaign_timed_out);
 }
 
 /// Resume under chaos: a campaign bombarded with injected faults *and*
@@ -410,7 +354,6 @@ fn resumed_chaos_campaigns_keep_the_contract() {
         let mk = move || DriverConfig {
             max_runs: 10,
             fault_plan: Some(FaultPlan::uniform(seed, 0.25)),
-            target_deadline: Some(Duration::from_secs(10)),
             threads: 1,
             ..DriverConfig::with_initial(vec![0; width])
         };
@@ -457,7 +400,6 @@ fn trace_io_faults_never_leak_into_the_search() {
     let worker_only = DriverConfig {
         max_runs: 10,
         fault_plan: Some(FaultPlan::uniform(3, 0.25)),
-        target_deadline: Some(Duration::from_secs(10)),
         threads: 1,
         ..DriverConfig::with_initial(vec![0; width])
     };

@@ -94,11 +94,9 @@ pub fn canonical(r: &Report) -> String {
     let _ = writeln!(s, "solver_errors={}", r.solver_errors);
     let _ = writeln!(s, "targets_degraded={}", r.targets_degraded);
     let _ = writeln!(s, "targets_faulted={}", r.targets_faulted);
-    let _ = writeln!(s, "budget_escalations={}", r.budget_escalations);
     let _ = writeln!(s, "fuel_exhausted_runs={}", r.fuel_exhausted_runs);
     let _ = writeln!(s, "fault_kinds={:?}", r.fault_kinds);
     let _ = writeln!(s, "degradations={:?}", r.degradations);
     let _ = writeln!(s, "faults_injected={:?}", r.faults_injected);
-    let _ = writeln!(s, "campaign_timed_out={}", r.campaign_timed_out);
     s
 }

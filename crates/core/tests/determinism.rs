@@ -65,10 +65,6 @@ fn assert_reports_identical(seq: &Report, par: &Report, label: &str) {
         "{label}: faulted target counts differ"
     );
     assert_eq!(
-        seq.budget_escalations, par.budget_escalations,
-        "{label}: budget escalation counts differ"
-    );
-    assert_eq!(
         seq.fuel_exhausted_runs, par.fuel_exhausted_runs,
         "{label}: fuel-exhausted run counts differ"
     );
@@ -83,10 +79,6 @@ fn assert_reports_identical(seq: &Report, par: &Report, label: &str) {
     assert_eq!(
         seq.faults_injected, par.faults_injected,
         "{label}: injected fault counters differ"
-    );
-    assert_eq!(
-        seq.campaign_timed_out, par.campaign_timed_out,
-        "{label}: campaign timeout flags differ"
     );
 }
 

@@ -35,7 +35,6 @@ use hotg_core::{
 };
 use hotg_lang::{corpus, FaultKind, InputVector, Outcome};
 use hotg_logic::StableHasher;
-use std::time::Duration;
 
 /// The fault-injection legs of the matrix: off, and two plan seeds.
 const CHAOS_SEEDS: [Option<u64>; 3] = [None, Some(0), Some(3)];
@@ -45,9 +44,6 @@ fn combo_config(width: usize, threads: usize, chaos: Option<u64>) -> DriverConfi
         max_runs: 10,
         threads,
         fault_plan: chaos.map(|seed| FaultPlan::uniform(seed, 0.2)),
-        // Safety net only (as in the chaos suite): far too generous to
-        // fire on these small campaigns, so it never perturbs results.
-        target_deadline: chaos.map(|_| Duration::from_secs(10)),
         ..DriverConfig::with_initial(vec![0; width])
     }
 }

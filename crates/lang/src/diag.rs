@@ -1,6 +1,6 @@
 //! Structured diagnostics for `mini` programs: source spans, severities,
 //! stable codes, and the [`Diagnostic`] record shared by the static
-//! checker ([`crate::check`]) and the `hotg-analysis` lint layer.
+//! checker ([`fn@crate::check`]) and the `hotg-analysis` lint layer.
 //!
 //! The parser records a [`SpanTable`] on every [`crate::Program`] so that
 //! downstream passes — which work on the span-free AST — can still point

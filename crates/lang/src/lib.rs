@@ -16,7 +16,7 @@
 //!
 //! The crate provides the lexer, parser, static checker, a concrete
 //! interpreter with branch/native-call tracing, a bytecode fast path
-//! ([`compile`] once per campaign, execute with [`vm`]), and [`corpus`]
+//! ([`fn@compile`] once per campaign, execute with [`vm`]), and [`corpus`]
 //! — every example program from the paper.
 //!
 //! # Example

@@ -361,7 +361,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: an exact length or a range.
+    /// Length specification for [`fn@vec`]: an exact length or a range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -402,7 +402,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`fn@vec`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

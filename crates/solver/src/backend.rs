@@ -44,7 +44,8 @@
 //!
 //! A formula containing an atom outside the linear theory makes the
 //! backend answer [`PreVerdict::Unknown`] unconditionally — the DPLL(T)
-//! layer must keep surfacing its [`NonLinearError`] exactly as without a
+//! layer must keep surfacing its
+//! [`NonLinearError`](hotg_logic::NonLinearError) exactly as without a
 //! cascade.
 
 use hotg_logic::{Constancy, Formula, Interval, LinConstraint, LinExpr, LinKey, Model, Rel, Value};

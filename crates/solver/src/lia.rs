@@ -25,7 +25,6 @@
 //! (the kernel contract in `DESIGN.md`, pinned by
 //! `tests/kernel_golden.rs`).
 
-use crate::deadline::Deadline;
 use crate::simplex::{BoundKind, Simplex, SimplexResult};
 use hotg_logic::{LinKey, Rat};
 use std::borrow::Borrow;
@@ -102,10 +101,6 @@ pub struct LiaConfig {
     /// progressively larger boxes (±2⁴, ±2⁸, ±2¹⁶) and return the first
     /// feasible small model. Generated test inputs stay human-sized.
     pub prefer_small: bool,
-    /// Cooperative wall-clock cutoff, polled between branch-and-bound
-    /// nodes. Once expired, the search concedes [`LiaResult::Unknown`]
-    /// exactly as if the node budget had run dry.
-    pub deadline: Deadline,
 }
 
 impl Default for LiaConfig {
@@ -115,7 +110,6 @@ impl Default for LiaConfig {
             var_max: 1 << 32,
             node_budget: 20_000,
             prefer_small: true,
-            deadline: Deadline::NONE,
         }
     }
 }
@@ -314,7 +308,7 @@ fn branch(
     let root = root_tableau(constraints, keys.len(), rows, config);
     let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![Vec::new()];
     while let Some(bounds) = work.pop() {
-        match branch_node(&root, keys, config, &bounds, budget) {
+        match branch_node(&root, keys, &bounds, budget) {
             NodeOutcome::Done(result) => return result,
             NodeOutcome::Infeasible => {}
             NodeOutcome::Split { index, floor } => {
@@ -352,18 +346,10 @@ enum NodeOutcome {
 fn branch_node(
     root: &Result<Simplex, NodeOutcome>,
     keys: &[LinKey],
-    config: &LiaConfig,
     extra_bounds: &[(usize, BoundKind, Rat)],
     budget: &mut u64,
 ) -> NodeOutcome {
     if *budget == 0 {
-        return NodeOutcome::Done(LiaResult::Unknown);
-    }
-    // Poll the wall-clock cutoff per node: a node costs a full simplex
-    // solve, so the `Instant::now()` read (skipped entirely when no
-    // deadline is set) is noise.
-    if config.deadline.expired() {
-        *budget = 0;
         return NodeOutcome::Done(LiaResult::Unknown);
     }
     *budget -= 1;
@@ -571,7 +557,6 @@ mod tests {
             var_max: 5,
             node_budget: 100,
             prefer_small: false,
-            ..LiaConfig::default()
         };
         // x ≥ 6 within ±5 bounds: UNSAT but the artificial bound is part
         // of the conflict, so no sound core is claimed.
@@ -587,7 +572,6 @@ mod tests {
             var_max: 1 << 20,
             node_budget: 1,
             prefer_small: false,
-            ..LiaConfig::default()
         };
         let cons = [
             eq(vec![(x.clone(), 2), (y.clone(), 2)], -6),
@@ -595,22 +579,6 @@ mod tests {
         ];
         let r = solve_int(&cons, &config);
         assert!(matches!(r, LiaResult::Unknown | LiaResult::Sat(_)));
-    }
-
-    #[test]
-    fn expired_deadline_reports_unknown() {
-        let (x, y, _) = keys3();
-        let config = LiaConfig {
-            deadline: Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-            prefer_small: false,
-            ..LiaConfig::default()
-        };
-        // Needs branch-and-bound, so the deadline poll is reached.
-        let cons = [
-            eq(vec![(x.clone(), 2), (y.clone(), 2)], -6),
-            le(vec![(x, 1), (y, -1)], 1),
-        ];
-        assert_eq!(solve_int(&cons, &config), LiaResult::Unknown);
     }
 
     #[test]

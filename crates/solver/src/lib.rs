@@ -33,7 +33,6 @@
 pub mod atoms;
 pub mod backend;
 pub mod cache;
-pub mod deadline;
 pub mod euf;
 pub mod lia;
 pub mod simplex;
@@ -42,7 +41,6 @@ pub mod validity;
 
 pub use backend::{AbstractBackend, BackendStats, Cascade, ModelVerdict, PreVerdict};
 pub use cache::{CacheStats, Keyed, QueryCache};
-pub use deadline::Deadline;
 pub use smt::{SmtConfig, SmtResult, SmtSolver, Verdict};
 pub use validity::{
     CounterInterp, Interpretation, Samples, SamplesDelta, Strategy, StrategyBinding,

@@ -19,7 +19,6 @@
 use crate::atoms::{eq_split, negate_le, normalize, NormAtom, Prim};
 use crate::backend::{BackendStats, Cascade, ModelVerdict, PreVerdict};
 use crate::cache::{CacheStats, Keyed, QueryCache};
-use crate::deadline::Deadline;
 use crate::lia::{solve_int, solve_int_budgeted, ConKind, IntConstraint, LiaConfig, LiaResult};
 use hotg_logic::{Atom, Formula, LinKey, LogicArena, Model, NonLinearError, Term, Value};
 use hotg_sat::{Lit, SatResult, SatSolver};
@@ -78,17 +77,16 @@ pub struct SmtConfig {
     pub lia: LiaConfig,
     /// Maximum number of SAT ↔ theory refinement rounds.
     pub max_rounds: u64,
-    /// Total branch-and-bound nodes one `check` may spend across all its
-    /// refinement rounds (including core minimization). Without this pool
-    /// a hard query can pay the full per-round LIA budget `max_rounds`
-    /// times — hours of wall clock — before conceding `Unknown`.
+    /// Total branch-and-bound nodes the per-round theory checks of one
+    /// `check` may spend across all its refinement rounds. Without this
+    /// pool a hard query can pay the full per-round LIA budget
+    /// `max_rounds` times — hours of wall clock — before conceding
+    /// `Unknown`. Core minimization does not draw from it: each deletion
+    /// probe gets its own `min(lia.node_budget, 400)` allowance, and a
+    /// conflict runs at most 96 probes. So one check is bounded by
+    /// `max_rounds` rounds, `total_node_budget` theory nodes, and at most
+    /// 96 × 400 minimization nodes per conflict.
     pub total_node_budget: u64,
-    /// Cooperative wall-clock cutoff, polled between refinement rounds and
-    /// (via [`LiaConfig::deadline`]) between branch-and-bound nodes. An
-    /// expired deadline makes `check` concede [`SmtResult::Unknown`]; such
-    /// verdicts are **never** memoized in the shared query cache, because
-    /// they depend on the schedule rather than the query.
-    pub deadline: Deadline,
     /// Consult the abstract-interpretation pre-solver cascade
     /// ([`crate::backend`]) on every cache miss before any DPLL(T) work.
     /// The cascade is sound and answers only what DPLL(T) would have
@@ -105,7 +103,6 @@ impl SmtConfig {
             lia: LiaConfig::default(),
             max_rounds: 100_000,
             total_node_budget: 120_000,
-            deadline: Deadline::NONE,
             pre_solve: true,
         }
     }
@@ -323,7 +320,7 @@ impl SmtSolver {
     }
 
     /// Attaches a query tap: every formula posed to [`SmtSolver::check`]
-    /// on this solver or a [`SmtSolver::reconfigured`] clone is appended
+    /// on this solver or a clone of it is appended
     /// to `log` before any cache lookup or normalization. Verdicts are
     /// unaffected; the benchmark harness replays the captured stream to
     /// measure solver throughput.
@@ -337,59 +334,8 @@ impl SmtSolver {
         &self.arena
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SmtConfig {
-        &self.config
-    }
-
-    /// A solver with a different configuration that **shares** this
-    /// solver's query cache, arena, query tap and query counter. Used to
-    /// thread per-target deadlines into worker-local clones without
-    /// losing memoized verdicts.
-    pub fn reconfigured(&self, config: SmtConfig) -> SmtSolver {
-        SmtSolver {
-            config,
-            cache: Arc::clone(&self.cache),
-            arena: Arc::clone(&self.arena),
-            recorder: self.recorder.clone(),
-            // Keep sharing the cascade (its counters stay campaign-wide);
-            // create one only if the reconfiguration switches pre-solving
-            // on for a solver built without it.
-            pre: config.pre_solve.then(|| {
-                self.pre
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(Cascade::default()))
-            }),
-            queries: Arc::clone(&self.queries),
-        }
-    }
-
-    /// A solver with a **private** (empty) query cache. Escalated-budget
-    /// retries must use a detached solver: their verdicts are a function of
-    /// the inflated budget, and writing them into the shared cache would
-    /// make campaign results depend on which targets happened to escalate.
-    /// The arena stays shared: its memo is behavior-free (normal forms and
-    /// fingerprints do not depend on budgets).
-    pub fn detached(&self, config: SmtConfig) -> SmtSolver {
-        // Escalated retries are deliberately neither recorded nor counted:
-        // the replayed bench stream and the query count should reflect the
-        // campaign's first-attempt queries, not budget-inflated duplicates.
-        SmtSolver {
-            config,
-            cache: Arc::new(QueryCache::new()),
-            arena: Arc::clone(&self.arena),
-            recorder: None,
-            // A private cascade for the same reason as the private cache:
-            // escalated-retry traffic must not skew the campaign's
-            // published backend counters.
-            pre: config.pre_solve.then(|| Arc::new(Cascade::default())),
-            queries: Arc::default(),
-        }
-    }
-
     /// Number of [`SmtSolver::check`] calls on this solver and every
-    /// clone sharing its counter ([`SmtSolver::reconfigured`] does,
-    /// [`SmtSolver::detached`] does not).
+    /// clone of it.
     pub fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
@@ -466,16 +412,8 @@ impl SmtSolver {
         // contradiction) or `Sat` with the formula's *forced* model (every
         // variable pinned to a point, candidate verified by evaluation).
         // Either answer is exactly what DPLL(T) would have returned — the
-        // forced model is unique — so both are memoized like one. An
-        // already-expired deadline skips the cascade: under a dead
-        // deadline a cascade-free solver concedes `Unknown` on every
-        // query (the resilience ladder pins on that), and the cascade
-        // must never change what a campaign observes.
-        if let Some(pre) = self
-            .pre
-            .as_ref()
-            .filter(|_| !self.config.deadline.expired())
-        {
+        // forced model is unique — so both are memoized like one.
+        if let Some(pre) = &self.pre {
             match pre.pre_check_model(key.payload()) {
                 ModelVerdict::Unsat => {
                     self.cache.insert(key, SmtResult::Unsat);
@@ -491,18 +429,9 @@ impl SmtSolver {
         }
         let full = Self::ackermannize(key.payload());
 
-        let result = self.check_inner(&full);
-        if let Ok(r) = &result {
-            // A deadline-expired `Unknown` reflects the wall clock, not the
-            // query; memoizing it would let one slow schedule poison every
-            // later (possibly deadline-free) check of the same formula.
-            let deadline_unknown =
-                matches!(r, SmtResult::Unknown) && self.config.deadline.expired();
-            if !deadline_unknown {
-                self.cache.insert(key, r.clone());
-            }
-        }
-        result
+        let result = self.check_inner(&full)?;
+        self.cache.insert(key, result.clone());
+        Ok(result)
     }
 
     /// Decides satisfiability when the caller only needs the verdict,
@@ -528,13 +457,7 @@ impl SmtSolver {
         if let Some(cached) = self.cache.get(&key) {
             return Ok(cached.verdict());
         }
-        // Skipped under an expired deadline for the same reason as in
-        // `check`: a dead deadline must concede everywhere.
-        if let Some(pre) = self
-            .pre
-            .as_ref()
-            .filter(|_| !self.config.deadline.expired())
-        {
+        if let Some(pre) = &self.pre {
             match pre.pre_check(key.payload(), true) {
                 PreVerdict::Unsat => {
                     self.cache.insert(key, SmtResult::Unsat);
@@ -546,12 +469,9 @@ impl SmtSolver {
         }
         let full = Self::ackermannize(key.payload());
         let result = self.check_inner(&full)?;
-        let deadline_unknown =
-            matches!(result, SmtResult::Unknown) && self.config.deadline.expired();
-        if !deadline_unknown {
-            self.cache.insert(key, result.clone());
-        }
-        Ok(result.verdict())
+        let verdict = result.verdict();
+        self.cache.insert(key, result);
+        Ok(verdict)
     }
 
     fn check_inner(&self, full: &Formula) -> Result<SmtResult, NonLinearError> {
@@ -565,15 +485,13 @@ impl SmtSolver {
     /// every round asserts the atoms the boolean model picks against the
     /// theory and, on a theory conflict, adds a blocking clause.
     fn refine(&self, enc: &mut Encoder, full: &Formula) -> Result<SmtResult, NonLinearError> {
-        // One node pool for the whole check: every theory query (and the
-        // core minimization probes) draws from it, so total work is
-        // bounded even when individual rounds are hard.
+        // One node pool for the whole check: every per-round theory query
+        // draws from it, so total work is bounded even when individual
+        // rounds are hard. Core minimization probes carry their own capped
+        // allowance (see `minimize_core`), not a share of this pool.
         let mut pool = self.config.total_node_budget;
 
         for _round in 0..self.config.max_rounds {
-            if self.config.deadline.expired() {
-                return Ok(SmtResult::Unknown);
-            }
             match enc.sat.solve() {
                 SatResult::Unsat => return Ok(SmtResult::Unsat),
                 SatResult::Sat(bmodel) => {
@@ -596,7 +514,6 @@ impl SmtSolver {
                     }
                     let lia = LiaConfig {
                         node_budget: self.config.lia.node_budget.min(pool),
-                        deadline: self.config.deadline.earliest(self.config.lia.deadline),
                         ..self.config.lia
                     };
                     let before = pool;
@@ -655,7 +572,6 @@ impl SmtSolver {
         let lia = crate::lia::LiaConfig {
             prefer_small: false,
             node_budget: self.config.lia.node_budget.min(400),
-            deadline: self.config.deadline.earliest(self.config.lia.deadline),
             ..self.config.lia
         };
         let mut i = 0;
@@ -920,44 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_concedes_unknown_without_caching() {
-        let (_, x, _, _) = setup();
-        // The pre-solver cascade could force this query's model, but a
-        // dead deadline must concede everywhere — the cascade is skipped
-        // and DPLL(T) concedes Unknown, exactly like a cascade-free
-        // solver would.
-        let f = Formula::atom(Atom::eq(Term::var(x), Term::int(42)));
-        let expired = SmtConfig {
-            deadline: Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-            ..SmtConfig::new()
-        };
-        let solver = SmtSolver::with_config(expired);
-        assert_eq!(solver.check(&f).expect("linear"), SmtResult::Unknown);
-        // A reconfigured clone shares the cache; the deadline-induced
-        // Unknown must not have been memoized, so the fresh check decides.
-        let fresh = solver.reconfigured(SmtConfig {
-            deadline: Deadline::NONE,
-            ..*solver.config()
-        });
-        assert!(fresh.check(&f).expect("linear").is_sat());
-    }
-
-    #[test]
-    fn detached_solver_has_private_cache() {
-        let (_, x, _, _) = setup();
-        let f = Formula::atom(Atom::eq(Term::var(x), Term::int(7)));
-        let shared = SmtSolver::new();
-        assert!(shared.check(&f).expect("linear").is_sat());
-        let detached = shared.detached(*shared.config());
-        assert_eq!(detached.cache_stats().hits, 0);
-        assert!(detached.check(&f).expect("linear").is_sat());
-        // The detached check was a miss in its own cache, not a hit in the
-        // shared one.
-        assert_eq!(detached.cache_stats().hits, 0);
-        assert!(detached.cache_stats().misses >= 1);
-    }
-
-    #[test]
     fn nonlinear_reports_error() {
         let (_, x, y, _) = setup();
         let f = Formula::atom(Atom::eq(Term::var(x) * Term::var(y), Term::int(6)));
@@ -965,16 +843,16 @@ mod tests {
     }
 
     #[test]
-    fn check_counts_and_taps_on_shared_clones_only() {
+    fn check_counts_and_taps_across_clones() {
         let (_, x, _, _) = setup();
         let log = Arc::new(Mutex::new(Vec::new()));
         let solver = SmtSolver::new().with_recorder(Arc::clone(&log));
         let f = Formula::atom(Atom::eq(Term::var(x), Term::int(3)));
         let g = Formula::atom(Atom::eq(Term::var(x), Term::int(4)));
         assert!(solver.check(&f).expect("linear").is_sat());
-        // A reconfigured clone shares the counter and the tap; a cache
-        // hit is still a query.
-        let clone = solver.reconfigured(*solver.config());
+        // A clone shares the counter and the tap; a cache hit is still a
+        // query.
+        let clone = solver.clone();
         assert!(clone.check(&f).expect("linear").is_sat());
         assert!(clone.check(&g).expect("linear").is_sat());
         assert_eq!((solver.queries(), clone.queries()), (3, 3));
@@ -982,11 +860,6 @@ mod tests {
         // `verdict` is not a `check`.
         assert!(solver.verdict(&f).is_ok());
         assert_eq!(solver.queries(), 3);
-        // A detached solver neither counts into the shared counter nor taps.
-        let detached = solver.detached(*solver.config());
-        assert!(detached.check(&f).expect("linear").is_sat());
-        assert_eq!((solver.queries(), detached.queries()), (3, 1));
-        assert_eq!(log.lock().expect("log").len(), 3);
     }
 
     #[test]

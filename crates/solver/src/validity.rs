@@ -571,34 +571,6 @@ impl ValidityChecker {
         self.solver.backend_stats()
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ValidityConfig {
-        &self.config
-    }
-
-    /// A checker with a different configuration that **shares** this
-    /// checker's outcome memo and SMT query cache. Used to thread
-    /// per-target deadlines into worker-local clones without losing
-    /// memoized verdicts.
-    pub fn reconfigured(&self, config: ValidityConfig) -> ValidityChecker {
-        ValidityChecker {
-            solver: self.solver.reconfigured(config.smt),
-            config,
-            memo: Arc::clone(&self.memo),
-        }
-    }
-
-    /// A checker with **private** (empty) caches. Escalated-budget retries
-    /// must run detached: their outcomes depend on the inflated budget, and
-    /// sharing them would make campaign results schedule-dependent.
-    pub fn detached(&self, config: ValidityConfig) -> ValidityChecker {
-        ValidityChecker {
-            solver: self.solver.detached(config.smt),
-            config,
-            memo: Arc::new(QueryCache::new()),
-        }
-    }
-
     /// Checks validity of `POST(pc) = ∃X : A ⇒ pc` with all function
     /// symbols universally quantified, where `A` is the antecedent built
     /// from `samples` and `X` = `inputs`.
@@ -648,14 +620,7 @@ impl ValidityChecker {
             return Ok(outcome);
         }
         let outcome = self.check_uncached(inputs, samples, &extra_antecedent, &pc)?;
-        // An `Unknown` reached with an expired deadline reflects the wall
-        // clock, not the query — memoizing it would leak one schedule's
-        // timeout into every later check of the same key.
-        let deadline_unknown =
-            matches!(outcome, ValidityOutcome::Unknown) && self.config.smt.deadline.expired();
-        if !deadline_unknown {
-            self.memo.insert(key, outcome.clone());
-        }
+        self.memo.insert(key, outcome.clone());
         Ok(outcome)
     }
 

@@ -183,7 +183,6 @@ fn lia_case(rng: &mut TestRng, keys: &[LinKey], h: &mut StableHasher, tally: &mu
         var_max: range,
         node_budget: [1u64, 2, 5, 20, 200][rng.below(5) as usize],
         prefer_small: rng.below(3) != 0,
-        ..LiaConfig::default()
     };
     let result = if rng.below(2) == 0 {
         solve_int(&constraints, &config)
