@@ -8,6 +8,12 @@
 //! sizes in this workspace are small (boolean abstractions of path
 //! constraints), so there is no clause-database reduction.
 //!
+//! Decisions pop a binary heap ordered by activity (highest first, then
+//! lowest variable index), with negative polarity; the heap is rebuilt
+//! after an activity rescale. That order is part of the theory-kernel
+//! contract: the SMT layer's models depend on which satisfying
+//! assignment is found first, and `tests/decision_golden.rs` pins it.
+//!
 //! Clauses may be added between `solve` calls, never removed. The SMT
 //! layer in `hotg-solver` relies on this: its refinement loop adds theory
 //! lemmas and blocking clauses to one fresh solver per query and re-solves.

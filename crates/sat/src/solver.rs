@@ -90,6 +90,9 @@ impl SatResult {
 
 type ClauseRef = u32;
 
+/// `heap_pos` of a variable that is not in the decision heap.
+const ABSENT: usize = usize::MAX;
+
 #[derive(Debug)]
 struct Clause {
     lits: Vec<Lit>,
@@ -113,6 +116,15 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    /// Decision candidates: a binary max-heap of variables ordered by
+    /// activity, then by lower index, built at the start of every
+    /// `solve`. During a solve every unassigned variable is in it;
+    /// assigned ones may linger until `pick_branch` pops them.
+    heap: Vec<u32>,
+    /// Each variable's position in `heap`, or `ABSENT`.
+    heap_pos: Vec<usize>,
+    /// `analyze` scratch: all `false` between calls.
+    seen: Vec<bool>,
     /// Clauses of length 0/1 seen at add time; empty clause ⇒ trivially UNSAT.
     trivially_unsat: bool,
     units: Vec<Lit>,
@@ -249,6 +261,85 @@ impl SatSolver {
         None
     }
 
+    /// `true` if `a` is decided before `b`: higher activity, then lower
+    /// index. This is the order of a first-maximum scan over the
+    /// variables, which the decision order must stay equal to.
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (self.activity[a as usize], self.activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn heap_swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.heap_pos[self.heap[i] as usize] = i;
+        self.heap_pos[self.heap[j] as usize] = j;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.before(self.heap[i], self.heap[parent]) {
+                break;
+            }
+            self.heap_swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let mut best = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < self.heap.len() && self.before(self.heap[child], self.heap[best]) {
+                    best = child;
+                }
+            }
+            if best == i {
+                break;
+            }
+            self.heap_swap(i, best);
+            i = best;
+        }
+    }
+
+    fn heap_insert(&mut self, v: u32) {
+        if self.heap_pos[v as usize] != ABSENT {
+            return;
+        }
+        self.heap_pos[v as usize] = self.heap.len();
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Removes and returns the first variable in decision order.
+    fn heap_pop(&mut self) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.len() - 1;
+        self.heap_swap(0, last);
+        self.heap.pop();
+        self.heap_pos[top as usize] = ABSENT;
+        self.sift_down(0);
+        Some(top)
+    }
+
+    /// Rebuilds the heap over the unassigned variables: after root
+    /// propagation (whose assignments last the whole solve), and after a
+    /// rescale (which may turn distinct activities equal).
+    fn heap_rebuild(&mut self) {
+        self.heap.clear();
+        self.heap_pos.clear();
+        self.heap_pos.resize(self.assign.len(), ABSENT);
+        for (v, a) in self.assign.iter().enumerate() {
+            if a.is_none() {
+                self.heap_pos[v] = self.heap.len();
+                self.heap.push(v as u32);
+            }
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
     fn bump(&mut self, v: u32) {
         self.activity[v as usize] += self.var_inc;
         if self.activity[v as usize] > 1e100 {
@@ -256,13 +347,15 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.heap_rebuild();
+        } else if self.heap_pos[v as usize] != ABSENT {
+            self.sift_up(self.heap_pos[v as usize]);
         }
     }
 
     /// First-UIP conflict analysis. Returns (learned clause, backjump level).
     fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
         let mut learned: Vec<Lit> = vec![Lit::pos(0)]; // slot 0 for the asserting literal
-        let mut seen = vec![false; self.assign.len()];
         let mut counter = 0usize;
         let mut cref = conflict;
         let mut trail_idx = self.trail.len();
@@ -270,16 +363,16 @@ impl SatSolver {
         let current = self.decision_level();
 
         loop {
-            let clause_lits = self.clauses[cref as usize].lits.clone();
-            for q in clause_lits {
+            for i in 0..self.clauses[cref as usize].lits.len() {
+                let q = self.clauses[cref as usize].lits[i];
                 // Skip the literal we are resolving on: it occurs in its
                 // reason clause with its assigned polarity.
                 if Some(q) == asserting {
                     continue;
                 }
                 let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(q.var());
                     if self.level[v] >= current {
                         counter += 1;
@@ -292,19 +385,24 @@ impl SatSolver {
             loop {
                 trail_idx -= 1;
                 let l = self.trail[trail_idx];
-                if seen[l.var() as usize] {
+                if self.seen[l.var() as usize] {
                     asserting = Some(l);
                     break;
                 }
             }
             let l = asserting.expect("asserting literal");
-            seen[l.var() as usize] = false;
+            self.seen[l.var() as usize] = false;
             counter -= 1;
             if counter == 0 {
                 learned[0] = !l;
                 break;
             }
             cref = self.reason[l.var() as usize].expect("non-decision must have a reason");
+        }
+        // Every current-level mark was cleared on resolution; the lower
+        // levels' marks are exactly the learned literals.
+        for l in &learned[1..] {
+            self.seen[l.var() as usize] = false;
         }
 
         // Backjump level: max level among learned[1..].
@@ -319,27 +417,31 @@ impl SatSolver {
     fn cancel_until(&mut self, level: u32) {
         while self.decision_level() > level {
             let lim = self.trail_lim.pop().expect("trail_lim");
-            for l in self.trail.drain(lim..) {
-                let v = l.var() as usize;
-                self.assign[v] = None;
-                self.reason[v] = None;
+            for i in lim..self.trail.len() {
+                let v = self.trail[i].var();
+                self.assign[v as usize] = None;
+                self.reason[v as usize] = None;
+                self.heap_insert(v);
             }
+            self.trail.truncate(lim);
         }
-        self.qhead = self.trail.len().min(self.qhead);
         self.qhead = self.trail.len();
     }
 
-    fn pick_branch(&self) -> Option<Lit> {
-        let mut best: Option<(u32, f64)> = None;
-        for (v, a) in self.assign.iter().enumerate() {
-            if a.is_none() {
-                let act = self.activity[v];
-                if best.is_none_or(|(_, b)| act > b) {
-                    best = Some((v as u32, act));
-                }
+    /// The unassigned variable first in decision order (see `before`),
+    /// with negative polarity. Assigned variables popped on the way are
+    /// re-inserted when `cancel_until` unassigns them.
+    fn pick_branch(&mut self) -> Option<Lit> {
+        // A full trail is a complete assignment: do not drain the heap.
+        if self.trail.len() == self.assign.len() {
+            return None;
+        }
+        while let Some(v) = self.heap_pop() {
+            if self.assign[v as usize].is_none() {
+                return Some(Lit::neg(v)); // negative-first polarity
             }
         }
-        best.map(|(v, _)| Lit::neg(v)) // negative-first polarity
+        None
     }
 
     fn learn(&mut self, lits: Vec<Lit>) -> Option<ClauseRef> {
@@ -364,15 +466,12 @@ impl SatSolver {
             return SatResult::Unsat;
         }
         // Full restart (keep learned clauses).
-        self.cancel_until(0);
         self.trail.clear();
+        self.trail_lim.clear();
         self.qhead = 0;
-        for a in &mut self.assign {
-            *a = None;
-        }
-        for r in &mut self.reason {
-            *r = None;
-        }
+        self.assign.fill(None);
+        self.reason.fill(None);
+        self.seen.resize(self.assign.len(), false);
         // Root-level units.
         let units = std::mem::take(&mut self.units);
         for u in &units {
@@ -382,6 +481,13 @@ impl SatSolver {
             }
         }
         self.units = units;
+        // Root propagation; a conflict here refutes the clause set.
+        // Its assignments are never undone in this solve, so the decision
+        // heap leaves those variables out.
+        if self.propagate().is_some() {
+            return SatResult::Unsat;
+        }
+        self.heap_rebuild();
 
         let mut conflicts_until_restart = 100u64;
         let mut conflicts = 0u64;

@@ -160,7 +160,7 @@ pub fn normalize(atom: &Atom) -> Result<NormAtom, NonLinearError> {
 
 /// The constraint asserted when a `Le` primitive is assigned *false*:
 /// `¬(e ≤ 0) ⇔ -e + 1 ≤ 0` over the integers.
-pub fn negate_le(con: &IntConstraint) -> IntConstraint {
+pub fn negate_le<K: Clone>(con: &IntConstraint<K>) -> IntConstraint<K> {
     debug_assert_eq!(con.kind, ConKind::Le);
     IntConstraint {
         coeffs: con.coeffs.iter().map(|(k, c)| (k.clone(), -c)).collect(),
@@ -171,7 +171,7 @@ pub fn negate_le(con: &IntConstraint) -> IntConstraint {
 
 /// The strict-side `Le` primitives of an `Eq` primitive `e = 0`:
 /// returns (`e + 1 ≤ 0`, i.e. `e < 0`) and (`-e + 1 ≤ 0`, i.e. `e > 0`).
-pub fn eq_split(con: &IntConstraint) -> (IntConstraint, IntConstraint) {
+pub fn eq_split<K: Clone>(con: &IntConstraint<K>) -> (IntConstraint<K>, IntConstraint<K>) {
     debug_assert_eq!(con.kind, ConKind::Eq);
     let lt = IntConstraint {
         coeffs: con.coeffs.clone(),

@@ -16,14 +16,19 @@
 //! bounds (no artificial global bounds, no branch splits); otherwise
 //! `core` is `None` and callers fall back to weaker conflict clauses.
 //!
-//! Each call interns its keys once (a sorted key universe, and every
-//! constraint's terms as indices into it), and each branch-and-bound
-//! search — the full-range one and each preference box — builds its root
-//! tableau once and clones it per node, adding only that node's branch
-//! bounds. A clone is the tableau a per-node rebuild would produce, so
-//! the nodes, pivots, cores and models are exactly those of rebuilding
-//! (the kernel contract in `DESIGN.md`, pinned by
-//! `tests/kernel_golden.rs`).
+//! The solver works on constraints over dense key ids
+//! (`IntConstraint<u32>`). The SMT encoder interns its keys once per
+//! query, ranked in `LinKey` order, and every refinement round and
+//! core-minimization probe calls the id-keyed core directly;
+//! [`solve_int`] interns a `LinKey` system the same way first. A call
+//! gives the keys its constraints mention simplex variables `0..` in id
+//! order, which is the order of the sorted key universe, builds one
+//! full-range root tableau, and clones it per branch-and-bound node,
+//! adding only that node's branch bounds; each preference box tightens
+//! the key bounds on another clone of the same root. A clone is the
+//! tableau a per-node (or per-box) rebuild would produce, so the nodes,
+//! pivots, cores and models are exactly those of rebuilding (the kernel
+//! contract in `DESIGN.md`, pinned by `tests/kernel_golden.rs`).
 
 use crate::simplex::{BoundKind, Simplex, SimplexResult};
 use hotg_logic::{LinKey, Rat};
@@ -40,20 +45,24 @@ pub enum ConKind {
 }
 
 /// A normalized integer linear constraint `Σ coeffᵢ·keyᵢ + constant ⋈ 0`.
+///
+/// Keys are [`LinKey`]s at the API. Inside the SMT encoder they are dense
+/// `u32` ids ranked in `LinKey` order, interned once per query, so the
+/// refinement rounds never compare or clone a `LinKey`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IntConstraint {
+pub struct IntConstraint<K = LinKey> {
     /// Sorted, deduplicated `(key, coefficient)` pairs with nonzero coeffs.
-    pub coeffs: Vec<(LinKey, i128)>,
+    pub coeffs: Vec<(K, i128)>,
     /// Constant offset.
     pub constant: i128,
     /// Relation against zero.
     pub kind: ConKind,
 }
 
-impl IntConstraint {
+impl<K: Ord> IntConstraint<K> {
     /// Evaluates the constraint under an assignment; `None` if a key is
     /// missing.
-    pub fn eval(&self, assign: &BTreeMap<LinKey, i64>) -> Option<bool> {
+    pub fn eval(&self, assign: &BTreeMap<K, i64>) -> Option<bool> {
         let mut total = self.constant;
         for (k, c) in &self.coeffs {
             let v = *assign.get(k)? as i128;
@@ -66,11 +75,13 @@ impl IntConstraint {
     }
 }
 
-/// Outcome of an integer feasibility check.
+/// Outcome of an integer feasibility check. The model maps every key the
+/// constraints mention to its value: a `LinKey` map at the API, and
+/// `(key id, value)` pairs in id order inside the solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LiaResult {
+pub enum LiaResult<M = BTreeMap<LinKey, i64>> {
     /// Feasible, with an integer value per key.
-    Sat(BTreeMap<LinKey, i64>),
+    Sat(M),
     /// Infeasible. `core` lists the indices of an infeasible subset of
     /// the input constraints when one could be derived soundly.
     Unsat {
@@ -81,12 +92,16 @@ pub enum LiaResult {
     Unknown,
 }
 
-impl LiaResult {
+impl<M> LiaResult<M> {
     /// `true` for any `Unsat`.
     pub fn is_unsat(&self) -> bool {
         matches!(self, LiaResult::Unsat { .. })
     }
 }
+
+/// The model of an id-keyed system: `(key id, value)` for every key the
+/// constraints mention, in id order.
+pub(crate) type IdModel = Vec<(u32, i64)>;
 
 /// Configuration for the LIA solver.
 #[derive(Clone, Copy, Debug)]
@@ -165,13 +180,72 @@ pub fn solve_int<C: Borrow<IntConstraint>>(constraints: &[C], config: &LiaConfig
 /// single hard query cannot multiply its cost by the number of rounds.
 ///
 /// Both entry points take owned constraints or references, so a caller
-/// holding its constraints elsewhere need not clone them per call.
+/// holding its constraints elsewhere need not clone them per call. They
+/// intern the keys and run the id-keyed core the SMT solver calls.
 pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
     constraints: &[C],
     config: &LiaConfig,
     budget: &mut u64,
 ) -> LiaResult {
     let constraints: Vec<&IntConstraint> = constraints.iter().map(Borrow::borrow).collect();
+    let (keys, interned) = intern(&constraints);
+    let refs: Vec<&IntConstraint<u32>> = interned.iter().collect();
+    match solve_ids(&refs, keys.len(), config, budget) {
+        LiaResult::Sat(model) => LiaResult::Sat(
+            model
+                .into_iter()
+                .map(|(id, v)| (keys[id as usize].clone(), v))
+                .collect(),
+        ),
+        LiaResult::Unsat { core } => LiaResult::Unsat { core },
+        LiaResult::Unknown => LiaResult::Unknown,
+    }
+}
+
+/// Interns the constraints' keys: returns the sorted key universe and
+/// every constraint over ids into it (the keys' ranks in `LinKey` order),
+/// terms in their original order.
+fn intern(constraints: &[&IntConstraint]) -> (Vec<LinKey>, Vec<IntConstraint<u32>>) {
+    let mut keys: Vec<&LinKey> = constraints
+        .iter()
+        .flat_map(|con| con.coeffs.iter().map(|(k, _)| k))
+        .collect();
+    keys.sort();
+    keys.dedup();
+    let interned = constraints
+        .iter()
+        .map(|con| IntConstraint {
+            coeffs: con
+                .coeffs
+                .iter()
+                .map(|(k, c)| {
+                    // Every key was collected above.
+                    let id = keys.binary_search(&k).expect("interned key");
+                    (id as u32, *c)
+                })
+                .collect(),
+            constant: con.constant,
+            kind: con.kind,
+        })
+        .collect();
+    (keys.into_iter().cloned().collect(), interned)
+}
+
+/// Decides integer feasibility of constraints over key ids below
+/// `n_keys`: the core of [`solve_int_budgeted`], and what the SMT solver
+/// calls each refinement round and each core-minimization probe.
+///
+/// The keys the constraints mention become simplex variables `0..` in id
+/// order, so pivots, branches, cores and models are those of the sorted
+/// `LinKey` universe. One full-range root tableau is built per call; each
+/// preference box tightens the key bounds on a clone of it, which is the
+/// tableau a rebuild would produce (every key is still at 0).
+pub(crate) fn solve_ids(
+    constraints: &[&IntConstraint<u32>],
+    n_keys: usize,
+    config: &LiaConfig,
+    budget: &mut u64,
+) -> LiaResult<IdModel> {
     // GCD pre-test: Σ aᵢxᵢ = -c is integer-infeasible when gcd(aᵢ) ∤ c.
     for (i, con) in constraints.iter().enumerate() {
         if con.kind == ConKind::Eq && !con.coeffs.is_empty() {
@@ -195,10 +269,25 @@ pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
         }
     }
 
-    let (keys, rows) = intern(&constraints);
-    let full = branch(&constraints, &keys, &rows, config, budget);
+    // Simplex variable per mentioned key, in id order.
+    let mut var_of = vec![u32::MAX; n_keys];
+    for con in constraints {
+        for &(id, _) in &con.coeffs {
+            var_of[id as usize] = 0;
+        }
+    }
+    let mut present: Vec<u32> = Vec::new();
+    for (id, var) in var_of.iter_mut().enumerate() {
+        if *var != u32::MAX {
+            *var = present.len() as u32;
+            present.push(id as u32);
+        }
+    }
+
+    let root = root_tableau(constraints, &var_of, present.len(), config);
+    let full = branch(&root, &present, budget);
     if config.prefer_small {
-        if let LiaResult::Sat(ref fallback) = full {
+        if let (LiaResult::Sat(fallback), Ok(root)) = (&full, &root) {
             // The problem is feasible; look for a small-magnitude model
             // inside progressively larger boxes (a solution of a boxed
             // problem solves the full problem too). Keep the full-range
@@ -208,16 +297,11 @@ pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
                 if -bound < config.var_min || bound > config.var_max {
                     continue;
                 }
-                if fallback.values().all(|v| v.abs() <= bound) {
+                if fallback.iter().all(|(_, v)| v.abs() <= bound) {
                     break; // already small enough
                 }
-                let boxed = LiaConfig {
-                    var_min: -bound,
-                    var_max: bound,
-                    prefer_small: false,
-                    ..*config
-                };
-                if let LiaResult::Sat(m) = branch(&constraints, &keys, &rows, &boxed, budget) {
+                let boxed = key_bounds(root.clone(), present.len(), -bound, bound);
+                if let LiaResult::Sat(m) = branch(&boxed, &present, budget) {
                     return LiaResult::Sat(m);
                 }
             }
@@ -226,60 +310,50 @@ pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
     full
 }
 
-/// Interns the constraints' keys: returns the sorted key universe and,
-/// per constraint, its terms over indices into that universe (which are
-/// also the keys' simplex variables). Built once per [`solve_int`] call,
-/// so branch-and-bound never compares `LinKey` terms.
-fn intern(constraints: &[&IntConstraint]) -> (Vec<LinKey>, Vec<Vec<(usize, Rat)>>) {
-    let mut occurrences: Vec<(&LinKey, usize, usize)> = Vec::new();
-    for (ci, con) in constraints.iter().enumerate() {
-        for (j, (k, _)) in con.coeffs.iter().enumerate() {
-            occurrences.push((k, ci, j));
-        }
-    }
-    occurrences.sort_by(|a, b| a.0.cmp(b.0));
-    let mut keys: Vec<LinKey> = Vec::new();
-    let mut rows: Vec<Vec<(usize, Rat)>> = constraints
-        .iter()
-        .map(|con| vec![(0, Rat::ZERO); con.coeffs.len()])
-        .collect();
-    for (k, ci, j) in occurrences {
-        if keys.last() != Some(k) {
-            keys.push(k.clone());
-        }
-        rows[ci][j] = (keys.len() - 1, Rat::from(constraints[ci].coeffs[j].1));
-    }
-    (keys, rows)
-}
-
-/// The root tableau of one branch-and-bound search: a variable per key
-/// under the global bounds, and a tagged slack row per constraint.
-/// Every node starts from a clone of it, which is the same tableau a
-/// per-node rebuild would produce. `Err` carries the outcome of a
-/// tableau whose bounds already conflict.
-fn root_tableau(
-    constraints: &[&IntConstraint],
-    n_keys: usize,
-    rows: &[Vec<(usize, Rat)>],
-    config: &LiaConfig,
-) -> Result<Simplex, NodeOutcome> {
-    let mut s = Simplex::new();
-    for _ in 0..n_keys {
-        let v = s.new_var();
-        if s.assert_bound(v, BoundKind::Lower, Rat::from(config.var_min), None)
+/// Bounds the first `n_keys` variables of `s` to `[min, max]`. `Err`
+/// carries the outcome of bounds that already conflict.
+fn key_bounds(mut s: Simplex, n_keys: usize, min: i64, max: i64) -> Result<Simplex, NodeOutcome> {
+    for v in 0..n_keys {
+        if s.assert_bound(v, BoundKind::Lower, Rat::from(min), None)
             .is_err()
-            || s.assert_bound(v, BoundKind::Upper, Rat::from(config.var_max), None)
+            || s.assert_bound(v, BoundKind::Upper, Rat::from(max), None)
                 .is_err()
         {
             return Err(NodeOutcome::Infeasible);
         }
     }
-    for (ci, (con, terms)) in constraints.iter().zip(rows).enumerate() {
-        if terms.is_empty() {
-            continue; // validated in solve_int
+    Ok(s)
+}
+
+/// The full-range root tableau of one LIA call: a variable per mentioned
+/// key under the global bounds, and a tagged slack row per constraint.
+/// Every node starts from a clone of it, which is the same tableau a
+/// per-node rebuild would produce. `Err` carries the outcome of a
+/// tableau whose bounds already conflict.
+fn root_tableau(
+    constraints: &[&IntConstraint<u32>],
+    var_of: &[u32],
+    n_vars: usize,
+    config: &LiaConfig,
+) -> Result<Simplex, NodeOutcome> {
+    let mut s = Simplex::new();
+    for _ in 0..n_vars {
+        s.new_var();
+    }
+    let mut s = key_bounds(s, n_vars, config.var_min, config.var_max)?;
+    let mut terms: Vec<(usize, Rat)> = Vec::new();
+    for (ci, con) in constraints.iter().enumerate() {
+        if con.coeffs.is_empty() {
+            continue; // validated in solve_ids
         }
+        terms.clear();
+        terms.extend(
+            con.coeffs
+                .iter()
+                .map(|&(id, c)| (var_of[id as usize] as usize, Rat::from(c))),
+        );
         let tag = Some(ci as u32);
-        let slack = s.add_row(terms);
+        let slack = s.add_row(&terms);
         let target = Rat::from(-con.constant);
         let result = match con.kind {
             ConKind::Eq => s
@@ -297,18 +371,16 @@ fn root_tableau(
 /// Branch-and-bound over the rational relaxation, depth-first with an
 /// explicit worklist: recursion depth is bounded by the node budget
 /// (20k by default), which overflows the thread stack on hard
-/// instances, so the search must not use the call stack.
+/// instances, so the search must not use the call stack. Simplex
+/// variable `i` is key `keys[i]`.
 fn branch(
-    constraints: &[&IntConstraint],
-    keys: &[LinKey],
-    rows: &[Vec<(usize, Rat)>],
-    config: &LiaConfig,
+    root: &Result<Simplex, NodeOutcome>,
+    keys: &[u32],
     budget: &mut u64,
-) -> LiaResult {
-    let root = root_tableau(constraints, keys.len(), rows, config);
+) -> LiaResult<IdModel> {
     let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![Vec::new()];
     while let Some(bounds) = work.pop() {
-        match branch_node(&root, keys, &bounds, budget) {
+        match branch_node(root, keys, &bounds, budget) {
             NodeOutcome::Done(result) => return result,
             NodeOutcome::Infeasible => {}
             NodeOutcome::Split { index, floor } => {
@@ -334,18 +406,18 @@ fn branch(
 enum NodeOutcome {
     /// The whole search is decided: Sat, Unknown, or Unsat with a core
     /// independent of the branch bounds (hence sound globally).
-    Done(LiaResult),
+    Done(LiaResult<IdModel>),
     /// This node is infeasible only together with its branch bounds;
     /// sibling nodes must still be explored.
     Infeasible,
-    /// Relaxation is feasible but `keys[index]` took a fractional value
-    /// with the given floor: split into two child nodes.
+    /// Relaxation is feasible but key variable `index` took a fractional
+    /// value with the given floor: split into two child nodes.
     Split { index: usize, floor: i128 },
 }
 
 fn branch_node(
     root: &Result<Simplex, NodeOutcome>,
-    keys: &[LinKey],
+    keys: &[u32],
     extra_bounds: &[(usize, BoundKind, Rat)],
     budget: &mut u64,
 ) -> NodeOutcome {
@@ -354,7 +426,6 @@ fn branch_node(
     }
     *budget -= 1;
 
-    // Key `i` is simplex variable `i` (allocated first, in key order).
     let mut s = match root {
         Ok(s) => s.clone(),
         Err(outcome) => return outcome.clone(),
@@ -371,8 +442,8 @@ fn branch_node(
             // Find a fractional key.
             match values[..keys.len()].iter().position(|v| !v.is_integer()) {
                 None => {
-                    let mut out = BTreeMap::new();
-                    for (k, v) in keys.iter().zip(&values) {
+                    let mut out = Vec::with_capacity(keys.len());
+                    for (&id, v) in keys.iter().zip(&values) {
                         // Integral but outside i64 (exact rationals are
                         // i128-backed): the model is unrepresentable in the
                         // engine's i64 input domain, so report Unknown
@@ -380,7 +451,7 @@ fn branch_node(
                         let Some(as_int) = v.to_i64() else {
                             return NodeOutcome::Done(LiaResult::Unknown);
                         };
-                        out.insert(k.clone(), as_int);
+                        out.push((id, as_int));
                     }
                     NodeOutcome::Done(LiaResult::Sat(out))
                 }

@@ -12,11 +12,16 @@
 //!
 //! Rows are sparse and kept sorted by variable index: a coefficient is
 //! found by binary search, and a pivot substitutes the entering variable
-//! into another row with one linear merge. The pivot *order* is fixed by
-//! Bland's rule over variable indices and the values are exact, so the
-//! tableau's data layout never shows in an answer: every assignment and
-//! explanation is bit-identical to a dense or map-based tableau's (see
-//! the kernel contract in `DESIGN.md`).
+//! into another row with one linear merge into a reused buffer. A column
+//! index (per variable, the set of rows that mention it, as bits in one
+//! flat vector) lets a pivot or a bound move visit only the rows that
+//! hold the variable, and a set of the basic variables that violate a
+//! bound, kept up to date on every value and bound change, names the
+//! leaving variable without a scan of the rows. The pivot *order* is
+//! fixed by Bland's rule over variable indices and the values are exact,
+//! so the tableau's data layout never shows in an answer: every
+//! assignment and explanation is bit-identical to a dense or map-based
+//! tableau's (see the kernel contract in `DESIGN.md`).
 
 use hotg_logic::Rat;
 
@@ -87,15 +92,18 @@ fn collapse(terms: Vec<(usize, Rat)>) -> Vec<(usize, Rat)> {
     out
 }
 
-/// `row + c · other` over rows sorted by variable index, dropping zeros.
-/// `skip` (the variable being eliminated) is left out of `row`.
+/// Writes `row + c · other` into `out`, over rows sorted by variable index,
+/// dropping zeros; `skip` (the variable being eliminated) is left out of
+/// `row`. `changed(v, present)` hears of every variable that enters the
+/// row (`true`) or cancels out of it (`false`).
 fn merge_scaled(
+    out: &mut Vec<(usize, Rat)>,
     row: &[(usize, Rat)],
     skip: usize,
     c: Rat,
     other: &[(usize, Rat)],
-) -> Vec<(usize, Rat)> {
-    let mut out = Vec::with_capacity(row.len() + other.len());
+    mut changed: impl FnMut(usize, bool),
+) {
     let mut a = row.iter().filter(|&&(w, _)| w != skip).peekable();
     let mut b = other.iter().peekable();
     loop {
@@ -106,11 +114,17 @@ fn merge_scaled(
                     (wa, ca)
                 } else if wb < wa {
                     b.next();
+                    changed(wb, true);
                     (wb, c * cb)
                 } else {
                     a.next();
                     b.next();
-                    (wa, ca + c * cb)
+                    let sum = ca + c * cb;
+                    if sum.is_zero() {
+                        changed(wa, false);
+                        continue;
+                    }
+                    (wa, sum)
                 }
             }
             (Some(&&(wa, ca)), None) => {
@@ -119,15 +133,34 @@ fn merge_scaled(
             }
             (None, Some(&&(wb, cb))) => {
                 b.next();
+                changed(wb, true);
                 (wb, c * cb)
             }
             (None, None) => break,
         };
-        if !next.1.is_zero() {
-            out.push(next);
+        out.push(next);
+    }
+}
+
+/// Adds `i` to the bit set `words` (or, with `on` false, removes it).
+fn set_bit(words: &mut [u64], i: usize, on: bool) {
+    if on {
+        words[i / 64] |= 1 << (i % 64);
+    } else {
+        words[i / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// Calls `f` with every index in the set, in increasing order. The words
+/// are copied one at a time, so `f` may change other sets.
+fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
-    out
 }
 
 /// A simplex tableau over rationals.
@@ -156,6 +189,22 @@ fn merge_scaled(
 pub struct Simplex {
     vars: Vec<VarState>,
     rows: Vec<Row>,
+    /// The column index: variable `v`'s column is the row set
+    /// `cols[v * stride..(v + 1) * stride]`, holding every row whose
+    /// terms mention `v`. One flat vector, so a clone is one copy.
+    cols: Vec<u64>,
+    /// Words per column: room for `64 · stride` rows.
+    stride: usize,
+    /// The basic variables that violate one of their bounds.
+    violated: Vec<u64>,
+    /// Merge buffer of a pivot, empty between calls.
+    scratch: Vec<(usize, Rat)>,
+}
+
+/// `true` if the variable's value lies outside one of its bounds.
+fn out_of_bounds(state: &VarState) -> bool {
+    matches!(state.lower, Some((l, _)) if state.value < l)
+        || matches!(state.upper, Some((u, _)) if state.value > u)
 }
 
 impl Simplex {
@@ -172,6 +221,8 @@ impl Simplex {
             value: Rat::ZERO,
             row: None,
         });
+        self.cols.resize(self.vars.len() * self.stride, 0);
+        self.violated.resize(self.vars.len().div_ceil(64), 0);
         self.vars.len() - 1
     }
 
@@ -206,8 +257,23 @@ impl Simplex {
         let row_terms = collapse(expanded);
         // Value of the slack under current assignment.
         let value = row_terms.iter().map(|&(v, c)| self.vars[v].value * c).sum();
+        let r = self.rows.len();
+        if r == self.stride * 64 {
+            // The columns are full: widen each by a word.
+            let (old, stride) = (self.stride, self.stride + 1);
+            let mut cols = vec![0; self.vars.len() * stride];
+            for v in 0..self.vars.len() {
+                cols[v * stride..v * stride + old]
+                    .copy_from_slice(&self.cols[v * old..(v + 1) * old]);
+            }
+            self.cols = cols;
+            self.stride = stride;
+        }
+        for &(v, _) in &row_terms {
+            set_bit(&mut self.cols[v * self.stride..], r, true);
+        }
         self.vars[s].value = value;
-        self.vars[s].row = Some(self.rows.len());
+        self.vars[s].row = Some(r);
         self.rows.push(Row {
             basic: s,
             terms: row_terms,
@@ -264,31 +330,34 @@ impl Simplex {
                 }
             }
         }
+        if self.vars[var].row.is_some() {
+            set_bit(&mut self.violated, var, out_of_bounds(&self.vars[var]));
+        }
         Ok(())
     }
 
-    /// Sets a nonbasic variable's value, updating dependent basic values.
+    /// Sets a nonbasic variable's value, updating the basic values of the
+    /// rows in its column.
     fn update_nonbasic(&mut self, var: usize, v: Rat) {
         let delta = v - self.vars[var].value;
         if delta.is_zero() {
             return;
         }
-        for row in &self.rows {
-            if let Some(c) = row.coeff(var) {
-                let b = row.basic;
-                let nv = self.vars[b].value + c * delta;
-                self.vars[b].value = nv;
-            }
-        }
+        let stride = self.stride;
+        for_each_bit(&self.cols[var * stride..(var + 1) * stride], |r| {
+            let row = &self.rows[r];
+            // Invariant: the column index lists exactly the rows whose
+            // terms mention `var`.
+            let c = row.coeff(var).expect("column index names the row");
+            let b = row.basic;
+            self.vars[b].value += c * delta;
+            set_bit(&mut self.violated, b, out_of_bounds(&self.vars[b]));
+        });
         self.vars[var].value = v;
     }
 
     fn violates_lower(&self, v: usize) -> bool {
         matches!(self.vars[v].lower, Some((l, _)) if self.vars[v].value < l)
-    }
-
-    fn violates_upper(&self, v: usize) -> bool {
-        matches!(self.vars[v].upper, Some((u, _)) if self.vars[v].value > u)
     }
 
     fn can_increase(&self, v: usize) -> bool {
@@ -307,57 +376,78 @@ impl Simplex {
 
     /// Pivots basic variable of row `r` with nonbasic `nj`, then sets the
     /// old basic variable's value to `target`.
+    ///
+    /// Only the rows in `nj`'s column change: each gets its basic value
+    /// moved and `nj` substituted in one pass, merging into the reused
+    /// buffer. Afterwards `bi`'s column is the one `nj` had, and `nj`'s is
+    /// empty.
     fn pivot_and_update(&mut self, r: usize, nj: usize, target: Rat) {
         let bi = self.rows[r].basic;
-        let a_ij = self.rows[r]
-            .coeff(nj)
-            // Invariant: `nj` was selected as the entering variable *from*
-            // this row's terms, so its column is present by construction.
+        let mut nj_terms = std::mem::take(&mut self.rows[r].terms);
+        // Invariant: `nj` was selected as the entering variable *from*
+        // this row's terms, so it is present by construction.
+        let at = nj_terms
+            .binary_search_by_key(&nj, |&(w, _)| w)
             .expect("pivot column must appear in row");
+        let a_ij = nj_terms.remove(at).1;
 
         // Value updates (Dutertre–de Moura `pivotAndUpdate`).
         let theta = (target - self.vars[bi].value) / a_ij;
         self.vars[bi].value = target;
-        let new_nj = self.vars[nj].value + theta;
-        self.vars[nj].value = new_nj;
-        for (rr, row) in self.rows.iter().enumerate() {
-            if rr == r {
-                continue;
-            }
-            if let Some(c) = row.coeff(nj) {
-                let b = row.basic;
-                let nv = self.vars[b].value + c * theta;
-                self.vars[b].value = nv;
-            }
-        }
+        self.vars[nj].value += theta;
 
         // Tableau pivot: express nj from row r:
         //   bi = Σ terms  ⇒  nj = (bi - Σ_{w≠nj} a_iw·w) / a_ij
         // `bi` is basic, so it is absent from the row: insert it in order.
-        let old_terms = std::mem::take(&mut self.rows[r].terms);
         let inv = a_ij.recip();
-        let mut nj_terms: Vec<(usize, Rat)> = Vec::with_capacity(old_terms.len());
-        for &(w, c) in &old_terms {
-            if w != nj {
-                nj_terms.push((w, -(c * inv)));
-            }
+        for (_, c) in &mut nj_terms {
+            *c = -(*c * inv);
         }
         let at = nj_terms.partition_point(|&(w, _)| w < bi);
         nj_terms.insert(at, (bi, inv));
-        self.vars[nj].row = Some(r);
-        self.vars[bi].row = None;
 
-        // Substitute nj in all other rows.
-        for (rr, row) in self.rows.iter_mut().enumerate() {
-            if rr == r {
-                continue;
-            }
-            if let Some(c) = row.coeff(nj) {
-                row.terms = merge_scaled(&row.terms, nj, c, &nj_terms);
+        // Move the basic value of, and substitute nj into, every other
+        // row of nj's column. The merges only touch the columns of
+        // `nj_terms`' variables, never nj's own.
+        let stride = self.stride;
+        let nj_col = nj * stride..(nj + 1) * stride;
+        for w in nj_col.clone() {
+            let mut bits = self.cols[w];
+            while bits != 0 {
+                let rr = (w - nj_col.start) * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if rr == r {
+                    continue;
+                }
+                let row = &mut self.rows[rr];
+                let c = row.coeff(nj).expect("column index names the row");
+                let b = row.basic;
+                self.vars[b].value += c * theta;
+                set_bit(&mut self.violated, b, out_of_bounds(&self.vars[b]));
+                let cols = &mut self.cols;
+                merge_scaled(
+                    &mut self.scratch,
+                    &row.terms,
+                    nj,
+                    c,
+                    &nj_terms,
+                    |v, present| {
+                        set_bit(&mut cols[v * stride..], rr, present);
+                    },
+                );
+                std::mem::swap(&mut row.terms, &mut self.scratch);
+                self.scratch.clear();
             }
         }
+        // Every row that had nj (row r included) now has bi instead.
+        self.cols.copy_within(nj_col.clone(), bi * stride);
+        self.cols[nj_col].fill(0);
+        self.vars[nj].row = Some(r);
+        self.vars[bi].row = None;
         self.rows[r].basic = nj;
         self.rows[r].terms = nj_terms;
+        set_bit(&mut self.violated, bi, false);
+        set_bit(&mut self.violated, nj, out_of_bounds(&self.vars[nj]));
     }
 
     /// Builds the conflict explanation for row `r` whose basic variable is
@@ -403,27 +493,21 @@ impl Simplex {
     pub fn check(&mut self) -> SimplexResult {
         loop {
             // Leaving variable: smallest-index basic var violating a bound.
-            let mut leaving: Option<(usize, bool)> = None; // (row, below_lower)
-            let mut best_var = usize::MAX;
-            for (r, row) in self.rows.iter().enumerate() {
-                let b = row.basic;
-                if b < best_var {
-                    if self.violates_lower(b) {
-                        leaving = Some((r, true));
-                        best_var = b;
-                    } else if self.violates_upper(b) {
-                        leaving = Some((r, false));
-                        best_var = b;
-                    }
-                }
-            }
-            let Some((r, below)) = leaving else {
+            let Some(bi) = self
+                .violated
+                .iter()
+                .enumerate()
+                .find(|&(_, &word)| word != 0)
+                .map(|(w, word)| w * 64 + word.trailing_zeros() as usize)
+            else {
                 let values = self.vars.iter().map(|v| v.value).collect();
                 return SimplexResult::Sat(values);
             };
-            let bi = self.rows[r].basic;
-            // Invariant, not an input check: `violates_lower`/`violates_upper`
-            // just returned true for this bound, which requires it to exist.
+            // Invariant: the violated set holds basic variables only.
+            let r = self.vars[bi].row.expect("violated variables are basic");
+            let below = self.violates_lower(bi);
+            // Invariant, not an input check: `bi` violates this bound,
+            // which requires it to exist.
             let target = if below {
                 self.vars[bi].lower.expect("violated lower bound exists").0
             } else {
@@ -460,6 +544,75 @@ impl Simplex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotg_prop::prelude::*;
+    use hotg_prop::TestRng;
+
+    /// Asserts that the column index and the violated set are exactly the
+    /// ones recomputed from the rows, the values and the bounds.
+    fn assert_index_exact(s: &Simplex) {
+        assert_eq!(s.cols.len(), s.vars.len() * s.stride);
+        assert!(s.rows.len() <= s.stride * 64);
+        assert!(s.scratch.is_empty());
+        for v in 0..s.vars.len() {
+            let col = &s.cols[v * s.stride..(v + 1) * s.stride];
+            for (r, row) in s.rows.iter().enumerate() {
+                let listed = col[r / 64] >> (r % 64) & 1 == 1;
+                let mentioned = row.terms.iter().any(|&(w, _)| w == v);
+                assert_eq!(listed, mentioned, "column {v}, row {r}");
+            }
+            let flagged = s.violated[v / 64] >> (v % 64) & 1 == 1;
+            let violating = s.vars[v].row.is_some() && out_of_bounds(&s.vars[v]);
+            assert_eq!(flagged, violating, "violated set, variable {v}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn column_index_and_violated_set_stay_exact(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut s = Simplex::new();
+            let mut vars: Vec<usize> = (0..2 + rng.below(8)).map(|_| s.new_var()).collect();
+            let mut definitions: Vec<(usize, Vec<(usize, Rat)>)> = Vec::new();
+            for _ in 0..200 {
+                match rng.below(10) {
+                    // Small integer coefficients, so substitutions cancel.
+                    0..=3 => {
+                        let terms: Vec<(usize, Rat)> = (0..1 + rng.below(5))
+                            .map(|_| {
+                                let v = vars[rng.below(vars.len() as u64) as usize];
+                                (v, Rat::from(rng.in_span(-2, 2) as i64))
+                            })
+                            .collect();
+                        let slack = s.add_row(&terms);
+                        definitions.push((slack, terms));
+                        vars.push(slack);
+                    }
+                    4 if !definitions.is_empty() => {
+                        let (slack, def) =
+                            &definitions[rng.below(definitions.len() as u64) as usize];
+                        let mut cancel = vec![(*slack, Rat::ONE)];
+                        cancel.extend(def.iter().map(|&(v, c)| (v, -c)));
+                        vars.push(s.add_row(&cancel));
+                    }
+                    5..=7 => {
+                        let v = vars[rng.below(vars.len() as u64) as usize];
+                        let kind = if rng.below(2) == 0 {
+                            BoundKind::Lower
+                        } else {
+                            BoundKind::Upper
+                        };
+                        let c = Rat::new(rng.in_span(-20, 20), 1 + rng.in_span(0, 2));
+                        let _ = s.assert_bound(v, kind, c, None);
+                    }
+                    _ => {
+                        let _ = s.check();
+                    }
+                }
+                assert_index_exact(&s);
+            }
+        }
+    }
 
     fn rat(n: i64) -> Rat {
         Rat::from(n)

@@ -10,19 +10,24 @@
 //! abstraction with simplex + branch-and-bound as the theory oracle.
 //!
 //! Each theory atom is registered once with the boolean abstraction,
-//! together with its negation (for `≤` atoms); a refinement round hands
-//! the LIA layer references to the asserted constraints instead of
-//! copies. The order of atoms and constraints is the registration order
-//! either way, so the models are those the kernel contract in
+//! together with its negation (for `≤` atoms), over dense key ids: the
+//! encoder moves every `LinKey` into a key table on first sight, and once
+//! encoding ends renumbers the ids in `LinKey` order. Atom lookup, the
+//! eager `=` split, the `≤` negation, each round's theory call and core
+//! minimization then work on integers; a `LinKey` map is built only for a
+//! `Sat` model. A refinement round hands the LIA layer references to the
+//! asserted constraints instead of copies. The order of atoms and
+//! constraints is the registration order, and the ids the ranks of the
+//! sorted key universe, so the models are those the kernel contract in
 //! `DESIGN.md` pins.
 
-use crate::atoms::{eq_split, negate_le, normalize, NormAtom, Prim};
+use crate::atoms::{eq_split, negate_le, normalize, NormAtom};
 use crate::backend::{BackendStats, Cascade, ModelVerdict, PreVerdict};
 use crate::cache::{CacheStats, Keyed, QueryCache};
-use crate::lia::{solve_int, solve_int_budgeted, ConKind, IntConstraint, LiaConfig, LiaResult};
+use crate::lia::{solve_ids, ConKind, IntConstraint, LiaConfig, LiaResult};
 use hotg_logic::{Atom, Formula, LinKey, LogicArena, Model, NonLinearError, Term, Value};
 use hotg_sat::{Lit, SatResult, SatSolver};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -168,22 +173,27 @@ impl Default for SmtSolver {
     }
 }
 
-/// A theory atom registered with the boolean abstraction.
+/// A theory atom registered with the boolean abstraction, over key ids.
 #[derive(Debug)]
 struct TheoryAtom {
     /// The primitive, asserted when `var` is true.
-    prim: IntConstraint,
+    prim: IntConstraint<u32>,
     /// For `Le` atoms, the negation asserted when `var` is false (built
     /// once here rather than on every refinement round).
-    negated: Option<IntConstraint>,
+    negated: Option<IntConstraint<u32>>,
     var: u32,
 }
 
 #[derive(Debug)]
 struct Encoder {
     sat: SatSolver,
-    /// Primitive → index into `atoms`.
-    prim_atoms: HashMap<Prim, usize>,
+    /// Key → id. While encoding, ids are handed out in first-seen order;
+    /// [`Encoder::rank_keys`] renumbers them in `LinKey` order.
+    key_ids: BTreeMap<LinKey, u32>,
+    /// Every key, by ranked id (filled by [`Encoder::rank_keys`]).
+    keys: Vec<LinKey>,
+    /// Primitive over first-seen key ids → index into `atoms`.
+    prim_atoms: HashMap<IntConstraint<u32>, usize>,
     /// Registered theory atoms, in registration order.
     atoms: Vec<TheoryAtom>,
     true_var: Option<u32>,
@@ -193,6 +203,8 @@ impl Encoder {
     fn new() -> Encoder {
         Encoder {
             sat: SatSolver::new(),
+            key_ids: BTreeMap::new(),
+            keys: Vec::new(),
             prim_atoms: HashMap::new(),
             atoms: Vec::new(),
             true_var: None,
@@ -212,24 +224,62 @@ impl Encoder {
         Lit::pos(v)
     }
 
-    fn prim_var(&mut self, prim: Prim) -> u32 {
+    /// Moves a primitive's keys into the key table, returning it over ids.
+    fn intern(&mut self, prim: IntConstraint) -> IntConstraint<u32> {
+        let coeffs = prim
+            .coeffs
+            .into_iter()
+            .map(|(key, c)| {
+                let next = self.key_ids.len() as u32;
+                (*self.key_ids.entry(key).or_insert(next), c)
+            })
+            .collect();
+        IntConstraint {
+            coeffs,
+            constant: prim.constant,
+            kind: prim.kind,
+        }
+    }
+
+    /// Renumbers the key ids in `LinKey` order once encoding is done, so
+    /// a refinement round's simplex variables are the ranks the sorted
+    /// key universe gives them.
+    fn rank_keys(&mut self) {
+        let mut rank = vec![0u32; self.key_ids.len()];
+        for (r, (key, first_seen)) in std::mem::take(&mut self.key_ids).into_iter().enumerate() {
+            rank[first_seen as usize] = r as u32;
+            self.keys.push(key);
+        }
+        // The encoding is complete: the lookup table, over first-seen
+        // ids, is stale now.
+        self.prim_atoms = HashMap::new();
+        for atom in &mut self.atoms {
+            for con in std::iter::once(&mut atom.prim).chain(&mut atom.negated) {
+                for (id, _) in &mut con.coeffs {
+                    *id = rank[*id as usize];
+                }
+            }
+        }
+    }
+
+    fn prim_var(&mut self, prim: IntConstraint<u32>) -> u32 {
         if let Some(&atom) = self.prim_atoms.get(&prim) {
             return self.atoms[atom].var;
         }
         let v = self.sat.new_var();
-        let split = (prim.0.kind == ConKind::Eq).then(|| eq_split(&prim.0));
-        let negated = (prim.0.kind == ConKind::Le).then(|| negate_le(&prim.0));
+        let split = (prim.kind == ConKind::Eq).then(|| eq_split(&prim));
+        let negated = (prim.kind == ConKind::Le).then(|| negate_le(&prim));
         self.prim_atoms.insert(prim.clone(), self.atoms.len());
         self.atoms.push(TheoryAtom {
-            prim: prim.0,
+            prim,
             negated,
             var: v,
         });
         if let Some((lt, gt)) = split {
             // Eager case split: ¬(e = 0) → (e < 0 ∨ e > 0), plus mutual
             // exclusions for fast propagation.
-            let lv = self.prim_var(Prim(lt));
-            let gv = self.prim_var(Prim(gt));
+            let lv = self.prim_var(lt);
+            let gv = self.prim_var(gt);
             self.sat
                 .add_clause([Lit::pos(v), Lit::pos(lv), Lit::pos(gv)]);
             self.sat.add_clause([Lit::neg(v), Lit::neg(lv)]);
@@ -244,6 +294,7 @@ impl Encoder {
             NormAtom::Const(true) => self.true_lit(),
             NormAtom::Const(false) => !self.true_lit(),
             NormAtom::Prim { prim, positive } => {
+                let prim = self.intern(prim.0);
                 let v = self.prim_var(prim);
                 Lit::new(v, positive)
             }
@@ -478,6 +529,7 @@ impl SmtSolver {
         let mut enc = Encoder::new();
         let top = enc.encode(full)?;
         enc.sat.add_clause([top]);
+        enc.rank_keys();
         self.refine(&mut enc, full)
     }
 
@@ -497,7 +549,7 @@ impl SmtSolver {
                 SatResult::Sat(bmodel) => {
                     // Gather asserted theory constraints, remembering the
                     // boolean literal that asserted each.
-                    let mut constraints: Vec<&IntConstraint> = Vec::new();
+                    let mut constraints: Vec<&IntConstraint<u32>> = Vec::new();
                     let mut asserting: Vec<Lit> = Vec::new();
                     for atom in &enc.atoms {
                         let var = atom.var;
@@ -512,37 +564,36 @@ impl SmtSolver {
                         // eager split clauses force one of the strict
                         // sides instead.
                     }
-                    let lia = LiaConfig {
-                        node_budget: self.config.lia.node_budget.min(pool),
-                        ..self.config.lia
-                    };
-                    let before = pool;
-                    let mut call_pool = lia.node_budget.min(pool);
-                    let spent_base = pool - call_pool;
-                    let result = solve_int_budgeted(&constraints, &lia, &mut call_pool);
-                    pool = spent_base + call_pool;
-                    debug_assert!(pool <= before);
+                    let mut call_pool = self.config.lia.node_budget.min(pool);
+                    let reserve = pool - call_pool;
+                    let result = solve_ids(
+                        &constraints,
+                        enc.keys.len(),
+                        &self.config.lia,
+                        &mut call_pool,
+                    );
+                    pool = reserve + call_pool;
                     match result {
-                        LiaResult::Sat(assign) => {
+                        LiaResult::Sat(values) => {
+                            let assign = values
+                                .into_iter()
+                                .map(|(id, v)| (enc.keys[id as usize].clone(), v))
+                                .collect();
                             let model = Self::build_model(full, &assign);
                             debug_assert_eq!(full.eval(&model), Some(true));
                             return Ok(SmtResult::Sat(model));
                         }
                         LiaResult::Unknown => return Ok(SmtResult::Unknown),
                         LiaResult::Unsat { core } => {
-                            if asserting.is_empty() {
-                                // No theory atoms at all: boolean SAT is final.
-                                let model =
-                                    Self::build_model(full, &std::collections::BTreeMap::new());
-                                return Ok(SmtResult::Sat(model));
-                            }
                             // Prefer the provenance core from the theory
                             // solver; fall back to deletion-based
                             // minimization when branching or artificial
-                            // bounds were involved.
+                            // bounds were involved. (An empty constraint
+                            // list is always feasible, so `asserting` is
+                            // never empty here.)
                             let core = match core {
                                 Some(c) => c,
-                                None => self.minimize_core(&constraints),
+                                None => self.minimize_core(&constraints, enc.keys.len()),
                             };
                             enc.sat.add_clause(core.iter().map(|&i| asserting[i]));
                         }
@@ -558,7 +609,7 @@ impl SmtSolver {
     /// unsatisfiable. Small cores make the blocking clauses strong, which
     /// keeps the lazy refinement loop from enumerating exponentially many
     /// boolean assignments.
-    fn minimize_core(&self, constraints: &[&IntConstraint]) -> Vec<usize> {
+    fn minimize_core(&self, constraints: &[&IntConstraint<u32>], n_keys: usize) -> Vec<usize> {
         let mut core: Vec<usize> = (0..constraints.len()).collect();
         // Cap the minimization work on very large assertion sets.
         if constraints.len() > 96 {
@@ -569,20 +620,21 @@ impl SmtSolver {
         // running up to ~96 solves per conflict, and a deletion probe that
         // comes back Unknown under the cap simply keeps its constraint
         // (sound — the core stays unsatisfiable, just less minimal).
-        let lia = crate::lia::LiaConfig {
+        let lia = LiaConfig {
             prefer_small: false,
             node_budget: self.config.lia.node_budget.min(400),
             ..self.config.lia
         };
         let mut i = 0;
         while i < core.len() {
-            let candidate: Vec<&IntConstraint> = core
+            let candidate: Vec<&IntConstraint<u32>> = core
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &k)| constraints[k])
                 .collect();
-            if solve_int(&candidate, &lia).is_unsat() {
+            let mut budget = lia.node_budget;
+            if solve_ids(&candidate, n_keys, &lia, &mut budget).is_unsat() {
                 core.remove(i);
             } else {
                 i += 1;
@@ -593,7 +645,7 @@ impl SmtSolver {
 
     /// Builds a [`Model`] from a LIA assignment: variables first, then
     /// applications innermost-first so argument evaluation is total.
-    fn build_model(full: &Formula, assign: &std::collections::BTreeMap<LinKey, i64>) -> Model {
+    fn build_model(full: &Formula, assign: &BTreeMap<LinKey, i64>) -> Model {
         let mut model = Model::new();
         for v in full.vars() {
             let value = assign.get(&LinKey::Var(v)).copied().unwrap_or(0);

@@ -12,13 +12,20 @@
 //! moves this digest. Data-structure changes and exact-arithmetic
 //! shortcuts must not.
 //!
+//! A second leg, [`REFINEMENT_EXPECTED`], pins the shape a refinement
+//! round hands the LIA layer: about a hundred constraints over fifteen
+//! keys, built from the equality splits and `≤` negations of a few shared
+//! linear forms, under the preference boxes; and tableaux that gain rows
+//! over basic variables after pivoting, which substitutes (fills in) and
+//! cancels terms.
+//!
 //! After an *intentional* change to the kernel's search (which also
-//! re-blesses the parity goldens), replace [`EXPECTED`] with the digest
-//! this test prints.
+//! re-blesses the parity goldens), replace [`EXPECTED`] and
+//! [`REFINEMENT_EXPECTED`] with the digests these tests print.
 
 use hotg_logic::{Atom, Formula, FuncSym, LinKey, Rat, Rel, Signature, Sort, StableHasher, Term};
 use hotg_prop::TestRng;
-use hotg_solver::atoms::eq_split;
+use hotg_solver::atoms::{eq_split, negate_le};
 use hotg_solver::lia::{
     solve_int, solve_int_budgeted, ConKind, IntConstraint, LiaConfig, LiaResult,
 };
@@ -30,9 +37,15 @@ use std::hash::Hasher;
 /// structures were last reworked.
 const EXPECTED: u64 = 0xd42a_6c33_4dd9_54f5;
 
+/// Digest of the refinement-shape leg, recorded before the column index
+/// and the id-interned keys landed.
+const REFINEMENT_EXPECTED: u64 = 0x8300_0d22_aa4b_01ac;
+
 const SIMPLEX_CASES: usize = 150;
 const LIA_CASES: usize = 300;
 const SMT_CASES: usize = 150;
+const ROUND_CASES: usize = 40;
+const FILL_IN_CASES: usize = 80;
 
 /// Outcome tally: the stream must exercise every kind of answer, or a
 /// matching digest would pin less than it claims.
@@ -305,6 +318,226 @@ fn kernel_answers_match_recorded_digest() {
     assert_eq!(
         digest, EXPECTED,
         "kernel digest moved to {digest:#018x} ({tally:?}): a pivot, branch, \
+         core or model changed"
+    );
+}
+
+/// Fifteen keys: ten variables and five applications.
+fn round_keys() -> Vec<LinKey> {
+    let mut sig = Signature::new();
+    let vars: Vec<_> = (0..10)
+        .map(|i| sig.declare_var(format!("z{i}"), Sort::Int))
+        .collect();
+    let f = sig.declare_func("f", 1);
+    let mut keys: Vec<LinKey> = vars.iter().map(|&v| LinKey::Var(v)).collect();
+    for &v in &vars[..5] {
+        keys.push(LinKey::App(Term::app(f, vec![Term::var(v)])));
+    }
+    keys
+}
+
+/// A refinement round's constraint set: every constraint is a `≤`
+/// primitive, its negation, an equality, or one strict side of an
+/// equality, over one of a dozen shared linear forms. Most hold at a
+/// hidden integer point (some of whose coordinates lie outside the
+/// smallest preference box), so most systems are feasible; the rest give
+/// cores.
+fn round_case(rng: &mut TestRng, keys: &[LinKey], h: &mut StableHasher, tally: &mut Tally) {
+    let point: Vec<i128> = keys.iter().map(|_| rng.in_span(-24, 24)).collect();
+    let forms: Vec<Vec<(usize, i128)>> = (0..12)
+        .map(|_| {
+            let mut form: Vec<(usize, i128)> = Vec::new();
+            for _ in 0..1 + rng.below(4) {
+                let k = rng.below(keys.len() as u64) as usize;
+                let c = rng.in_span(-3, 3);
+                if c != 0 && !form.iter().any(|&(kk, _)| kk == k) {
+                    form.push((k, c));
+                }
+            }
+            if form.is_empty() {
+                form.push((rng.below(keys.len() as u64) as usize, 1));
+            }
+            form.sort();
+            form
+        })
+        .collect();
+    let false_odds = [0u64, 50, 12][rng.below(3) as usize];
+    let n = 80 + rng.below(40) as usize;
+    let mut constraints = Vec::with_capacity(n);
+    for _ in 0..n {
+        let form = &forms[rng.below(forms.len() as u64) as usize];
+        let value: i128 = form.iter().map(|&(k, c)| c * point[k]).sum();
+        let holds = false_odds == 0 || rng.below(false_odds) != 0;
+        let coeffs: Vec<(LinKey, i128)> = form.iter().map(|&(k, c)| (keys[k].clone(), c)).collect();
+        let con = match rng.below(4) {
+            // form - value - slack ≤ 0 holds for slack ≥ 0.
+            0 | 1 => {
+                let slack = rng.in_span(0, 6);
+                let le = IntConstraint {
+                    coeffs,
+                    constant: if holds {
+                        -value - slack
+                    } else {
+                        -value + 1 + slack
+                    },
+                    kind: ConKind::Le,
+                };
+                if rng.below(2) == 0 {
+                    le
+                } else {
+                    // The negation holds exactly where the primitive fails.
+                    let flipped = IntConstraint {
+                        constant: if holds {
+                            -value + 1 + slack
+                        } else {
+                            -value - slack
+                        },
+                        ..le
+                    };
+                    negate_le(&flipped)
+                }
+            }
+            2 => IntConstraint {
+                coeffs,
+                constant: if holds { -value } else { -value - 1 },
+                kind: ConKind::Eq,
+            },
+            _ => {
+                // `form - value ± 1 = 0` is false at the point; one of its
+                // strict sides holds.
+                let delta = if rng.below(2) == 0 { 1 } else { -1 };
+                let eq = IntConstraint {
+                    coeffs,
+                    constant: -value + delta,
+                    kind: ConKind::Eq,
+                };
+                let (lt, gt) = eq_split(&eq);
+                let lt_holds = delta < 0;
+                if lt_holds == holds {
+                    lt
+                } else {
+                    gt
+                }
+            }
+        };
+        constraints.push(con);
+    }
+    let config = LiaConfig {
+        prefer_small: rng.below(4) != 0,
+        node_budget: [40u64, 400][rng.below(2) as usize],
+        ..LiaConfig::default()
+    };
+    let result = if rng.below(2) == 0 {
+        solve_int(&constraints, &config)
+    } else {
+        let mut pool = [60u64, 1_200][rng.below(2) as usize];
+        let r = solve_int_budgeted(&constraints, &config, &mut pool);
+        fold(h, &format!("pool left {pool}"));
+        r
+    };
+    match &result {
+        LiaResult::Sat(_) => tally.lia_sat += 1,
+        LiaResult::Unsat { core: Some(_) } => tally.lia_core += 1,
+        LiaResult::Unsat { core: None } => tally.lia_no_core += 1,
+        LiaResult::Unknown => tally.lia_unknown += 1,
+    }
+    fold(h, &format!("round {result:?}"));
+}
+
+/// A tableau checked, then grown by rows over its (now partly basic)
+/// variables, then checked again: each new row substitutes the rows of
+/// the basic variables it names (fill-in), and the row `slack - its own
+/// definition` cancels to nothing.
+fn fill_in_case(rng: &mut TestRng, h: &mut StableHasher, tally: &mut Tally) {
+    let mut s = Simplex::new();
+    let n = 6 + rng.below(8) as usize;
+    let mut vars: Vec<usize> = (0..n).map(|_| s.new_var()).collect();
+    let mut definitions: Vec<(usize, Vec<(usize, Rat)>)> = Vec::new();
+    let mut tag = 0u32;
+    let mut next_tag = |rng: &mut TestRng| {
+        tag += 1;
+        (rng.below(6) != 0).then_some(tag)
+    };
+    let random_row = |rng: &mut TestRng, vars: &[usize]| {
+        (0..1 + rng.below(5))
+            .map(|_| {
+                let v = vars[rng.below(vars.len() as u64) as usize];
+                (v, Rat::new(rng.in_span(-5, 5), 1 + rng.in_span(0, 2)))
+            })
+            .collect::<Vec<_>>()
+    };
+    for _ in 0..n + rng.below(2 * n as u64) as usize {
+        let terms = random_row(rng, &vars);
+        let slack = s.add_row(&terms);
+        definitions.push((slack, terms));
+        vars.push(slack);
+    }
+    for step in 0..3 {
+        for _ in 0..2 + rng.below(2 * n as u64) {
+            let v = vars[rng.below(vars.len() as u64) as usize];
+            let kind = if rng.below(2) == 0 {
+                BoundKind::Lower
+            } else {
+                BoundKind::Upper
+            };
+            let c = Rat::new(rng.in_span(-30, 30), 1 + rng.in_span(0, 1));
+            if let Err(e) = s.assert_bound(v, kind, c, next_tag(rng)) {
+                tally.simplex_unsat += 1;
+                fold(h, &format!("fill-in bound-conflict {e:?}"));
+                return;
+            }
+        }
+        match s.check() {
+            SimplexResult::Sat(values) => {
+                tally.simplex_sat += 1;
+                fold(h, &format!("fill-in sat {values:?}"));
+            }
+            SimplexResult::Unsat(e) => {
+                tally.simplex_unsat += 1;
+                fold(h, &format!("fill-in unsat {e:?}"));
+                return;
+            }
+        }
+        if step == 2 {
+            break;
+        }
+        // Rows over basic variables, and one that cancels exactly.
+        for _ in 0..1 + rng.below(4) {
+            let terms = random_row(rng, &vars);
+            vars.push(s.add_row(&terms));
+        }
+        let (slack, definition) = &definitions[rng.below(definitions.len() as u64) as usize];
+        let mut cancel = vec![(*slack, Rat::ONE)];
+        cancel.extend(definition.iter().map(|&(v, c)| (v, -c)));
+        let zero = s.add_row(&cancel);
+        fold(h, &format!("cancelled row value {:?}", zero));
+        vars.push(zero);
+    }
+}
+
+#[test]
+fn refinement_shapes_match_recorded_digest() {
+    let mut rng = TestRng::seed_from_u64(0x7265_6669_6e65);
+    let mut h = StableHasher::new();
+    let mut tally = Tally::default();
+    let keys = round_keys();
+    for _ in 0..ROUND_CASES {
+        round_case(&mut rng, &keys, &mut h, &mut tally);
+    }
+    for _ in 0..FILL_IN_CASES {
+        fill_in_case(&mut rng, &mut h, &mut tally);
+    }
+    assert!(
+        tally.lia_sat >= 10
+            && tally.lia_core >= 5
+            && tally.simplex_sat >= 20
+            && tally.simplex_unsat >= 10,
+        "stream no longer exercises every outcome: {tally:?}"
+    );
+    let digest = h.finish();
+    assert_eq!(
+        digest, REFINEMENT_EXPECTED,
+        "refinement digest moved to {digest:#018x} ({tally:?}): a pivot, branch, \
          core or model changed"
     );
 }
