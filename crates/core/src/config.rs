@@ -146,23 +146,16 @@ pub struct DriverConfig {
     /// Shards for the directed search: the campaign's branch-flip
     /// targets are partitioned across this many shard passes by stable
     /// path-key hash, one scoped thread per shard (each running
-    /// `threads` workers), each writing its own durable trace, with
-    /// campaign state exchanged at generation boundaries. The merged
+    /// `threads` workers) against the one sample table's per-generation
+    /// snapshot, each writing its own durable trace. The merged
     /// result is **bit-identical** to a single-shard run for every
     /// shard count (see the `engine::shard` module docs for the
     /// determinism argument), so — like `threads` — this field is
     /// excluded from [`resume_digest`](DriverConfig::resume_digest).
-    /// `1` (the default) is the same loop with no partitioning, no
-    /// state exchange and no shard traces; the random baseline has no
-    /// targets to partition and ignores it.
+    /// `1` (the default) is the same loop with no partitioning and no
+    /// shard traces; the random baseline has no targets to partition
+    /// and ignores it.
     pub shards: usize,
-    /// Theorem 4's fallback as a *degradation ladder*: when a validity
-    /// check or alternate-path query concedes `Unknown` (or errors), the
-    /// same branch-flip target is re-attempted under sound concretization
-    /// and then — as a last, unsound resort — under DART's default
-    /// concretization. Each demotion is recorded in
-    /// [`Report::degradations`](crate::Report::degradations).
-    pub degradation_ladder: bool,
     /// Deterministic fault injection (chaos testing): probabilities for
     /// forcing solver `Unknown`s/errors, synthetic interpreter faults,
     /// probe sample loss, and worker panics. `None` (the default) injects
@@ -173,10 +166,9 @@ pub struct DriverConfig {
     /// record behind a versioned header, so an interrupted campaign can
     /// be picked up with [`Driver::resume`](crate::Driver::resume) and
     /// finish with a report bit-identical to an uninterrupted run.
-    /// The trace has an explicit durability policy
-    /// ([`FsyncPolicy`](crate::FsyncPolicy)); a write error disables it
-    /// and is counted (drop-and-count). `None` (the default) writes no
-    /// durable trace.
+    /// The trace is synced at every generation start and at campaign
+    /// end; a write error disables it and is counted (drop-and-count).
+    /// `None` (the default) writes no durable trace.
     pub trace: Option<TraceConfig>,
     /// Optional solver-query tap: every satisfiability query the
     /// campaign poses to its shards' SMT solvers (`SmtSolver::check`)
@@ -205,7 +197,6 @@ impl Default for DriverConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             shards: 1,
-            degradation_ladder: true,
             fault_plan: None,
             trace: None,
             query_log: None,
@@ -249,7 +240,6 @@ impl DriverConfig {
             static_pruning,
             threads: _,
             shards: _,
-            degradation_ladder,
             fault_plan,
             trace: _,
             query_log: _,
@@ -277,7 +267,6 @@ impl DriverConfig {
              cross_run_samples={cross_run_samples} \
              max_probes_per_target={max_probes_per_target} initial_inputs={initial_inputs:?} \
              seed_corpus={seed_corpus:?} static_pruning={static_pruning} \
-             degradation_ladder={degradation_ladder} \
              fault_plan={fault_plan:?} validity.max_cubes={max_cubes} \
              validity.max_candidates={max_candidates} validity.counter_shifts={counter_shifts:?} \
              smt.max_rounds={max_rounds} smt.total_node_budget={total_node_budget} \
@@ -341,9 +330,7 @@ mod tests {
         assert!(c.static_pruning);
         assert!(c.threads >= 1);
         assert_eq!(c.shards, 1);
-        // No fault injection by default; the (deterministic) degradation
-        // ladder is on.
-        assert!(c.degradation_ladder);
+        // No fault injection by default.
         assert!(c.fault_plan.is_none());
         assert!(c.trace.is_none());
         assert!(c.query_log.is_none());
@@ -381,7 +368,7 @@ mod tests {
     fn default_resume_digest_is_pinned() {
         assert_eq!(
             DriverConfig::default().resume_digest(),
-            0x1354_54a6_7eac_daa2
+            0x7078_6a8e_1ebd_1f4a
         );
     }
 }

@@ -51,9 +51,6 @@ impl Engine<'_> {
         reason: DegradationReason,
         out: &mut TargetOutcome,
     ) -> bool {
-        if !self.config.degradation_ladder {
-            return false;
-        }
         // Position of the flipped branch in the parent's branch order.
         let Some(branch_pos) = job
             .target

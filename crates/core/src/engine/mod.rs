@@ -49,9 +49,7 @@ use crate::config::DriverConfig;
 use crate::events::{CampaignEvent, EventSink};
 use crate::report::{Origin, Report, RunRecord};
 use crate::strategy::{Strategy, TargetCx};
-use crate::trace::{
-    program_digest, shard_digest, shard_trace_path, TraceConfig, TraceHeader, TraceWriter,
-};
+use crate::trace::{program_digest, shard_digest, shard_trace_path, TraceHeader, TraceWriter};
 use hotg_analysis::AnalysisResult;
 use hotg_concolic::{
     diverged, execute_compiled_profiled, ConcolicContext, ConcolicRun, ExecProfile,
@@ -65,6 +63,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -124,7 +123,7 @@ enum Durable {
     /// truncated at the last consumed frame boundary and this becomes
     /// `Writing`.
     Pending {
-        config: TraceConfig,
+        path: PathBuf,
         ends: Vec<u64>,
         header_end: u64,
     },
@@ -162,7 +161,7 @@ pub(crate) struct Emitter<'s> {
 }
 
 impl Emitter<'_> {
-    /// Events the `EveryGeneration` fsync policy makes durable on.
+    /// Events the durable trace is synced on.
     fn sync_point(event: &CampaignEvent) -> bool {
         matches!(
             event,
@@ -227,7 +226,7 @@ impl Emitter<'_> {
         };
         self.replayed = replay.pos;
         let Durable::Pending {
-            config,
+            path,
             ends,
             header_end,
         } = std::mem::replace(&mut self.durable, Durable::Off)
@@ -239,20 +238,10 @@ impl Emitter<'_> {
         } else {
             ends[replay.pos - 1]
         };
-        match TraceWriter::append(
-            &config.path,
-            end,
-            replay.pos as u64,
-            config.fsync,
-            self.plan.clone(),
-            config.chaos_kill_at_event,
-        ) {
+        match TraceWriter::append(&path, end, replay.pos as u64, self.plan.clone()) {
             Ok(w) => self.durable = Durable::Writing(w),
             Err(e) => {
-                eprintln!(
-                    "hotg: cannot reopen durable trace {}: {e}",
-                    config.path.display()
-                );
+                eprintln!("hotg: cannot reopen durable trace {}: {e}", path.display());
                 self.sink_errors += 1;
             }
         }
@@ -324,24 +313,15 @@ impl<'a> Engine<'a> {
         external: Option<&'s mut dyn EventSink>,
     ) -> Emitter<'s> {
         let shards = self.config.shards;
-        let config = self.config.trace.as_ref().map(|tc| TraceConfig {
-            path: match shard {
-                Some(i) => shard_trace_path(&tc.path, i, shards),
-                None => tc.path.clone(),
-            },
-            // The kill-switch chaos arms on the shard the plan names, or
-            // on the canonical trace when it names none.
-            chaos_kill_at_event: tc
-                .chaos_kill_at_event
-                .filter(|_| tc.chaos_kill_shard == shard),
-            chaos_kill_shard: None,
-            ..tc.clone()
+        let path = self.config.trace.as_ref().map(|tc| match shard {
+            Some(i) => shard_trace_path(&tc.path, i, shards),
+            None => tc.path.clone(),
         });
         let mut startup_errors = 0;
-        let (durable, replay) = match (config, resume) {
-            (Some(config), Some(rd)) => (
+        let (durable, replay) = match (path, resume) {
+            (Some(path), Some(rd)) => (
                 Durable::Pending {
-                    config,
+                    path,
                     ends: rd.ends,
                     header_end: rd.header_end,
                 },
@@ -350,7 +330,7 @@ impl<'a> Engine<'a> {
                     pos: 0,
                 }),
             ),
-            (Some(config), None) => {
+            (Some(path), None) => {
                 let digest = self.config.resume_digest();
                 let header = TraceHeader {
                     program: self.program.name.clone(),
@@ -358,21 +338,11 @@ impl<'a> Engine<'a> {
                     config_digest: shard.map_or(digest, |i| shard_digest(digest, i, shards)),
                     technique: strategy.technique(),
                     seed: self.config.seed,
-                    fsync: config.fsync,
                 };
-                match TraceWriter::create(
-                    &config.path,
-                    &header,
-                    config.fsync,
-                    self.config.fault_plan.clone(),
-                    config.chaos_kill_at_event,
-                ) {
+                match TraceWriter::create(&path, &header, self.config.fault_plan.clone()) {
                     Ok(w) => (Durable::Writing(w), None),
                     Err(e) => {
-                        eprintln!(
-                            "hotg: cannot create durable trace {}: {e}",
-                            config.path.display()
-                        );
+                        eprintln!("hotg: cannot create durable trace {}: {e}", path.display());
                         startup_errors = 1;
                         (Durable::Off, None)
                     }

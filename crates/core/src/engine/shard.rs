@@ -6,14 +6,13 @@
 //! loop, [`Engine::directed`]. `DriverConfig::shards` = N splits each
 //! generation's targets across N shards by stable path-key hash
 //! ([`Partitioner`]); N = 1 is the degenerate case of the same loop,
-//! with no partitioning, no state exchange and no shard traces. The
-//! loop runs, in order:
+//! with no partitioning and no shard traces. The loop runs, in order:
 //!
 //! 1. the seed phase;
 //! 2. per generation: the stop test ([`Engine::should_stop`]), the
 //!    dedup filter, then `GenerationStarted` / `TargetScheduled`;
-//! 3. only when N > 1: the [`StateDelta`] broadcast, the partition, and
-//!    each shard's generation header in its own trace;
+//! 3. only when N > 1: the partition and each shard's generation
+//!    header in its own trace;
 //! 4. one pass per shard: stage-A reconstruction from the shard's
 //!    salvaged trace tail while it lasts, live `process_target` after;
 //! 5. the in-order merge, with the stop test before every block;
@@ -22,9 +21,10 @@
 //!
 //! The **coordinator** (merge thread) does every piece of
 //! canonically-ordered sequential work: steps 1–3, 5 and 6, and the
-//! in-order fold of target outcomes into [`CampaignState`]. **Shard
-//! passes** only do the embarrassingly parallel part — processing a
-//! target as a pure function of `(target, sample-table snapshot)`.
+//! in-order fold of target outcomes into the campaign's one
+//! [`CampaignState`]. **Shard passes** only do the embarrassingly
+//! parallel part — processing a target as a pure function of
+//! `(target, sample-table snapshot)`.
 //!
 //! # Scheduling
 //!
@@ -37,19 +37,17 @@
 //! outcomes in order: a stop then wastes work but never changes the
 //! canonical stream.
 //!
-//! # State exchange
+//! # One sample table
 //!
-//! At N > 1 each shard holds a [`CampaignState`] *replica* (dedup set +
-//! sample table; the frontier stays with the coordinator). At every
-//! generation boundary the coordinator broadcasts one [`StateDelta`] —
-//! the sample pairs recorded since the last broadcast plus the dedup
-//! keys the canonical filter just claimed — and every replica joins it
-//! in. Because each replica's content is then exactly the canonical
-//! state, the snapshot a shard hands its targets equals the N = 1
-//! snapshot, and per-target outcomes are identical. Deltas are lattice
-//! joins (order-insensitive, idempotent; see [`super::state`]), which is
-//! what makes the exchange protocol safe to extend to out-of-order
-//! transports.
+//! The campaign keeps one `IOF` sample table, on the coordinator. At
+//! each generation cut the coordinator takes one snapshot of it, and
+//! every shard pass borrows that snapshot, so every target is checked
+//! against exactly the table an N = 1 campaign would use and per-target
+//! outcomes are identical for every N. Shards are threads of one
+//! process; there is nothing to exchange. `ShardStats` still reports
+//! what a shard would need to be sent: the table size at the last cut
+//! (`exchange_samples`; the table only grows) and the dedup keys each
+//! cut newly claims (`exchange_keys`).
 //!
 //! # Shard traces
 //!
@@ -77,7 +75,7 @@
 //! backend counters, `ExecStats`) may vary with the schedule.
 
 use super::outcome::{Job, TargetOutcome};
-use super::state::{CampaignState, ExchangeStats, Partitioner, StateDelta};
+use super::state::{CampaignState, Partitioner, ShardCounters};
 use super::{merge, resume, Emitter, Engine, ResumeData};
 use crate::events::CampaignEvent;
 use crate::report::Origin;
@@ -86,7 +84,6 @@ use crate::summaries::{SummaryConfig, SummaryTable};
 use hotg_solver::{BackendStats, CacheStats, Samples, SmtSolver, ValidityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -204,72 +201,59 @@ impl<'e> ShardPass<'e> {
     }
 }
 
-/// What N > 1 adds to the loop: per-shard state replicas and trace
-/// emitters, the partitioner, and the exchange accounting.
-struct Exchange {
+/// What N > 1 adds to the loop: per-shard trace emitters, the
+/// partitioner, and the shard accounting.
+struct Sharding {
     partitioner: Partitioner,
-    stats: ExchangeStats,
-    /// Lockstep copy of what every replica has been sent so far; the
-    /// next broadcast is the canonical table diffed against it.
-    broadcast: Samples,
-    replicas: Vec<CampaignState>,
+    stats: ShardCounters,
     ems: Vec<Emitter<'static>>,
 }
 
-impl Exchange {
+impl Sharding {
     /// Opens every shard's trace emitter (resuming `resume[i]` when
     /// shard `i`'s salvaged prefix was recovered; missing entries re-run
-    /// live) and empty replicas.
+    /// live).
     fn open(
         engine: &Engine<'_>,
         strategy: &dyn Strategy,
         resume: Vec<Option<ResumeData>>,
-    ) -> Exchange {
+    ) -> Sharding {
         let shards = engine.config.shards;
         let mut resume = resume.into_iter();
-        Exchange {
+        Sharding {
             partitioner: Partitioner::new(shards),
-            stats: ExchangeStats {
+            stats: ShardCounters {
                 per_shard_targets: vec![0; shards],
-                ..ExchangeStats::default()
+                ..ShardCounters::default()
             },
-            broadcast: Samples::new(),
-            replicas: (0..shards).map(|_| CampaignState::default()).collect(),
             ems: (0..shards)
                 .map(|i| engine.open_emitter(strategy, Some(i), resume.next().flatten(), None))
                 .collect(),
         }
     }
 
-    /// Brings every replica up to the canonical state with one
-    /// [`StateDelta`], partitions the generation by stable path-key
-    /// hash, and records each shard's generation header (every shard
-    /// records every generation, even an empty one — the offline merger
-    /// keeps the streams generation-synced). Returns each shard's share
-    /// as canonical ordinals.
+    /// Accounts the generation cut (`samples` pairs in the table,
+    /// `fresh_keys` dedup keys newly claimed), partitions the generation
+    /// by stable path-key hash, and records each shard's generation
+    /// header (every shard records every generation, even an empty one —
+    /// the offline merger keeps the streams generation-synced). Returns
+    /// each shard's share as canonical ordinals.
     fn distribute(
         &mut self,
-        samples: &Samples,
-        fresh_keys: BTreeSet<u64>,
+        samples: usize,
+        fresh_keys: u64,
         jobs: &[Job],
         index: usize,
     ) -> Vec<Vec<usize>> {
-        let delta = StateDelta {
-            samples: samples.diff(&self.broadcast),
-            seen: fresh_keys,
-        };
-        let (ds, dk) = delta.exchange_size();
-        self.stats.samples += ds;
-        self.stats.keys += dk;
-        self.broadcast.apply_delta(&delta.samples);
+        self.stats.samples = samples as u64;
+        self.stats.keys += fresh_keys;
         let mut shares = vec![Vec::new(); self.ems.len()];
         for (ordinal, job) in jobs.iter().enumerate() {
             let s = self.partitioner.shard_of_job(job);
             self.stats.per_shard_targets[s] += 1;
             shares[s].push(ordinal);
         }
-        for ((replica, em), share) in self.replicas.iter_mut().zip(&mut self.ems).zip(&shares) {
-            replica.absorb(&delta);
+        for (em, share) in self.ems.iter_mut().zip(&shares) {
             em.emit(CampaignEvent::GenerationStarted {
                 index,
                 width: share.len(),
@@ -284,7 +268,7 @@ impl Exchange {
         shares
     }
 
-    /// Announces the exchange accounting, closes every shard stream
+    /// Announces the shard accounting, closes every shard stream
     /// with its own cache totals, and folds each shard's I/O accounting
     /// into the canonical emitter.
     fn finish(self, solvers: &[Solvers], em: &mut Emitter<'_>) {
@@ -323,13 +307,13 @@ impl Engine<'_> {
         };
         let solvers: Vec<Solvers> = (0..shards).map(|_| self.solvers()).collect();
         let shard_ids: Vec<usize> = (0..shards).collect();
-        let mut exchange = (shards > 1).then(|| Exchange::open(self, strategy, shard_resume));
+        let mut sharding = (shards > 1).then(|| Sharding::open(self, strategy, shard_resume));
         let mut st = CampaignState::default();
 
         // At N > 1 the preamble also goes verbatim into every shard
         // trace: each is a self-contained checkpoint.
         self.seed_phase(strategy, &mut st, |e| {
-            for shard_em in exchange.iter_mut().flat_map(|x| &mut x.ems) {
+            for shard_em in sharding.iter_mut().flat_map(|x| &mut x.ems) {
                 shard_em.emit(e.clone());
             }
             em.emit(e);
@@ -354,26 +338,23 @@ impl Engine<'_> {
                     ordinal,
                 });
             }
-            let shares = match &mut exchange {
-                Some(x) => x.distribute(&st.samples, fresh_keys, &jobs, index),
+            let shares = match &mut sharding {
+                Some(x) => x.distribute(st.samples.len(), fresh_keys, &jobs, index),
                 None => vec![(0..jobs.len()).collect()],
             };
             // The sample table every target of this generation is
-            // checked against (probe runs extend a thread-local copy).
-            let snapshots: Vec<Samples> = match &exchange {
-                Some(x) => x.replicas.iter().map(|r| r.samples.clone()).collect(),
-                None => vec![st.samples.clone()],
-            };
+            // checked against, shared by every shard pass (probe runs
+            // extend a thread-local copy).
+            let snapshot = st.samples.clone();
             let mut passes: Vec<ShardPass<'_>> = solvers
                 .iter()
-                .zip(&snapshots)
-                .map(|(s, snapshot)| ShardPass::new(cx, s, snapshot))
+                .map(|s| ShardPass::new(cx, s, &snapshot))
                 .collect();
             // Every pass runs up front unless N = 1 and `threads = 1`,
             // where the merge loop pulls shard 0's pass one target at a
             // time. Blocks come back in canonical target order.
             let mut ready = (shards > 1 || threads > 1).then(|| {
-                let tails: Vec<&[CampaignEvent]> = match &exchange {
+                let tails: Vec<&[CampaignEvent]> = match &sharding {
                     Some(x) => x.ems.iter().map(Emitter::replay_rest).collect(),
                     None => vec![em.replay_rest()],
                 };
@@ -384,7 +365,7 @@ impl Engine<'_> {
                 for (i, outs) in results.into_iter().enumerate() {
                     for (&ordinal, out) in shares[i].iter().zip(outs) {
                         let events = merge::outcome_block(&jobs[ordinal], &out);
-                        if let Some(x) = &mut exchange {
+                        if let Some(x) = &mut sharding {
                             for e in &events {
                                 x.ems[i].emit(e.clone());
                             }
@@ -445,7 +426,7 @@ impl Engine<'_> {
                 sat_short_circuits: b.sat_short_circuits,
             });
         }
-        if let Some(x) = exchange {
+        if let Some(x) = sharding {
             x.finish(&solvers, em);
         }
     }

@@ -183,17 +183,19 @@ pub enum CampaignEvent {
     },
     /// Sharding telemetry of a sharded campaign, emitted once near the
     /// end alongside the solver totals. Announcement-only: not folded
-    /// into the report — how work was partitioned and how much state was
-    /// exchanged is observability, never a campaign result (the report
-    /// is bit-identical for every shard count).
+    /// into the report — how work was partitioned and how much state a
+    /// shard would need to be sent is observability, never a campaign
+    /// result (the report is bit-identical for every shard count).
     ShardStats {
         /// Number of shards the campaign ran as.
         shards: usize,
         /// Targets processed by each shard, in shard order.
         per_shard_targets: Vec<u64>,
-        /// Sample pairs carried by all broadcast state deltas.
+        /// Sample pairs in the campaign's `IOF` table at the last
+        /// generation cut (the table only grows, so this is every pair
+        /// a shard was handed).
         exchange_samples: u64,
-        /// Dedup keys carried by all broadcast state deltas.
+        /// Dedup keys newly claimed at each generation cut, summed.
         exchange_keys: u64,
     },
     /// All events of one scheduled target have been merged (emitted

@@ -55,9 +55,7 @@ pub use report::{
     RunRecord,
 };
 pub use summaries::{FuncSummary, SummaryConfig, SummaryPath, SummaryTable};
-pub use trace::{
-    shard_trace_path, FsyncPolicy, RecoveryReport, ResumeError, TraceConfig, TraceHeader,
-};
+pub use trace::{shard_trace_path, RecoveryReport, ResumeError, TraceConfig, TraceHeader};
 
 #[cfg(test)]
 mod tests;

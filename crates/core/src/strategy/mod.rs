@@ -12,10 +12,9 @@
 //!
 //! Strategies are shard-oblivious: a target is processed as a pure
 //! function of the [`Job`] and the generation's [`Samples`] snapshot,
-//! so the engine is free to hand the same target to a worker thread or
-//! to a shard pass's replica (whose snapshot is reconstructed
-//! from broadcast state deltas) and obtain the identical
-//! [`TargetOutcome`].
+//! so the engine is free to hand the same target to any worker thread
+//! of any shard pass (every pass borrows the same snapshot) and obtain
+//! the identical [`TargetOutcome`].
 
 mod dart;
 mod higher_order;
@@ -40,10 +39,9 @@ pub(crate) use random::Random;
 pub(crate) struct TargetCx<'e, 'a> {
     /// The shared campaign engine (chaos, ladder, execution helpers).
     pub(crate) engine: &'e Engine<'a>,
-    /// Sample-table snapshot taken at generation start. In sharded
-    /// campaigns this is the shard replica's copy, kept bit-identical
-    /// to the coordinator's table by the generation-boundary state
-    /// exchange — strategies cannot tell (and must not care) which.
+    /// Sample-table snapshot taken at generation start: one copy of the
+    /// coordinator's table per generation, borrowed by every shard pass
+    /// and worker.
     pub(crate) snapshot: &'e Samples,
     /// Function summaries (§8), present only for the compositional
     /// strategy on programs with defined functions.

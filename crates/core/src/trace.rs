@@ -13,7 +13,9 @@
 //!    digest, config digest, technique, seed) and whose remaining
 //!    frames carry one event each as the same JSON object the JSONL
 //!    trace writes, sequence-numbered from 0. Writes are batched and
-//!    made durable per the configured [`FsyncPolicy`].
+//!    made durable (`fdatasync`) at every `GenerationStarted` and at
+//!    `CampaignFinished`, so a crash loses at most the current
+//!    generation's events.
 //!
 //! 2. **Corruption-tolerant recovery** ([`recover`]): salvages the
 //!    longest valid prefix of event frames — stopping at a truncated
@@ -60,8 +62,9 @@ pub const TRACE_MAGIC: &[u8; 8] = b"HOTGTRC1";
 /// count, `backend_stats` drops its `backend` name, and the header's
 /// program digest is taken over the program's source text. Version 4
 /// removes two event kinds: the budget-retry count and the campaign
-/// time-out marker.
-const TRACE_VERSION: &str = "hotg-trace/4";
+/// time-out marker. Version 5 drops the header's `fsync` field: the
+/// trace has one durability policy.
+const TRACE_VERSION: &str = "hotg-trace/5";
 
 /// Sanity cap on a frame's claimed payload length: no event of a real
 /// campaign comes anywhere near it, so a larger length field means the
@@ -75,7 +78,7 @@ const FRAME_SANITY: usize = 1 << 28;
 /// overflow.
 const JSON_MAX_DEPTH: usize = 8;
 
-/// Buffered bytes before an un-synced flush under lazy fsync policies.
+/// Buffered bytes before an un-synced flush between sync points.
 const FLUSH_THRESHOLD: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
@@ -125,50 +128,6 @@ pub(crate) fn program_digest(program: &Program) -> u64 {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// When the durable trace is made crash-durable with `fdatasync`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Flush and sync after every event frame. Maximum durability — at
-    /// most the in-flight event is lost — at maximum I/O cost.
-    EveryEvent,
-    /// Flush and sync at generation boundaries (on each
-    /// `GenerationStarted` and on `CampaignFinished`). A crash loses at
-    /// most the current generation's events; the trace overhead stays
-    /// negligible. The default.
-    EveryGeneration,
-    /// Sync only when the trace is closed at campaign end; frames are
-    /// still flushed when the write buffer exceeds 1 MiB. Cheapest;
-    /// a crash can lose everything since the last buffer flush.
-    Close,
-}
-
-impl FsyncPolicy {
-    /// Stable kebab-case name (used by the header and CLI flags).
-    pub fn name(self) -> &'static str {
-        match self {
-            FsyncPolicy::EveryEvent => "every-event",
-            FsyncPolicy::EveryGeneration => "every-generation",
-            FsyncPolicy::Close => "close",
-        }
-    }
-}
-
-impl std::str::FromStr for FsyncPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FsyncPolicy, String> {
-        match s {
-            "every-event" => Ok(FsyncPolicy::EveryEvent),
-            "every-generation" => Ok(FsyncPolicy::EveryGeneration),
-            "close" => Ok(FsyncPolicy::Close),
-            other => Err(format!(
-                "unknown fsync policy `{other}` (expected one of: \
-                 every-event, every-generation, close)"
-            )),
-        }
-    }
-}
-
 /// Configuration of the durable campaign trace
 /// ([`DriverConfig::trace`](crate::DriverConfig::trace)).
 #[derive(Clone, Debug)]
@@ -176,34 +135,12 @@ pub struct TraceConfig {
     /// Trace file path. Created (truncating) when a campaign starts;
     /// truncated to the consumed prefix and appended to on resume.
     pub path: PathBuf,
-    /// Durability policy. Default [`FsyncPolicy::EveryGeneration`].
-    pub fsync: FsyncPolicy,
-    /// Chaos hook: simulate the process dying while writing event
-    /// number N — half of that event's frame reaches the file, nothing
-    /// later ever does, and *no* error is surfaced (a real crash
-    /// reports nothing). The campaign itself continues, so tests get
-    /// both the torn trace and the uninterrupted report to compare
-    /// resume against.
-    pub chaos_kill_at_event: Option<u64>,
-    /// Which shard's trace writer [`TraceConfig::chaos_kill_at_event`]
-    /// applies to in a sharded campaign (`DriverConfig::shards` > 1):
-    /// `Some(i)` kills shard `i`'s writer, leaving the coordinator's
-    /// canonical trace and every other shard trace intact — the
-    /// single-crashed-shard scenario resume tests exercise. `None`
-    /// (default) applies the kill to the canonical trace, as in a
-    /// single-shard campaign.
-    pub chaos_kill_shard: Option<usize>,
 }
 
 impl TraceConfig {
-    /// A durable trace at `path` with the default fsync policy.
+    /// A durable trace at `path`.
     pub fn new(path: impl Into<PathBuf>) -> TraceConfig {
-        TraceConfig {
-            path: path.into(),
-            fsync: FsyncPolicy::EveryGeneration,
-            chaos_kill_at_event: None,
-            chaos_kill_shard: None,
-        }
+        TraceConfig { path: path.into() }
     }
 }
 
@@ -248,8 +185,6 @@ pub struct TraceHeader {
     pub technique: Technique,
     /// Campaign seed (informational; also covered by the config digest).
     pub seed: u64,
-    /// Fsync policy the trace was written under (informational).
-    pub fsync: FsyncPolicy,
 }
 
 impl TraceHeader {
@@ -258,13 +193,12 @@ impl TraceHeader {
         format!(
             "{{\"trace\":\"{TRACE_VERSION}\",\"program\":{},\
              \"program_digest\":\"{:016x}\",\"config_digest\":\"{:016x}\",\
-             \"technique\":\"{}\",\"seed\":{},\"fsync\":\"{}\"}}",
+             \"technique\":\"{}\",\"seed\":{}}}",
             json_str(&self.program),
             self.program_digest,
             self.config_digest,
             self.technique.name(),
             self.seed,
-            self.fsync.name(),
         )
     }
 
@@ -281,7 +215,6 @@ impl TraceHeader {
             config_digest: u64::from_str_radix(v.str_field("config_digest")?, 16).ok()?,
             technique: v.str_field("technique")?.parse().ok()?,
             seed: v.u64_field("seed")?,
-            fsync: v.str_field("fsync")?.parse().ok()?,
         })
     }
 }
@@ -291,19 +224,14 @@ impl TraceHeader {
 // ---------------------------------------------------------------------------
 
 /// Appends length+CRC framed event records to the durable trace file,
-/// honouring the fsync policy and the chaos fault sites.
+/// syncing at the sync points and honouring the chaos fault sites.
 #[derive(Debug)]
 pub(crate) struct TraceWriter {
     file: File,
     buf: Vec<u8>,
     /// Sequence number of the next event frame.
     seq: u64,
-    fsync: FsyncPolicy,
     plan: Option<FaultPlan>,
-    kill_at: Option<u64>,
-    /// Set once the writer has simulated process death (`kill_at`): all
-    /// further writes silently do nothing, like a dead process would.
-    dead: bool,
     /// Ordinal of the next event-driven fsync (the chaos key for
     /// [`FaultSite::TraceFsyncFail`]).
     sync_ordinal: u64,
@@ -326,25 +254,20 @@ impl TraceWriter {
     pub(crate) fn create(
         path: &Path,
         header: &TraceHeader,
-        fsync: FsyncPolicy,
         plan: Option<FaultPlan>,
-        kill_at: Option<u64>,
     ) -> io::Result<TraceWriter> {
         let file = File::create(path)?;
         let mut w = TraceWriter {
             file,
             buf: Vec::with_capacity(4096),
             seq: 0,
-            fsync,
             plan,
-            kill_at,
-            dead: false,
             sync_ordinal: 0,
             short_writes: 0,
             fsync_fails: 0,
         };
         w.buf.extend_from_slice(TRACE_MAGIC);
-        push_frame(&mut w.buf, w_header_json(header).as_bytes());
+        push_frame(&mut w.buf, header.to_json().as_bytes());
         w.flush_buf()?;
         w.file.sync_data()?;
         Ok(w)
@@ -357,9 +280,7 @@ impl TraceWriter {
         path: &Path,
         end_offset: u64,
         next_seq: u64,
-        fsync: FsyncPolicy,
         plan: Option<FaultPlan>,
-        kill_at: Option<u64>,
     ) -> io::Result<TraceWriter> {
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(end_offset)?;
@@ -369,38 +290,24 @@ impl TraceWriter {
             file,
             buf: Vec::with_capacity(4096),
             seq: next_seq,
-            fsync,
             plan,
-            kill_at,
-            dead: false,
             sync_ordinal: 0,
             short_writes: 0,
             fsync_fails: 0,
         })
     }
 
-    /// Writes one event frame. `sync_point` marks the events the
-    /// `EveryGeneration` policy syncs on.
+    /// Writes one event frame. At a `sync_point` (`GenerationStarted`,
+    /// `CampaignFinished`) the buffered frames are flushed and synced;
+    /// otherwise they are flushed once the buffer exceeds 1 MiB.
     pub(crate) fn write_event(
         &mut self,
         event: &CampaignEvent,
         sync_point: bool,
     ) -> io::Result<()> {
-        if self.dead {
-            return Ok(());
-        }
         let payload = event.to_json(self.seq);
         let mut frame = Vec::with_capacity(payload.len() + 8);
         push_frame(&mut frame, payload.as_bytes());
-        if self.kill_at == Some(self.seq) {
-            // Simulated process death mid-write: half the frame lands,
-            // nothing else ever will, and nobody is told.
-            self.buf.extend_from_slice(&frame[..frame.len() / 2]);
-            let _ = self.flush_buf();
-            let _ = self.file.sync_data();
-            self.dead = true;
-            return Ok(());
-        }
         if self.roll(FaultSite::TraceShortWrite, self.seq) {
             self.short_writes += 1;
             self.buf.extend_from_slice(&frame[..frame.len() / 2]);
@@ -412,20 +319,11 @@ impl TraceWriter {
         }
         self.buf.extend_from_slice(&frame);
         self.seq += 1;
-        match self.fsync {
-            FsyncPolicy::EveryEvent => {
-                self.flush_buf()?;
-                self.sync()?;
-            }
-            FsyncPolicy::EveryGeneration if sync_point => {
-                self.flush_buf()?;
-                self.sync()?;
-            }
-            _ => {
-                if self.buf.len() >= FLUSH_THRESHOLD {
-                    self.flush_buf()?;
-                }
-            }
+        if sync_point {
+            self.flush_buf()?;
+            self.sync()?;
+        } else if self.buf.len() >= FLUSH_THRESHOLD {
+            self.flush_buf()?;
         }
         Ok(())
     }
@@ -433,9 +331,6 @@ impl TraceWriter {
     /// Flushes buffered frames and makes the trace durable (campaign
     /// end).
     pub(crate) fn finish(&mut self) -> io::Result<()> {
-        if self.dead {
-            return Ok(());
-        }
         self.flush_buf()?;
         self.sync()
     }
@@ -475,14 +370,8 @@ impl Drop for TraceWriter {
     fn drop(&mut self) {
         // Best-effort: events already handed to a live writer should
         // reach the file even if the campaign path forgot to `finish`.
-        if !self.dead {
-            let _ = self.flush_buf();
-        }
+        let _ = self.flush_buf();
     }
-}
-
-fn w_header_json(header: &TraceHeader) -> String {
-    header.to_json()
 }
 
 // ---------------------------------------------------------------------------
@@ -1357,10 +1246,14 @@ mod tests {
             config_digest: 1,
             technique: Technique::DartSoundDelayed,
             seed: u64::MAX,
-            fsync: FsyncPolicy::Close,
         };
         assert_eq!(TraceHeader::from_json(&h.to_json()), Some(h.clone()));
-        for old in ["hotg-trace/1", "hotg-trace/2", "hotg-trace/3"] {
+        for old in [
+            "hotg-trace/1",
+            "hotg-trace/2",
+            "hotg-trace/3",
+            "hotg-trace/4",
+        ] {
             let other = h.to_json().replace(TRACE_VERSION, old);
             assert_eq!(TraceHeader::from_json(&other), None, "{old}");
         }
@@ -1400,18 +1293,6 @@ mod tests {
         assert!(got.found_error(1));
     }
 
-    #[test]
-    fn fsync_policy_names_round_trip() {
-        for p in [
-            FsyncPolicy::EveryEvent,
-            FsyncPolicy::EveryGeneration,
-            FsyncPolicy::Close,
-        ] {
-            assert_eq!(p.name().parse::<FsyncPolicy>(), Ok(p));
-        }
-        assert!("sometimes".parse::<FsyncPolicy>().is_err());
-    }
-
     fn write_sample_trace(path: &Path, events: &[CampaignEvent]) -> TraceHeader {
         let header = TraceHeader {
             program: "t".to_string(),
@@ -1419,10 +1300,8 @@ mod tests {
             config_digest: 2,
             technique: Technique::Random,
             seed: 3,
-            fsync: FsyncPolicy::Close,
         };
-        let mut w =
-            TraceWriter::create(path, &header, FsyncPolicy::Close, None, None).expect("create");
+        let mut w = TraceWriter::create(path, &header, None).expect("create");
         for ev in events {
             w.write_event(ev, false).expect("write");
         }
@@ -1527,35 +1406,6 @@ mod tests {
         assert!(matches!(recover(&path), Err(ResumeError::Io(_))));
     }
 
-    /// The kill-at-event-N chaos hook leaves a torn frame and goes
-    /// silent without surfacing an error, like a real crash.
-    #[test]
-    fn kill_at_event_tears_the_frame_silently() {
-        let path = tmp("kill");
-        let events = sample_events();
-        let header = TraceHeader {
-            program: "t".to_string(),
-            program_digest: 1,
-            config_digest: 2,
-            technique: Technique::Random,
-            seed: 3,
-            fsync: FsyncPolicy::EveryEvent,
-        };
-        let mut w = TraceWriter::create(&path, &header, FsyncPolicy::EveryEvent, None, Some(3))
-            .expect("create");
-        for ev in &events {
-            w.write_event(ev, false).expect("never errors");
-        }
-        w.finish().expect("finish is a no-op when dead");
-        drop(w);
-        let rec = recover(&path).expect("recover");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(rec.events[..], events[..3], "events before the kill");
-        assert!(rec.damage.is_some(), "torn frame reported");
-        assert_eq!(rec.frames_discarded, 1, "only the torn half-frame");
-        assert!(!rec.complete);
-    }
-
     /// TraceShortWrite chaos tears the frame *and* surfaces the error.
     #[test]
     fn short_write_chaos_errors_and_counts() {
@@ -1566,14 +1416,12 @@ mod tests {
             config_digest: 2,
             technique: Technique::Random,
             seed: 3,
-            fsync: FsyncPolicy::Close,
         };
         let plan = FaultPlan {
             trace_short_write: 1.0,
             ..FaultPlan::new(1)
         };
-        let mut w = TraceWriter::create(&path, &header, FsyncPolicy::Close, Some(plan), None)
-            .expect("create");
+        let mut w = TraceWriter::create(&path, &header, Some(plan)).expect("create");
         let err = w
             .write_event(&CampaignEvent::CampaignFinished, false)
             .expect_err("short write must error");

@@ -20,7 +20,8 @@ mod common;
 
 use common::{canonical, frame_ends, quiet_injected_panics, tmp};
 use hotg_core::{
-    DegradationLevel, Driver, DriverConfig, FaultPlan, Origin, Report, Technique, TraceConfig,
+    DegradationLevel, DegradationReason, Driver, DriverConfig, FaultPlan, Origin, Report,
+    Technique, TraceConfig,
 };
 use hotg_lang::{corpus, FaultKind, Outcome};
 use hotg_solver::ValidityConfig;
@@ -259,26 +260,28 @@ fn all_targets_panicking_does_not_abort_the_campaign() {
 /// The degradation-ladder satellite: under a starvation-level node
 /// budget the UF validity query for `budget_cliff`'s guard concedes
 /// `Unknown`, but the same target is decidable under sound
-/// concretization. With the ladder the campaign still finds the error —
-/// through a `Degraded { level: Sound }` run that provably cannot
-/// diverge; without the ladder it generates no test at all.
+/// concretization. The ladder still finds the error — through a
+/// `Degraded { level: Sound }` run that provably cannot diverge. The
+/// run that first hits the error is that run, and its rung records
+/// `SolverUnknown`: the technique's own attempt conceded, so only the
+/// ladder produced the test.
 #[test]
 fn degradation_ladder_recovers_budget_cliff() {
     let (program, natives) = corpus::budget_cliff();
     let mut validity = ValidityConfig::default();
     validity.smt.total_node_budget = 1;
-    let base = DriverConfig {
+    let config = DriverConfig {
         validity,
         max_runs: 20,
         threads: 1,
         ..DriverConfig::with_initial(vec![0, 20])
     };
 
-    let with = Driver::new(&program, &natives, base.clone()).run(Technique::HigherOrder);
-    assert!(with.found_error(1), "ladder should recover the error");
-    assert!(with.targets_degraded >= 1);
-    assert!(with.degradations.iter().any(|d| d.recovered));
-    let sound_degraded: Vec<_> = with
+    let report = Driver::new(&program, &natives, config).run(Technique::HigherOrder);
+    assert!(report.found_error(1), "ladder should recover the error");
+    assert!(report.targets_degraded >= 1);
+    assert!(report.degradations.iter().any(|d| d.recovered));
+    let sound_degraded: Vec<_> = report
         .runs
         .iter()
         .filter(|r| {
@@ -299,22 +302,21 @@ fn degradation_ladder_recovers_budget_cliff() {
         assert_ne!(r.diverged, Some(true), "sound concretization diverged");
     }
 
-    let without = Driver::new(
-        &program,
-        &natives,
-        DriverConfig {
-            degradation_ladder: false,
-            ..base
-        },
-    )
-    .run(Technique::HigherOrder);
-    assert!(
-        !without.found_error(1),
-        "without the fallback the target is just rejected"
+    let first = &report.runs[report.first_hit(1).expect("error 1 hit")];
+    let Origin::Degraded { target, level } = first.origin else {
+        panic!("error 1 first hit by a {:?} run", first.origin);
+    };
+    assert_eq!(level, DegradationLevel::Sound);
+    let rung = report
+        .degradations
+        .iter()
+        .find(|d| d.target == target && d.level == level && d.recovered)
+        .expect("the recovering rung is recorded");
+    assert_eq!(
+        rung.reason,
+        DegradationReason::SolverUnknown,
+        "the technique's own attempt conceded"
     );
-    assert_eq!(without.targets_degraded, 0);
-    assert!(without.degradations.is_empty());
-    assert!(without.rejected_targets >= 1);
 }
 
 /// An exhausted node budget makes every solver query concede `Unknown`

@@ -300,8 +300,8 @@ fn digests_are_thread_count_invariant() {
 /// every program × technique × chaos leg, a campaign partitioned across
 /// 2 or 4 shards — each shard running one worker thread or a pool of 4 —
 /// reproduces the single-shard `threads1` digest bit-for-bit. This is the acceptance gate of the sharded
-/// campaign runtime — the partitioner, the state-exchange protocol, and
-/// the multi-stream merge may only change *where* a target is
+/// campaign runtime — the partitioner, the shared per-generation
+/// snapshot, and the multi-stream merge may only change *where* a target is
 /// processed, never a single byte of the canonical report.
 #[test]
 fn digests_are_shard_count_invariant() {

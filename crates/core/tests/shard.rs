@@ -1,5 +1,5 @@
 //! Sharded-campaign suite: shard traces as checkpoints (single-crashed-
-//! shard resume), the offline multi-trace merger, the exchange/balance
+//! shard resume), the offline multi-trace merger, the pinned shard/balance
 //! accounting, and the refusal of checker-rejected programs.
 //!
 //! Shard-count bit-identity itself (shards ∈ {2, 4} vs the blessed
@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{canonical, quiet_injected_panics, tmp};
+use common::{canonical, fnv64, frame_ends, quiet_injected_panics, tmp};
 use hotg_core::{
     fold_report, merge_shard_traces, shard_trace_path, CampaignEvent, Driver, DriverConfig,
     EventLog, FaultPlan, ResumeError, Technique, TraceConfig,
@@ -48,38 +48,40 @@ fn shard_traces_written_at_derived_paths() {
     std::fs::remove_file(&base).ok();
 }
 
-/// The acceptance scenario: one shard's trace is torn mid-campaign by
-/// the kill-switch chaos (a silent writer death, exactly like that
-/// shard's process dying), the canonical trace is lost outright — and
-/// the resumed campaign still reproduces the uninterrupted report
-/// bit-identically from the shard checkpoints, replaying the healthy
-/// shards and re-deriving the crashed one past its salvaged prefix.
-/// A second resume then sees every trace completed in place.
+/// The acceptance scenario: one shard's trace is torn mid-campaign
+/// (cut inside the frame of event k, exactly what that shard's process
+/// dying while writing it leaves behind), the canonical trace is lost
+/// outright — and the resumed campaign still reproduces the
+/// uninterrupted report bit-identically from the shard checkpoints,
+/// replaying the healthy shards and re-deriving the crashed one past
+/// its salvaged prefix. A second resume then sees every trace completed
+/// in place.
 #[test]
 fn crashed_shard_resumes_bit_identically() {
     quiet_injected_panics();
     let (program, natives) = corpus::obscure();
     let width = program.input_width();
     let technique = Technique::HigherOrder;
-    for (leg, shards, chaos, kill_at) in [
-        ("clean-kill0", 2usize, None, 0u64),
-        ("clean-kill5", 2, None, 5),
-        ("chaos-kill3", 4, Some(3), 3),
+    for (leg, shards, chaos, torn_at) in [
+        ("clean-torn0", 2usize, None, 0usize),
+        ("clean-torn5", 2, None, 5),
+        ("chaos-torn3", 4, Some(3), 3),
     ] {
         let base = tmp(&format!("shard-crash-{leg}.trace"));
         let mut cfg = sharded_config(width, shards, chaos);
-        cfg.trace = Some(TraceConfig {
-            chaos_kill_at_event: Some(kill_at),
-            chaos_kill_shard: Some(1),
-            ..TraceConfig::new(&base)
-        });
-        // The campaign survives (shard 1's writer dies silently) and
-        // returns the uninterrupted report to compare against.
+        cfg.trace = Some(TraceConfig::new(&base));
         let baseline = Driver::new(&program, &natives, cfg).run(technique);
         let want = canonical(&baseline);
         // Simulate losing the coordinator: without the canonical trace,
         // resume must work purely from the shard checkpoints.
         std::fs::remove_file(&base).expect("canonical trace existed");
+        // Shard 1 died while writing event `torn_at`: half its frame
+        // reached the file, nothing after it did.
+        let crashed = shard_trace_path(&base, 1, shards);
+        let ends = frame_ends(&crashed);
+        let cut = ends[torn_at] + (ends[torn_at + 1] - ends[torn_at]) / 2;
+        let full = std::fs::read(&crashed).expect("read shard 1 trace");
+        std::fs::write(&crashed, &full[..cut as usize]).expect("tear shard 1 trace");
         let mut rcfg = sharded_config(width, shards, chaos);
         rcfg.trace = Some(TraceConfig::new(&base));
         let resumed = Driver::new(&program, &natives, rcfg)
@@ -298,6 +300,48 @@ fn shard_stats_announced_and_balanced() {
             .iter()
             .any(|e| matches!(e, CampaignEvent::ShardStats { .. })),
         "single-shard campaign must not announce ShardStats"
+    );
+}
+
+/// Pins every `ShardStats` value: one line per corpus program ×
+/// shards ∈ {2, 4} × chaos {off, seed 3} under `HigherOrder`, digested
+/// together. The parity goldens pin only single-shard streams, so this
+/// is the one test that holds the partition and exchange counters
+/// (`per_shard_targets`, `exchange_samples`, `exchange_keys`) fixed.
+#[test]
+fn shard_stats_are_pinned() {
+    quiet_injected_panics();
+    let mut lines = String::new();
+    for (name, ctor) in corpus::all() {
+        let (program, natives) = ctor();
+        let width = program.input_width();
+        for shards in [2usize, 4] {
+            for chaos in [None, Some(3u64)] {
+                let cfg = sharded_config(width, shards, chaos);
+                let mut log = EventLog::new();
+                Driver::new(&program, &natives, cfg)
+                    .run_with_sink(Technique::HigherOrder, &mut log);
+                for e in log.events() {
+                    if let CampaignEvent::ShardStats {
+                        per_shard_targets,
+                        exchange_samples,
+                        exchange_keys,
+                        ..
+                    } = e
+                    {
+                        lines.push_str(&format!(
+                            "{name} shards={shards} chaos={chaos:?} targets={per_shard_targets:?} \
+                             samples={exchange_samples} keys={exchange_keys}\n"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        format!("{:016x}", fnv64(&lines)),
+        "4b4c325ff1b69b07",
+        "ShardStats drifted:\n{lines}"
     );
 }
 

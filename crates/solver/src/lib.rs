@@ -43,6 +43,6 @@ pub use backend::{AbstractBackend, BackendStats, Cascade, ModelVerdict, PreVerdi
 pub use cache::{CacheStats, Keyed, QueryCache};
 pub use smt::{SmtConfig, SmtResult, SmtSolver, Verdict};
 pub use validity::{
-    CounterInterp, Interpretation, Samples, SamplesDelta, Strategy, StrategyBinding,
-    ValidityChecker, ValidityConfig, ValidityOutcome,
+    CounterInterp, Interpretation, Samples, Strategy, StrategyBinding, ValidityChecker,
+    ValidityConfig, ValidityOutcome,
 };

@@ -139,99 +139,6 @@ impl Samples {
         self.entries.hash(&mut h);
         h.finish()
     }
-
-    /// The pairs recorded here but absent from `base`: the delta a
-    /// sharded campaign broadcasts at a generation boundary so replicas
-    /// can catch up without retransmitting the whole table. Pairs whose
-    /// *arguments* exist in `base` are excluded even if the outputs
-    /// disagree — a clash is resolved when the delta is applied, never
-    /// silently re-encoded.
-    pub fn diff(&self, base: &Samples) -> SamplesDelta {
-        let mut delta = SamplesDelta::default();
-        for (f, m) in &self.entries {
-            for (args, out) in m {
-                if base.lookup(*f, args).is_none() {
-                    delta
-                        .entries
-                        .entry(*f)
-                        .or_default()
-                        .insert(args.clone(), *out);
-                }
-            }
-        }
-        delta
-    }
-
-    /// Applies a broadcast delta (the lattice join). On an argument
-    /// clash the *smaller* output wins deterministically, making the
-    /// join commutative, associative, and idempotent regardless of
-    /// delivery order. Clashes cannot arise in a real campaign — unknown
-    /// natives are deterministic functions, so two shards observing
-    /// `f(args)` record the same output — the rule exists so randomized
-    /// merge-semantics tests hold unconditionally.
-    pub fn apply_delta(&mut self, delta: &SamplesDelta) {
-        for (f, m) in &delta.entries {
-            for (args, out) in m {
-                let slot = self.entries.entry(*f).or_default();
-                match slot.get_mut(args) {
-                    Some(prev) if *prev <= *out => {}
-                    Some(prev) => {
-                        *prev = *out;
-                        self.antecedent = OnceLock::new();
-                    }
-                    None => {
-                        slot.insert(args.clone(), *out);
-                        self.antecedent = OnceLock::new();
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A set of `IOF` pairs exchanged between campaign shards at a
-/// generation boundary: the canonical (BTreeMap-ordered) encoding of
-/// "samples recorded since the last broadcast". Produced by
-/// [`Samples::diff`], consumed by [`Samples::apply_delta`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SamplesDelta {
-    entries: BTreeMap<FuncSym, BTreeMap<Vec<i64>, i64>>,
-}
-
-impl SamplesDelta {
-    /// Number of pairs carried by the delta (its exchange size).
-    pub fn len(&self) -> usize {
-        self.entries.values().map(BTreeMap::len).sum()
-    }
-
-    /// `true` when the delta carries nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Records one pair into the delta (tests and adversarial
-    /// merge-semantics checks; campaign deltas come from
-    /// [`Samples::diff`]). The smaller output wins on a clash, mirroring
-    /// [`Samples::apply_delta`].
-    pub fn record(&mut self, f: FuncSym, args: Vec<i64>, out: i64) {
-        let slot = self.entries.entry(f).or_default();
-        match slot.get_mut(&args) {
-            Some(prev) => *prev = (*prev).min(out),
-            None => {
-                slot.insert(args, out);
-            }
-        }
-    }
-
-    /// Joins another delta into this one (union; smaller output wins on
-    /// clashes). Commutative, associative, and idempotent.
-    pub fn merge(&mut self, other: &SamplesDelta) {
-        for (f, m) in &other.entries {
-            for (args, out) in m {
-                self.record(*f, args.clone(), *out);
-            }
-        }
-    }
 }
 
 /// One binding of a [`Strategy`]: set input `var` to the ground term
