@@ -3,6 +3,7 @@
 //! Path constraints in the paper are conjunctions of such atoms (and their
 //! negations) collected at conditional statements (Figure 2, lines 13–14).
 
+use crate::hash::FastSet;
 use crate::model::Model;
 use crate::sym::Signature;
 use crate::term::Term;
@@ -150,15 +151,15 @@ impl Atom {
     /// All uninterpreted applications in either side (innermost first).
     pub fn apps(&self) -> Vec<Term> {
         let mut out = Vec::new();
-        self.lhs.collect_apps(&mut out);
-        let mut rhs_apps = Vec::new();
-        self.rhs.collect_apps(&mut rhs_apps);
-        for a in rhs_apps {
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
+        self.collect_apps(&mut out, &mut FastSet::default());
         out
+    }
+
+    /// Appends to `out` every application of either side not yet in
+    /// `seen`, in first-seen order.
+    pub(crate) fn collect_apps<'a>(&'a self, out: &mut Vec<Term>, seen: &mut FastSet<&'a Term>) {
+        self.lhs.collect_apps(out, seen);
+        self.rhs.collect_apps(out, seen);
     }
 
     /// Applies a variable substitution to both sides.

@@ -7,6 +7,7 @@
 //! disjunctions.
 
 use crate::atom::Atom;
+use crate::hash::FastSet;
 use crate::model::Model;
 use crate::sym::{Signature, Var};
 use crate::term::Term;
@@ -168,24 +169,18 @@ impl Formula {
     /// (deduplicated, innermost first).
     pub fn apps(&self) -> Vec<Term> {
         let mut out = Vec::new();
-        self.collect_apps(&mut out);
+        self.collect_apps(&mut out, &mut FastSet::default());
         out
     }
 
-    fn collect_apps(&self, out: &mut Vec<Term>) {
+    fn collect_apps<'a>(&'a self, out: &mut Vec<Term>, seen: &mut FastSet<&'a Term>) {
         match self {
             Formula::True | Formula::False => {}
-            Formula::Atom(a) => {
-                for t in a.apps() {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
-                }
-            }
-            Formula::Not(f) => f.collect_apps(out),
+            Formula::Atom(a) => a.collect_apps(out, seen),
+            Formula::Not(f) => f.collect_apps(out, seen),
             Formula::And(fs) | Formula::Or(fs) => {
                 for f in fs {
-                    f.collect_apps(out);
+                    f.collect_apps(out, seen);
                 }
             }
         }
@@ -396,6 +391,38 @@ mod tests {
         let f = Formula::atom(Atom::eq(app.clone(), Term::int(1)))
             .and(Formula::atom(Atom::ne(app.clone(), Term::int(2))));
         assert_eq!(f.apps(), vec![app]);
+    }
+
+    #[test]
+    fn apps_keep_first_seen_order_over_nesting_and_repeats() {
+        let mut sig = Signature::new();
+        let x = sig.declare_var("x", Sort::Int);
+        let y = sig.declare_var("y", Sort::Int);
+        let z = sig.declare_var("z", Sort::Int);
+        let h = sig.declare_func("h", 1);
+        let g = sig.declare_func("g", 2);
+        let hx = Term::app(h, vec![Term::var(x)]);
+        let hy = Term::app(h, vec![Term::var(y)]);
+        let hz = Term::app(h, vec![Term::var(z)]);
+        let hhx = Term::app(h, vec![hx.clone()]);
+        let hhhx = Term::app(h, vec![hhx.clone()]);
+        let gxy = Term::app(g, vec![hx.clone(), hy.clone()]);
+        // Arguments precede their application, the lhs precedes the rhs,
+        // and a repeat (at any depth, in any atom) keeps its first place.
+        let first = Atom::new(gxy.clone() + hhx.clone(), Rel::Lt, hy.clone());
+        let second = Atom::eq(hhhx.clone(), gxy.clone() + hx.clone());
+        let third = Atom::eq(hz.clone(), hx.clone());
+        assert_eq!(
+            first.apps(),
+            vec![hx.clone(), hy.clone(), gxy.clone(), hhx.clone()]
+        );
+        assert_eq!(
+            Atom::eq(hy.clone(), hx.clone() + hy.clone()).apps(),
+            vec![hy.clone(), hx.clone()]
+        );
+        let f = Formula::atom(first)
+            .and(Formula::atom(second).or(Formula::Not(Box::new(Formula::atom(third)))));
+        assert_eq!(f.apps(), vec![hx, hy, gxy, hhx, hhhx, hz]);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! lets the cache return memoized [`Model`](crate::Model)s directly.
 
 use crate::formula::Formula;
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -100,6 +101,73 @@ impl Hasher for StableHasher {
         self.write_u64(i as u64);
     }
 }
+
+/// Multiplier of [`FastHasher`] (the one rustc's `FxHasher` uses).
+const FAST_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// A fast, unkeyed word-at-a-time [`Hasher`] for in-memory lookup
+/// tables that live for one call (the solver's per-query theory table,
+/// app-collection seen-sets). It folds each word with a rotate, xor and
+/// multiply instead of SipHash's rounds. Like [`StableHasher`] it is not
+/// collision-resistant; every table that uses it compares full keys on a
+/// hash match, and none is iterated, so the hash never shows in a result.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FastHasher(u64);
+
+impl FastHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FAST_SEED);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        for &b in chunks.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.add(i as u64);
+        self.add((i >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+}
+
+/// A `HashMap` hashed with [`FastHasher`].
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A `HashSet` hashed with [`FastHasher`].
+pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 impl Formula {
     /// A deterministic 64-bit structural hash of the formula.

@@ -59,7 +59,7 @@ pub use arena::{ArenaStats, InternedFormula, InternedTerm, LogicArena};
 pub use atom::{Atom, AtomDisplay, Rel};
 pub use domain::{Constancy, Interval};
 pub use formula::{Formula, FormulaDisplay};
-pub use hash::StableHasher;
+pub use hash::{FastHasher, FastMap, FastSet, StableHasher};
 pub use linear::{LinConstraint, LinExpr, LinKey, NonLinearError};
 pub use model::{FuncInterp, Model, ModelDisplay};
 pub use rat::Rat;

@@ -6,6 +6,7 @@
 //! applications* `f(args)` (Figure 3, line 12 of the paper). Boolean
 //! structure lives in [`crate::Atom`] and [`crate::Formula`].
 
+use crate::hash::FastSet;
 use crate::model::Model;
 use crate::sym::{FuncSym, Signature, Var};
 use std::collections::BTreeSet;
@@ -157,24 +158,26 @@ impl Term {
     /// innermost first so nested applications precede their parents).
     pub fn apps(&self) -> Vec<Term> {
         let mut out = Vec::new();
-        self.collect_apps(&mut out);
+        self.collect_apps(&mut out, &mut FastSet::default());
         out
     }
 
-    pub(crate) fn collect_apps(&self, out: &mut Vec<Term>) {
+    /// Appends to `out` every application of the term not yet in `seen`,
+    /// innermost first, in first-seen order.
+    pub(crate) fn collect_apps<'a>(&'a self, out: &mut Vec<Term>, seen: &mut FastSet<&'a Term>) {
         match self {
             Term::Var(_) | Term::Int(_) => {}
             Term::App(_, args) => {
                 for a in args {
-                    a.collect_apps(out);
+                    a.collect_apps(out, seen);
                 }
-                if !out.contains(self) {
+                if seen.insert(self) {
                     out.push(self.clone());
                 }
             }
             Term::Op(_, args) => {
                 for a in args {
-                    a.collect_apps(out);
+                    a.collect_apps(out, seen);
                 }
             }
         }

@@ -16,21 +16,26 @@
 //! bounds (no artificial global bounds, no branch splits); otherwise
 //! `core` is `None` and callers fall back to weaker conflict clauses.
 //!
-//! The solver works on constraints over dense key ids
-//! (`IntConstraint<u32>`). The SMT encoder interns its keys once per
-//! query, ranked in `LinKey` order, and every refinement round and
-//! core-minimization probe calls the id-keyed core directly;
-//! [`solve_int`] interns a `LinKey` system the same way first. A call
+//! The solver works on constraints over the rows of a
+//! `TheoryTable`: each `Con` names a row by index plus a sign, a
+//! constant and a kind. The SMT encoder builds one table per query, its
+//! keys ranked in `LinKey` order, and every refinement round and
+//! core-minimization probe calls the table-keyed core directly;
+//! [`solve_int`] builds a table from its `LinKey` system first. A call
 //! gives the keys its constraints mention simplex variables `0..` in id
-//! order, which is the order of the sorted key universe, builds one
-//! full-range root tableau, and clones it per branch-and-bound node,
-//! adding only that node's branch bounds; each preference box tightens
-//! the key bounds on another clone of the same root. A clone is the
-//! tableau a per-node (or per-box) rebuild would produce, so the nodes,
-//! pivots, cores and models are exactly those of rebuilding (the kernel
-//! contract in `DESIGN.md`, pinned by `tests/kernel_golden.rs`).
+//! order, which is the order of the sorted key universe, and builds one
+//! full-range root tableau in one pass from the rows, which are already
+//! sorted ([`Simplex::from_rows`]). Every branch-and-bound node clones
+//! the root and asserts its own bounds: for a preference box, the box's
+//! key bounds first, then the node's branch bounds. A box that the
+//! interval of one asserted row already refutes is not searched: it is
+//! charged the one node its search would spend on the infeasible root.
+//! The nodes, pivots, cores and models are exactly those of rebuilding
+//! the tableau per node (the kernel contract in `DESIGN.md`, pinned by
+//! `tests/kernel_golden.rs`).
 
-use crate::simplex::{BoundKind, Simplex, SimplexResult};
+use crate::atoms::{Con, TheoryTable};
+use crate::simplex::{BoundKind, Simplex, SimplexResult, SlackRow};
 use hotg_logic::{LinKey, Rat};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -45,24 +50,20 @@ pub enum ConKind {
 }
 
 /// A normalized integer linear constraint `Σ coeffᵢ·keyᵢ + constant ⋈ 0`.
-///
-/// Keys are [`LinKey`]s at the API. Inside the SMT encoder they are dense
-/// `u32` ids ranked in `LinKey` order, interned once per query, so the
-/// refinement rounds never compare or clone a `LinKey`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IntConstraint<K = LinKey> {
+pub struct IntConstraint {
     /// Sorted, deduplicated `(key, coefficient)` pairs with nonzero coeffs.
-    pub coeffs: Vec<(K, i128)>,
+    pub coeffs: Vec<(LinKey, i128)>,
     /// Constant offset.
     pub constant: i128,
     /// Relation against zero.
     pub kind: ConKind,
 }
 
-impl<K: Ord> IntConstraint<K> {
+impl IntConstraint {
     /// Evaluates the constraint under an assignment; `None` if a key is
     /// missing.
-    pub fn eval(&self, assign: &BTreeMap<K, i64>) -> Option<bool> {
+    pub fn eval(&self, assign: &BTreeMap<LinKey, i64>) -> Option<bool> {
         let mut total = self.constant;
         for (k, c) in &self.coeffs {
             let v = *assign.get(k)? as i128;
@@ -115,6 +116,10 @@ pub struct LiaConfig {
     /// Prefer small-magnitude solutions: on success, retry inside
     /// progressively larger boxes (±2⁴, ±2⁸, ±2¹⁶) and return the first
     /// feasible small model. Generated test inputs stay human-sized.
+    /// Every box attempt draws at least one node from the budget, a box
+    /// skipped because one asserted row's interval already refutes it
+    /// included (it is charged the node its search would spend proving
+    /// the boxed root infeasible); only an exhausted budget draws none.
     pub prefer_small: bool,
 }
 
@@ -181,16 +186,16 @@ pub fn solve_int<C: Borrow<IntConstraint>>(constraints: &[C], config: &LiaConfig
 ///
 /// Both entry points take owned constraints or references, so a caller
 /// holding its constraints elsewhere need not clone them per call. They
-/// intern the keys and run the id-keyed core the SMT solver calls.
+/// put the system in a `TheoryTable` and run the table-keyed core the
+/// SMT solver calls.
 pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
     constraints: &[C],
     config: &LiaConfig,
     budget: &mut u64,
 ) -> LiaResult {
     let constraints: Vec<&IntConstraint> = constraints.iter().map(Borrow::borrow).collect();
-    let (keys, interned) = intern(&constraints);
-    let refs: Vec<&IntConstraint<u32>> = interned.iter().collect();
-    match solve_ids(&refs, keys.len(), config, budget) {
+    let (table, keys, cons) = TheoryTable::of_constraints(&constraints);
+    match solve_ids(&table, &cons, config, budget) {
         LiaResult::Sat(model) => LiaResult::Sat(
             model
                 .into_iter()
@@ -202,92 +207,48 @@ pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
     }
 }
 
-/// Interns the constraints' keys: returns the sorted key universe and
-/// every constraint over ids into it (the keys' ranks in `LinKey` order),
-/// terms in their original order.
-fn intern(constraints: &[&IntConstraint]) -> (Vec<LinKey>, Vec<IntConstraint<u32>>) {
-    let mut keys: Vec<&LinKey> = constraints
-        .iter()
-        .flat_map(|con| con.coeffs.iter().map(|(k, _)| k))
-        .collect();
-    keys.sort();
-    keys.dedup();
-    let interned = constraints
-        .iter()
-        .map(|con| IntConstraint {
-            coeffs: con
-                .coeffs
-                .iter()
-                .map(|(k, c)| {
-                    // Every key was collected above.
-                    let id = keys.binary_search(&k).expect("interned key");
-                    (id as u32, *c)
-                })
-                .collect(),
-            constant: con.constant,
-            kind: con.kind,
-        })
-        .collect();
-    (keys.into_iter().cloned().collect(), interned)
-}
-
-/// Decides integer feasibility of constraints over key ids below
-/// `n_keys`: the core of [`solve_int_budgeted`], and what the SMT solver
-/// calls each refinement round and each core-minimization probe.
+/// Decides integer feasibility of constraints over the rows of `table`:
+/// the core of [`solve_int_budgeted`], and what the SMT solver calls each
+/// refinement round and each core-minimization probe.
 ///
 /// The keys the constraints mention become simplex variables `0..` in id
 /// order, so pivots, branches, cores and models are those of the sorted
-/// `LinKey` universe. One full-range root tableau is built per call; each
-/// preference box tightens the key bounds on a clone of it, which is the
-/// tableau a rebuild would produce (every key is still at 0).
+/// `LinKey` universe. One full-range root tableau is built per call; a
+/// node of a preference box's search asserts the box's key bounds on its
+/// clone of it, which is the tableau a rebuild would produce (every key
+/// is still at 0).
 pub(crate) fn solve_ids(
-    constraints: &[&IntConstraint<u32>],
-    n_keys: usize,
+    table: &TheoryTable,
+    constraints: &[Con],
     config: &LiaConfig,
     budget: &mut u64,
 ) -> LiaResult<IdModel> {
     // GCD pre-test: Σ aᵢxᵢ = -c is integer-infeasible when gcd(aᵢ) ∤ c.
     for (i, con) in constraints.iter().enumerate() {
-        if con.kind == ConKind::Eq && !con.coeffs.is_empty() {
-            let g = con.coeffs.iter().fold(0i128, |acc, (_, c)| gcd128(acc, *c));
-            if g > 1 && con.constant % g != 0 {
-                return LiaResult::Unsat {
-                    core: Some(vec![i]),
-                };
-            }
-        }
-        if con.coeffs.is_empty() {
-            let ok = match con.kind {
+        let row = table.row(con.row);
+        let ok = if row.is_empty() {
+            match con.kind {
                 ConKind::Eq => con.constant == 0,
                 ConKind::Le => con.constant <= 0,
-            };
-            if !ok {
-                return LiaResult::Unsat {
-                    core: Some(vec![i]),
-                };
             }
+        } else if con.kind == ConKind::Eq {
+            let g = row.iter().fold(0i128, |acc, &(_, c)| gcd128(acc, c));
+            g <= 1 || con.constant % g == 0
+        } else {
+            true
+        };
+        if !ok {
+            return LiaResult::Unsat {
+                core: Some(vec![i]),
+            };
         }
     }
 
-    // Simplex variable per mentioned key, in id order.
-    let mut var_of = vec![u32::MAX; n_keys];
-    for con in constraints {
-        for &(id, _) in &con.coeffs {
-            var_of[id as usize] = 0;
-        }
-    }
-    let mut present: Vec<u32> = Vec::new();
-    for (id, var) in var_of.iter_mut().enumerate() {
-        if *var != u32::MAX {
-            *var = present.len() as u32;
-            present.push(id as u32);
-        }
-    }
-
-    let root = root_tableau(constraints, &var_of, present.len(), config);
-    let full = branch(&root, &present, budget);
+    let (var_of, present) = key_vars(table, constraints);
+    let root = root_tableau(table, constraints, &var_of, present.len(), config);
+    let full = branch(&root, &present, None, budget);
     if config.prefer_small {
-        if let (LiaResult::Sat(fallback), Ok(root)) = (&full, &root) {
+        if let LiaResult::Sat(fallback) = &full {
             // The problem is feasible; look for a small-magnitude model
             // inside progressively larger boxes (a solution of a boxed
             // problem solves the full problem too). Keep the full-range
@@ -300,8 +261,13 @@ pub(crate) fn solve_ids(
                 if fallback.iter().all(|(_, v)| v.abs() <= bound) {
                     break; // already small enough
                 }
-                let boxed = key_bounds(root.clone(), present.len(), -bound, bound);
-                if let LiaResult::Sat(m) = branch(&boxed, &present, budget) {
+                if box_refuted(table, constraints, bound) {
+                    // The boxed root is infeasible: its search would
+                    // spend one node (none from an empty pool) and miss.
+                    *budget = budget.saturating_sub(1);
+                    continue;
+                }
+                if let LiaResult::Sat(m) = branch(&root, &present, Some(bound), budget) {
                     return LiaResult::Sat(m);
                 }
             }
@@ -310,62 +276,87 @@ pub(crate) fn solve_ids(
     full
 }
 
-/// Bounds the first `n_keys` variables of `s` to `[min, max]`. `Err`
-/// carries the outcome of bounds that already conflict.
-fn key_bounds(mut s: Simplex, n_keys: usize, min: i64, max: i64) -> Result<Simplex, NodeOutcome> {
-    for v in 0..n_keys {
-        if s.assert_bound(v, BoundKind::Lower, Rat::from(min), None)
-            .is_err()
-            || s.assert_bound(v, BoundKind::Upper, Rat::from(max), None)
-                .is_err()
-        {
-            return Err(NodeOutcome::Infeasible);
+/// The simplex variable of each key id the constraints mention (in id
+/// order; `u32::MAX` for the others), and the mentioned ids by variable.
+fn key_vars(table: &TheoryTable, constraints: &[Con]) -> (Vec<u32>, Vec<u32>) {
+    let mut var_of = vec![u32::MAX; table.n_keys()];
+    for con in constraints {
+        for &(id, _) in table.row(con.row) {
+            var_of[id as usize] = 0;
         }
     }
-    Ok(s)
+    let mut present: Vec<u32> = Vec::new();
+    for (id, var) in var_of.iter_mut().enumerate() {
+        if *var != u32::MAX {
+            *var = present.len() as u32;
+            present.push(id as u32);
+        }
+    }
+    (var_of, present)
 }
 
-/// The full-range root tableau of one LIA call: a variable per mentioned
-/// key under the global bounds, and a tagged slack row per constraint.
-/// Every node starts from a clone of it, which is the same tableau a
-/// per-node rebuild would produce. `Err` carries the outcome of a
-/// tableau whose bounds already conflict.
+/// `true` if some constraint cannot hold with every key in
+/// `[-bound, bound]`: its row ranges over `±bound · Σ|aᵢ|` there, and
+/// adding its constant puts that interval outside its relation. Computed
+/// with checked arithmetic; a row whose interval overflows refutes
+/// nothing.
+fn box_refuted(table: &TheoryTable, constraints: &[Con], bound: i64) -> bool {
+    constraints.iter().any(|con| {
+        let reach = table
+            .row(con.row)
+            .iter()
+            .try_fold(0i128, |acc, &(_, c)| acc.checked_add(c.checked_abs()?))
+            .and_then(|norm| norm.checked_mul(i128::from(bound)));
+        let Some(reach) = reach else {
+            return false;
+        };
+        match con.kind {
+            // The least value, constant - reach, is positive.
+            ConKind::Le => con.constant > reach,
+            // Zero lies outside [constant - reach, constant + reach].
+            ConKind::Eq => con.constant > reach || con.constant < -reach,
+        }
+    })
+}
+
+/// The full-range root tableau of one LIA call, built in one pass: a
+/// variable per mentioned key under the global bounds, and a tagged
+/// slack row per constraint with keys (the rows list their keys in id
+/// order, hence in variable order). Every node starts from a clone of
+/// it, which is the same tableau a per-node rebuild would produce. `Err`
+/// carries the outcome of a tableau whose bounds already conflict.
 fn root_tableau(
-    constraints: &[&IntConstraint<u32>],
+    table: &TheoryTable,
+    constraints: &[Con],
     var_of: &[u32],
     n_vars: usize,
     config: &LiaConfig,
 ) -> Result<Simplex, NodeOutcome> {
-    let mut s = Simplex::new();
-    for _ in 0..n_vars {
-        s.new_var();
+    if n_vars > 0 && config.var_min > config.var_max {
+        return Err(NodeOutcome::Infeasible);
     }
-    let mut s = key_bounds(s, n_vars, config.var_min, config.var_max)?;
-    let mut terms: Vec<(usize, Rat)> = Vec::new();
-    for (ci, con) in constraints.iter().enumerate() {
-        if con.coeffs.is_empty() {
-            continue; // validated in solve_ids
-        }
-        terms.clear();
-        terms.extend(
-            con.coeffs
-                .iter()
-                .map(|&(id, c)| (var_of[id as usize] as usize, Rat::from(c))),
-        );
-        let tag = Some(ci as u32);
-        let slack = s.add_row(&terms);
-        let target = Rat::from(-con.constant);
-        let result = match con.kind {
-            ConKind::Eq => s
-                .assert_bound(slack, BoundKind::Lower, target, tag)
-                .and_then(|()| s.assert_bound(slack, BoundKind::Upper, target, tag)),
-            ConKind::Le => s.assert_bound(slack, BoundKind::Upper, target, tag),
-        };
-        if let Err(expl) = result {
-            return Err(unsat_node(&expl));
-        }
-    }
-    Ok(s)
+    let rows = constraints
+        .iter()
+        .enumerate()
+        // Keyless constraints were validated in solve_ids.
+        .filter(|(_, con)| !table.row(con.row).is_empty())
+        .map(|(ci, con)| {
+            let target = Rat::from(-con.constant);
+            SlackRow {
+                terms: con
+                    .coeffs(table)
+                    .map(|(id, c)| (var_of[id as usize] as usize, Rat::from(c))),
+                lower: (con.kind == ConKind::Eq).then_some(target),
+                upper: Some(target),
+                tag: Some(ci as u32),
+            }
+        });
+    Ok(Simplex::from_rows(
+        n_vars,
+        Rat::from(config.var_min),
+        Rat::from(config.var_max),
+        rows,
+    ))
 }
 
 /// Branch-and-bound over the rational relaxation, depth-first with an
@@ -376,11 +367,12 @@ fn root_tableau(
 fn branch(
     root: &Result<Simplex, NodeOutcome>,
     keys: &[u32],
+    box_bound: Option<i64>,
     budget: &mut u64,
 ) -> LiaResult<IdModel> {
     let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![Vec::new()];
     while let Some(bounds) = work.pop() {
-        match branch_node(root, keys, &bounds, budget) {
+        match branch_node(root, keys, box_bound, &bounds, budget) {
             NodeOutcome::Done(result) => return result,
             NodeOutcome::Infeasible => {}
             NodeOutcome::Split { index, floor } => {
@@ -418,6 +410,7 @@ enum NodeOutcome {
 fn branch_node(
     root: &Result<Simplex, NodeOutcome>,
     keys: &[u32],
+    box_bound: Option<i64>,
     extra_bounds: &[(usize, BoundKind, Rat)],
     budget: &mut u64,
 ) -> NodeOutcome {
@@ -430,7 +423,15 @@ fn branch_node(
         Ok(s) => s.clone(),
         Err(outcome) => return outcome.clone(),
     };
-    for &(i, kind, c) in extra_bounds {
+    let box_bounds = box_bound.into_iter().flat_map(|b| {
+        (0..keys.len()).flat_map(move |v| {
+            [
+                (v, BoundKind::Lower, Rat::from(-b)),
+                (v, BoundKind::Upper, Rat::from(b)),
+            ]
+        })
+    });
+    for (i, kind, c) in box_bounds.chain(extra_bounds.iter().copied()) {
         if let Err(expl) = s.assert_bound(i, kind, c, None) {
             return unsat_node(&expl);
         }
@@ -479,6 +480,137 @@ fn unsat_node(expl: &[Option<u32>]) -> NodeOutcome {
 mod tests {
     use super::*;
     use hotg_logic::{Signature, Sort, Var};
+    use hotg_prop::prelude::*;
+    use hotg_prop::TestRng;
+
+    fn six_keys() -> Vec<LinKey> {
+        let mut sig = Signature::new();
+        (0..6)
+            .map(|i| LinKey::Var(sig.declare_var(format!("k{i}"), Sort::Int)))
+            .collect()
+    }
+
+    /// A random system over `keys`: rows of one to three keys with
+    /// small coefficients, and constants up to beyond ±2¹⁶, so that some
+    /// rows refute some preference boxes.
+    fn random_system(rng: &mut TestRng, keys: &[LinKey], n: usize) -> Vec<IntConstraint> {
+        (0..n)
+            .map(|_| {
+                let mut coeffs: Vec<(LinKey, i128)> = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let k = &keys[rng.below(keys.len() as u64) as usize];
+                    let c = rng.in_span(-4, 4);
+                    if c != 0 && !coeffs.iter().any(|(kk, _)| kk == k) {
+                        coeffs.push((k.clone(), c));
+                    }
+                }
+                coeffs.sort();
+                let magnitude = [20i128, 300, 70_000][rng.below(3) as usize];
+                IntConstraint {
+                    coeffs,
+                    constant: rng.in_span(-magnitude, magnitude),
+                    kind: if rng.below(2) == 0 {
+                        ConKind::Eq
+                    } else {
+                        ConKind::Le
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// The root tableau as a per-constraint build makes it: `add_row` and
+    /// then the slack's bounds, after the key variables and their bounds.
+    fn root_by_add_row(
+        table: &TheoryTable,
+        constraints: &[Con],
+        var_of: &[u32],
+        n_vars: usize,
+        config: &LiaConfig,
+    ) -> Option<Simplex> {
+        let mut s = Simplex::new();
+        for _ in 0..n_vars {
+            s.new_var();
+        }
+        for v in 0..n_vars {
+            s.assert_bound(v, BoundKind::Lower, Rat::from(config.var_min), None)
+                .ok()?;
+            s.assert_bound(v, BoundKind::Upper, Rat::from(config.var_max), None)
+                .ok()?;
+        }
+        for (ci, con) in constraints.iter().enumerate() {
+            if table.row(con.row).is_empty() {
+                continue;
+            }
+            let terms: Vec<(usize, Rat)> = con
+                .coeffs(table)
+                .map(|(id, c)| (var_of[id as usize] as usize, Rat::from(c)))
+                .collect();
+            let slack = s.add_row(&terms);
+            let (target, tag) = (Rat::from(-con.constant), Some(ci as u32));
+            if con.kind == ConKind::Eq {
+                s.assert_bound(slack, BoundKind::Lower, target, tag).ok()?;
+            }
+            s.assert_bound(slack, BoundKind::Upper, target, tag).ok()?;
+        }
+        Some(s)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn one_pass_root_equals_the_add_row_build(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let n = 1 + rng.below(150) as usize;
+            let constraints = random_system(&mut rng, &six_keys(), n);
+            let refs: Vec<&IntConstraint> = constraints.iter().collect();
+            let (table, _, cons) = TheoryTable::of_constraints(&refs);
+            let (var_min, var_max) =
+                [(-(1i64 << 32), 1i64 << 32), (-8, 8), (3, 40), (-40, -3)][rng.below(4) as usize];
+            let config = LiaConfig { var_min, var_max, ..LiaConfig::default() };
+            let (var_of, present) = key_vars(&table, &cons);
+            let one_pass = root_tableau(&table, &cons, &var_of, present.len(), &config);
+            let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
+            // Rows, bounds, tags, values, column index and violated set.
+            prop_assert!(matches!((&one_pass, &by_rows), (Ok(a), Some(b)) if a == b));
+        }
+
+        #[test]
+        fn a_skipped_box_is_one_infeasible_node(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let n = 1 + rng.below(12) as usize;
+            let keys = six_keys();
+            let mut constraints = random_system(&mut rng, &keys, n);
+            // A keyless constraint is decided before any box is tried.
+            constraints.retain(|c| !c.coeffs.is_empty());
+            // A single-key equality beyond ±2⁴ refutes at least that box.
+            let pin = keys[rng.below(keys.len() as u64) as usize].clone();
+            let value = [17i128, 300, 70_000][rng.below(3) as usize];
+            constraints.push(IntConstraint {
+                coeffs: vec![(pin, 1)],
+                constant: if rng.below(2) == 0 { value } else { -value },
+                kind: ConKind::Eq,
+            });
+            let refs: Vec<&IntConstraint> = constraints.iter().collect();
+            let (table, _, cons) = TheoryTable::of_constraints(&refs);
+            let config = LiaConfig::default();
+            let (var_of, present) = key_vars(&table, &cons);
+            let root = root_tableau(&table, &cons, &var_of, present.len(), &config);
+            prop_assert!(box_refuted(&table, &cons, 1 << 4));
+            for p in [4u32, 8, 16] {
+                let bound = 1i64 << p;
+                if !box_refuted(&table, &cons, bound) {
+                    continue;
+                }
+                for start in [0u64, 1, 2, 40] {
+                    let mut budget = start;
+                    let result = branch(&root, &present, Some(bound), &mut budget);
+                    prop_assert!(!matches!(result, LiaResult::Sat(_)), "box {p}: {result:?}");
+                    prop_assert_eq!(start - budget, start.min(1), "box {}", p);
+                }
+            }
+        }
+    }
 
     fn keys3() -> (LinKey, LinKey, LinKey) {
         let mut sig = Signature::new();

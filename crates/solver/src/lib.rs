@@ -14,7 +14,8 @@
 //!
 //! * [`simplex`] — rational feasibility (Dutertre–de Moura general simplex);
 //! * [`lia`] — integer layer: GCD pre-test + branch-and-bound;
-//! * [`atoms`] — canonicalization of atoms into `Eq`/`Le` primitives;
+//! * [`atoms`] — canonicalization of atoms into `Eq`/`Le` primitives over
+//!   the rows of one flat theory table per query;
 //! * [`euf`] — ground congruence closure (EUF);
 //! * [`smt`] — lazy DPLL(T) with Ackermann expansion of applications;
 //! * [`backend`] — abstract-interpretation pre-solver consulted by the

@@ -49,7 +49,7 @@ pub enum SimplexResult {
     Unsat(Explanation),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct VarState {
     lower: Option<(Rat, Option<u32>)>,
     upper: Option<(Rat, Option<u32>)>,
@@ -58,7 +58,7 @@ struct VarState {
     row: Option<usize>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Row {
     /// The basic variable this row defines.
     basic: usize,
@@ -163,11 +163,27 @@ fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
+/// A row of a tableau built by [`Simplex::from_rows`]: the terms of its
+/// slack `s = Σ coeff·var` and the slack's bounds, which carry `tag`.
+#[derive(Clone, Debug)]
+pub struct SlackRow<T> {
+    /// `(var, coeff)` pairs, in increasing variable order.
+    pub terms: T,
+    /// Lower bound of the slack, if any.
+    pub lower: Option<Rat>,
+    /// Upper bound of the slack, if any.
+    pub upper: Option<Rat>,
+    /// Provenance tag of both bounds.
+    pub tag: Option<u32>,
+}
+
 /// A simplex tableau over rationals.
 ///
 /// Usage: allocate variables with [`Simplex::new_var`], define linear rows
 /// with [`Simplex::add_row`] (introducing slack variables upstream), assert
 /// bounds with [`Simplex::assert_bound`], then call [`Simplex::check`].
+/// [`Simplex::from_rows`] builds a bounded tableau of slack rows over
+/// fresh variables in one pass.
 ///
 /// # Examples
 ///
@@ -185,7 +201,7 @@ fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
 /// s.assert_bound(y, BoundKind::Lower, Rat::from(1), Some(2)).unwrap();
 /// assert!(matches!(s.check(), SimplexResult::Sat(_)));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Simplex {
     vars: Vec<VarState>,
     rows: Vec<Row>,
@@ -279,6 +295,77 @@ impl Simplex {
             terms: row_terms,
         });
         s
+    }
+
+    /// Builds in one pass the tableau that [`Simplex::new`], `n_vars`
+    /// calls of [`Simplex::new_var`], the bounds `[lower, upper]` on each
+    /// of those variables, and then per row an [`Simplex::add_row`] of
+    /// its terms followed by its slack's bounds would build: the same
+    /// variables, values, bounds, tags, rows, column index and violated
+    /// set. The columns and the violated set are sized once, and each
+    /// row's terms take one allocation.
+    ///
+    /// Each row's terms must name variables below `n_vars` in increasing
+    /// order with nonzero coefficients, and `lower ≤ upper` (with no
+    /// variables any bounds do).
+    pub fn from_rows<R, T>(n_vars: usize, lower: Rat, upper: Rat, rows: R) -> Simplex
+    where
+        R: Iterator<Item = SlackRow<T>>,
+        T: ExactSizeIterator<Item = (usize, Rat)>,
+    {
+        debug_assert!(n_vars == 0 || lower <= upper);
+        // Bounding a variable at 0 moves it to the nearer bound.
+        let value = if Rat::ZERO < lower {
+            lower
+        } else if upper < Rat::ZERO {
+            upper
+        } else {
+            Rat::ZERO
+        };
+        let key = VarState {
+            lower: Some((lower, None)),
+            upper: Some((upper, None)),
+            value,
+            row: None,
+        };
+        let (min_rows, max_rows) = rows.size_hint();
+        let n_rows = max_rows.unwrap_or(min_rows);
+        let mut vars = Vec::with_capacity(n_vars + n_rows);
+        vars.resize(n_vars, key);
+        let mut row_list: Vec<Row> = Vec::with_capacity(n_rows);
+        for slack in rows {
+            let terms: Vec<(usize, Rat)> = slack.terms.collect();
+            debug_assert!(terms.windows(2).all(|w| w[0].0 < w[1].0));
+            debug_assert!(terms.iter().all(|&(v, c)| v < n_vars && !c.is_zero()));
+            let value = terms.iter().map(|&(v, c)| vars[v].value * c).sum();
+            vars.push(VarState {
+                lower: slack.lower.map(|l| (l, slack.tag)),
+                upper: slack.upper.map(|u| (u, slack.tag)),
+                value,
+                row: Some(row_list.len()),
+            });
+            row_list.push(Row {
+                basic: vars.len() - 1,
+                terms,
+            });
+        }
+        let stride = row_list.len().div_ceil(64);
+        let mut cols = vec![0; vars.len() * stride];
+        let mut violated = vec![0; vars.len().div_ceil(64)];
+        for (r, row) in row_list.iter().enumerate() {
+            for &(v, _) in &row.terms {
+                set_bit(&mut cols[v * stride..], r, true);
+            }
+            set_bit(&mut violated, row.basic, out_of_bounds(&vars[row.basic]));
+        }
+        Simplex {
+            vars,
+            rows: row_list,
+            cols,
+            stride,
+            violated,
+            scratch: Vec::new(),
+        }
     }
 
     /// Asserts `var ≥ c` or `var ≤ c` with a provenance tag.

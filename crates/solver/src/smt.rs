@@ -9,25 +9,26 @@
 //! result is a pure LIA problem solved by CDCL over the boolean
 //! abstraction with simplex + branch-and-bound as the theory oracle.
 //!
-//! Each theory atom is registered once with the boolean abstraction,
-//! together with its negation (for `≤` atoms), over dense key ids: the
-//! encoder moves every `LinKey` into a key table on first sight, and once
-//! encoding ends renumbers the ids in `LinKey` order. Atom lookup, the
-//! eager `=` split, the `≤` negation, each round's theory call and core
-//! minimization then work on integers; a `LinKey` map is built only for a
-//! `Sat` model. A refinement round hands the LIA layer references to the
-//! asserted constraints instead of copies. The order of atoms and
-//! constraints is the registration order, and the ids the ranks of the
-//! sorted key universe, so the models are those the kernel contract in
-//! `DESIGN.md` pins.
+//! Each query is encoded once into a `TheoryTable`: every atom is
+//! linearized straight from its terms into a gcd-reduced integer row over
+//! keys borrowed from the query, each distinct row is stored once in a
+//! flat buffer, and each theory atom registered with the boolean
+//! abstraction is a `Con`, a sign/constant view of its row (so are the
+//! eager `=` split and the `≤` negation). Once encoding ends the key ids
+//! are the ranks of the sorted key universe. A refinement round picks
+//! the asserted views by atom index and hands them to the LIA layer,
+//! which builds its root tableau from the rows in one pass; a `LinKey` is
+//! built only for a `Sat` model. The order of atoms and constraints is
+//! the registration order, so the SAT variables, clauses, rounds and
+//! models are those the kernel contract in `DESIGN.md` pins.
 
-use crate::atoms::{eq_split, negate_le, normalize, NormAtom};
+use crate::atoms::{Canon, Con, KeyRef, TableBuilder, TheoryTable};
 use crate::backend::{BackendStats, Cascade, ModelVerdict, PreVerdict};
 use crate::cache::{CacheStats, Keyed, QueryCache};
-use crate::lia::{solve_ids, ConKind, IntConstraint, LiaConfig, LiaResult};
-use hotg_logic::{Atom, Formula, LinKey, LogicArena, Model, NonLinearError, Term, Value};
+use crate::lia::{solve_ids, ConKind, LiaConfig, LiaResult};
+use hotg_logic::{Atom, FastMap, Formula, LogicArena, Model, NonLinearError, Term, Value};
 use hotg_sat::{Lit, SatResult, SatSolver};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -86,11 +87,14 @@ pub struct SmtConfig {
     /// `check` may spend across all its refinement rounds. Without this
     /// pool a hard query can pay the full per-round LIA budget
     /// `max_rounds` times — hours of wall clock — before conceding
-    /// `Unknown`. Core minimization does not draw from it: each deletion
-    /// probe gets its own `min(lia.node_budget, 400)` allowance, and a
-    /// conflict runs at most 96 probes. So one check is bounded by
-    /// `max_rounds` rounds, `total_node_budget` theory nodes, and at most
-    /// 96 × 400 minimization nodes per conflict.
+    /// `Unknown`. Every preference-box attempt of a round draws at least
+    /// one node from it while it lasts, a box skipped because one
+    /// asserted row already refutes it included
+    /// ([`LiaConfig::prefer_small`]). Core minimization does not draw
+    /// from it: each deletion probe gets its own `min(lia.node_budget,
+    /// 400)` allowance, and a conflict runs at most 96 probes. So one
+    /// check is bounded by `max_rounds` rounds, `total_node_budget` theory
+    /// nodes, and at most 96 × 400 minimization nodes per conflict.
     pub total_node_budget: u64,
     /// Consult the abstract-interpretation pre-solver cascade
     /// ([`crate::backend`]) on every cache miss before any DPLL(T) work.
@@ -173,42 +177,55 @@ impl Default for SmtSolver {
     }
 }
 
-/// A theory atom registered with the boolean abstraction, over key ids.
+/// A theory atom registered with the boolean abstraction: its primitive,
+/// asserted when `var` is true (for `Le` atoms, its negation view when
+/// `var` is false).
 #[derive(Debug)]
 struct TheoryAtom {
-    /// The primitive, asserted when `var` is true.
-    prim: IntConstraint<u32>,
-    /// For `Le` atoms, the negation asserted when `var` is false (built
-    /// once here rather than on every refinement round).
-    negated: Option<IntConstraint<u32>>,
+    con: Con,
     var: u32,
 }
 
+/// The boolean abstraction of one query, over its theory table.
 #[derive(Debug)]
-struct Encoder {
+struct Encoder<'a> {
     sat: SatSolver,
-    /// Key → id. While encoding, ids are handed out in first-seen order;
-    /// [`Encoder::rank_keys`] renumbers them in `LinKey` order.
-    key_ids: BTreeMap<LinKey, u32>,
-    /// Every key, by ranked id (filled by [`Encoder::rank_keys`]).
-    keys: Vec<LinKey>,
-    /// Primitive over first-seen key ids → index into `atoms`.
-    prim_atoms: HashMap<IntConstraint<u32>, usize>,
+    table: TableBuilder<'a>,
+    /// Primitive → its SAT variable.
+    atom_vars: FastMap<Con, u32>,
     /// Registered theory atoms, in registration order.
     atoms: Vec<TheoryAtom>,
     true_var: Option<u32>,
 }
 
-impl Encoder {
-    fn new() -> Encoder {
-        Encoder {
+/// An encoded query: the boolean abstraction, the theory atoms, the
+/// finished table and its keys by rank.
+struct Query<'a> {
+    sat: SatSolver,
+    atoms: Vec<TheoryAtom>,
+    table: TheoryTable,
+    keys: Vec<KeyRef<'a>>,
+}
+
+impl<'a> Encoder<'a> {
+    /// Encodes `f` asserted: its Tseitin clauses over the theory atoms.
+    fn query(f: &'a Formula) -> Result<Query<'a>, NonLinearError> {
+        let mut enc = Encoder {
             sat: SatSolver::new(),
-            key_ids: BTreeMap::new(),
-            keys: Vec::new(),
-            prim_atoms: HashMap::new(),
+            table: TableBuilder::new(),
+            atom_vars: FastMap::default(),
             atoms: Vec::new(),
             true_var: None,
-        }
+        };
+        let top = enc.encode(f)?;
+        enc.sat.add_clause([top]);
+        let (table, keys) = enc.table.finish();
+        Ok(Query {
+            sat: enc.sat,
+            atoms: enc.atoms,
+            table,
+            keys,
+        })
     }
 
     fn true_lit(&mut self) -> Lit {
@@ -224,60 +241,17 @@ impl Encoder {
         Lit::pos(v)
     }
 
-    /// Moves a primitive's keys into the key table, returning it over ids.
-    fn intern(&mut self, prim: IntConstraint) -> IntConstraint<u32> {
-        let coeffs = prim
-            .coeffs
-            .into_iter()
-            .map(|(key, c)| {
-                let next = self.key_ids.len() as u32;
-                (*self.key_ids.entry(key).or_insert(next), c)
-            })
-            .collect();
-        IntConstraint {
-            coeffs,
-            constant: prim.constant,
-            kind: prim.kind,
-        }
-    }
-
-    /// Renumbers the key ids in `LinKey` order once encoding is done, so
-    /// a refinement round's simplex variables are the ranks the sorted
-    /// key universe gives them.
-    fn rank_keys(&mut self) {
-        let mut rank = vec![0u32; self.key_ids.len()];
-        for (r, (key, first_seen)) in std::mem::take(&mut self.key_ids).into_iter().enumerate() {
-            rank[first_seen as usize] = r as u32;
-            self.keys.push(key);
-        }
-        // The encoding is complete: the lookup table, over first-seen
-        // ids, is stale now.
-        self.prim_atoms = HashMap::new();
-        for atom in &mut self.atoms {
-            for con in std::iter::once(&mut atom.prim).chain(&mut atom.negated) {
-                for (id, _) in &mut con.coeffs {
-                    *id = rank[*id as usize];
-                }
-            }
-        }
-    }
-
-    fn prim_var(&mut self, prim: IntConstraint<u32>) -> u32 {
-        if let Some(&atom) = self.prim_atoms.get(&prim) {
-            return self.atoms[atom].var;
+    fn prim_var(&mut self, con: Con) -> u32 {
+        if let Some(&v) = self.atom_vars.get(&con) {
+            return v;
         }
         let v = self.sat.new_var();
-        let split = (prim.kind == ConKind::Eq).then(|| eq_split(&prim));
-        let negated = (prim.kind == ConKind::Le).then(|| negate_le(&prim));
-        self.prim_atoms.insert(prim.clone(), self.atoms.len());
-        self.atoms.push(TheoryAtom {
-            prim,
-            negated,
-            var: v,
-        });
-        if let Some((lt, gt)) = split {
+        self.atom_vars.insert(con, v);
+        self.atoms.push(TheoryAtom { con, var: v });
+        if con.kind == ConKind::Eq {
             // Eager case split: ¬(e = 0) → (e < 0 ∨ e > 0), plus mutual
             // exclusions for fast propagation.
+            let (lt, gt) = con.eq_split();
             let lv = self.prim_var(lt);
             let gv = self.prim_var(gt);
             self.sat
@@ -289,20 +263,16 @@ impl Encoder {
         v
     }
 
-    fn encode_atom(&mut self, atom: &Atom) -> Result<Lit, NonLinearError> {
-        Ok(match normalize(atom)? {
-            NormAtom::Const(true) => self.true_lit(),
-            NormAtom::Const(false) => !self.true_lit(),
-            NormAtom::Prim { prim, positive } => {
-                let prim = self.intern(prim.0);
-                let v = self.prim_var(prim);
-                Lit::new(v, positive)
-            }
+    fn encode_atom(&mut self, atom: &'a Atom) -> Result<Lit, NonLinearError> {
+        Ok(match self.table.atom(atom)? {
+            Canon::Const(true) => self.true_lit(),
+            Canon::Const(false) => !self.true_lit(),
+            Canon::Con { con, positive } => Lit::new(self.prim_var(con), positive),
         })
     }
 
     /// Tseitin encoding: returns a literal equivalent to `f`.
-    fn encode(&mut self, f: &Formula) -> Result<Lit, NonLinearError> {
+    fn encode(&mut self, f: &'a Formula) -> Result<Lit, NonLinearError> {
         Ok(match f {
             Formula::True => self.true_lit(),
             Formula::False => !self.true_lit(),
@@ -526,17 +496,14 @@ impl SmtSolver {
     }
 
     fn check_inner(&self, full: &Formula) -> Result<SmtResult, NonLinearError> {
-        let mut enc = Encoder::new();
-        let top = enc.encode(full)?;
-        enc.sat.add_clause([top]);
-        enc.rank_keys();
-        self.refine(&mut enc, full)
+        let mut query = Encoder::query(full)?;
+        Ok(self.refine(&mut query, full))
     }
 
     /// The lazy CDCL(T) refinement loop over an already-encoded query:
     /// every round asserts the atoms the boolean model picks against the
     /// theory and, on a theory conflict, adds a blocking clause.
-    fn refine(&self, enc: &mut Encoder, full: &Formula) -> Result<SmtResult, NonLinearError> {
+    fn refine(&self, q: &mut Query<'_>, full: &Formula) -> SmtResult {
         // One node pool for the whole check: every per-round theory query
         // draws from it, so total work is bounded even when individual
         // rounds are hard. Core minimization probes carry their own capped
@@ -544,20 +511,20 @@ impl SmtSolver {
         let mut pool = self.config.total_node_budget;
 
         for _round in 0..self.config.max_rounds {
-            match enc.sat.solve() {
-                SatResult::Unsat => return Ok(SmtResult::Unsat),
+            match q.sat.solve() {
+                SatResult::Unsat => return SmtResult::Unsat,
                 SatResult::Sat(bmodel) => {
                     // Gather asserted theory constraints, remembering the
                     // boolean literal that asserted each.
-                    let mut constraints: Vec<&IntConstraint<u32>> = Vec::new();
-                    let mut asserting: Vec<Lit> = Vec::new();
-                    for atom in &enc.atoms {
+                    let mut constraints: Vec<Con> = Vec::with_capacity(q.atoms.len());
+                    let mut asserting: Vec<Lit> = Vec::with_capacity(q.atoms.len());
+                    for atom in &q.atoms {
                         let var = atom.var;
                         if bmodel[var as usize] {
-                            constraints.push(&atom.prim);
+                            constraints.push(atom.con);
                             asserting.push(Lit::neg(var));
-                        } else if let Some(negated) = &atom.negated {
-                            constraints.push(negated);
+                        } else if atom.con.kind == ConKind::Le {
+                            constraints.push(atom.con.negate_le());
                             asserting.push(Lit::pos(var));
                         }
                         // A negative equality contributes nothing: the
@@ -566,24 +533,20 @@ impl SmtSolver {
                     }
                     let mut call_pool = self.config.lia.node_budget.min(pool);
                     let reserve = pool - call_pool;
-                    let result = solve_ids(
-                        &constraints,
-                        enc.keys.len(),
-                        &self.config.lia,
-                        &mut call_pool,
-                    );
+                    let result =
+                        solve_ids(&q.table, &constraints, &self.config.lia, &mut call_pool);
                     pool = reserve + call_pool;
                     match result {
                         LiaResult::Sat(values) => {
                             let assign = values
                                 .into_iter()
-                                .map(|(id, v)| (enc.keys[id as usize].clone(), v))
+                                .map(|(id, v)| (q.keys[id as usize], v))
                                 .collect();
                             let model = Self::build_model(full, &assign);
                             debug_assert_eq!(full.eval(&model), Some(true));
-                            return Ok(SmtResult::Sat(model));
+                            return SmtResult::Sat(model);
                         }
-                        LiaResult::Unknown => return Ok(SmtResult::Unknown),
+                        LiaResult::Unknown => return SmtResult::Unknown,
                         LiaResult::Unsat { core } => {
                             // Prefer the provenance core from the theory
                             // solver; fall back to deletion-based
@@ -593,15 +556,15 @@ impl SmtSolver {
                             // never empty here.)
                             let core = match core {
                                 Some(c) => c,
-                                None => self.minimize_core(&constraints, enc.keys.len()),
+                                None => self.minimize_core(&q.table, &constraints),
                             };
-                            enc.sat.add_clause(core.iter().map(|&i| asserting[i]));
+                            q.sat.add_clause(core.iter().map(|&i| asserting[i]));
                         }
                     }
                 }
             }
         }
-        Ok(SmtResult::Unknown)
+        SmtResult::Unknown
     }
 
     /// Deletion-based unsat-core minimization: returns indices of a
@@ -609,7 +572,7 @@ impl SmtSolver {
     /// unsatisfiable. Small cores make the blocking clauses strong, which
     /// keeps the lazy refinement loop from enumerating exponentially many
     /// boolean assignments.
-    fn minimize_core(&self, constraints: &[&IntConstraint<u32>], n_keys: usize) -> Vec<usize> {
+    fn minimize_core(&self, table: &TheoryTable, constraints: &[Con]) -> Vec<usize> {
         let mut core: Vec<usize> = (0..constraints.len()).collect();
         // Cap the minimization work on very large assertion sets.
         if constraints.len() > 96 {
@@ -627,14 +590,14 @@ impl SmtSolver {
         };
         let mut i = 0;
         while i < core.len() {
-            let candidate: Vec<&IntConstraint<u32>> = core
+            let candidate: Vec<Con> = core
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &k)| constraints[k])
                 .collect();
             let mut budget = lia.node_budget;
-            if solve_ids(&candidate, n_keys, &lia, &mut budget).is_unsat() {
+            if solve_ids(table, &candidate, &lia, &mut budget).is_unsat() {
                 core.remove(i);
             } else {
                 i += 1;
@@ -645,10 +608,10 @@ impl SmtSolver {
 
     /// Builds a [`Model`] from a LIA assignment: variables first, then
     /// applications innermost-first so argument evaluation is total.
-    fn build_model(full: &Formula, assign: &BTreeMap<LinKey, i64>) -> Model {
+    fn build_model(full: &Formula, assign: &BTreeMap<KeyRef<'_>, i64>) -> Model {
         let mut model = Model::new();
         for v in full.vars() {
-            let value = assign.get(&LinKey::Var(v)).copied().unwrap_or(0);
+            let value = assign.get(&KeyRef::Var(v)).copied().unwrap_or(0);
             model.set_var(v, Value::Int(value));
         }
         for app in full.apps() {
@@ -667,7 +630,7 @@ impl SmtSolver {
             else {
                 continue;
             };
-            let value = assign.get(&LinKey::App(app.clone())).copied().unwrap_or(0);
+            let value = assign.get(&KeyRef::App(&app)).copied().unwrap_or(0);
             if let Some(prev) = model.apply(*f, &arg_vals) {
                 debug_assert_eq!(
                     prev, value,

@@ -19,9 +19,16 @@
 //! over basic variables after pivoting, which substitutes (fills in) and
 //! cancels terms.
 //!
+//! A third leg, [`BOXES_EXPECTED`], pins the preference boxes: systems
+//! whose full-range model is large (single-key equalities and bounds
+//! beyond ±2⁴, ±2⁸ and ±2¹⁶, mixed with multi-key rows) under node
+//! budgets small enough that the nodes each box spends, or is charged,
+//! show in the digested pool left over.
+//!
 //! After an *intentional* change to the kernel's search (which also
-//! re-blesses the parity goldens), replace [`EXPECTED`] and
-//! [`REFINEMENT_EXPECTED`] with the digests these tests print.
+//! re-blesses the parity goldens), replace [`EXPECTED`],
+//! [`REFINEMENT_EXPECTED`] and [`BOXES_EXPECTED`] with the digests these
+//! tests print.
 
 use hotg_logic::{Atom, Formula, FuncSym, LinKey, Rat, Rel, Signature, Sort, StableHasher, Term};
 use hotg_prop::TestRng;
@@ -41,11 +48,16 @@ const EXPECTED: u64 = 0xd42a_6c33_4dd9_54f5;
 /// and the id-interned keys landed.
 const REFINEMENT_EXPECTED: u64 = 0x8300_0d22_aa4b_01ac;
 
+/// Digest of the preference-box leg, recorded before the box check that
+/// skips a box one asserted row already refutes.
+const BOXES_EXPECTED: u64 = 0x98d4_fc56_ed99_1b1c;
+
 const SIMPLEX_CASES: usize = 150;
 const LIA_CASES: usize = 300;
 const SMT_CASES: usize = 150;
 const ROUND_CASES: usize = 40;
 const FILL_IN_CASES: usize = 80;
+const BOX_CASES: usize = 400;
 
 /// Outcome tally: the stream must exercise every kind of answer, or a
 /// matching digest would pin less than it claims.
@@ -539,5 +551,131 @@ fn refinement_shapes_match_recorded_digest() {
         digest, REFINEMENT_EXPECTED,
         "refinement digest moved to {digest:#018x} ({tally:?}): a pivot, branch, \
          core or model changed"
+    );
+}
+
+/// A coordinate of the hidden point of a box case: small, or beyond one
+/// of the preference boxes ±2⁴, ±2⁸ and ±2¹⁶.
+fn box_coordinate(rng: &mut TestRng) -> i128 {
+    let magnitude = match rng.below(4) {
+        0 => return rng.in_span(-12, 12),
+        1 => rng.in_span(17, 255),
+        2 => rng.in_span(257, 65_535),
+        _ => rng.in_span(65_537, 1 << 22),
+    };
+    if rng.below(2) == 0 {
+        magnitude
+    } else {
+        -magnitude
+    }
+}
+
+/// A system that holds at a hidden point with large coordinates (bar the
+/// occasional violated row, for cores): single-key equalities and bounds,
+/// whose one row refutes the smaller boxes, and multi-key rows, which
+/// may or may not, under a small node budget and pool.
+fn box_case(rng: &mut TestRng, keys: &[LinKey], h: &mut StableHasher, tally: &mut Tally) {
+    let point: Vec<i128> = keys.iter().map(|_| box_coordinate(rng)).collect();
+    let n = 1 + rng.below(8) as usize;
+    let mut constraints = Vec::with_capacity(n);
+    for _ in 0..n {
+        let k = rng.below(keys.len() as u64) as usize;
+        let miss = if rng.below(12) == 0 { 1 } else { 0 };
+        let con = match rng.below(5) {
+            // x = v.
+            0 => IntConstraint {
+                coeffs: vec![(keys[k].clone(), 1)],
+                constant: -point[k] - miss,
+                kind: ConKind::Eq,
+            },
+            // x ≥ v - slack, or x ≤ v + slack.
+            1 | 2 => {
+                let slack = rng.in_span(0, 40);
+                if rng.below(2) == 0 {
+                    IntConstraint {
+                        coeffs: vec![(keys[k].clone(), -1)],
+                        constant: point[k] - slack + miss * (slack + 1),
+                        kind: ConKind::Le,
+                    }
+                } else {
+                    IntConstraint {
+                        coeffs: vec![(keys[k].clone(), 1)],
+                        constant: -point[k] - slack - miss * (slack + 1),
+                        kind: ConKind::Le,
+                    }
+                }
+            }
+            // A multi-key row through the point.
+            _ => {
+                let mut form: Vec<(usize, i128)> = Vec::new();
+                for _ in 0..2 + rng.below(3) {
+                    let j = rng.below(keys.len() as u64) as usize;
+                    let c = rng.in_span(-3, 3);
+                    if c != 0 && !form.iter().any(|&(jj, _)| jj == j) {
+                        form.push((j, c));
+                    }
+                }
+                if form.is_empty() {
+                    form.push((k, 1));
+                }
+                form.sort();
+                let value: i128 = form.iter().map(|&(j, c)| c * point[j]).sum();
+                let coeffs = form.iter().map(|&(j, c)| (keys[j].clone(), c)).collect();
+                if rng.below(2) == 0 {
+                    IntConstraint {
+                        coeffs,
+                        constant: -value - miss,
+                        kind: ConKind::Eq,
+                    }
+                } else {
+                    IntConstraint {
+                        coeffs,
+                        constant: -value - rng.in_span(0, 9) + miss * 20,
+                        kind: ConKind::Le,
+                    }
+                }
+            }
+        };
+        constraints.push(con);
+    }
+    let range = [1i64 << 32, 1 << 24, 1 << 17][rng.below(3) as usize];
+    let config = LiaConfig {
+        var_min: -range,
+        var_max: range,
+        node_budget: [1u64, 2, 3, 5, 40][rng.below(5) as usize],
+        prefer_small: rng.below(6) != 0,
+    };
+    let mut pool = [1u64, 2, 3, 4, 6, 100][rng.below(6) as usize];
+    let result = solve_int_budgeted(&constraints, &config, &mut pool);
+    match &result {
+        LiaResult::Sat(_) => tally.lia_sat += 1,
+        LiaResult::Unsat { core: Some(_) } => tally.lia_core += 1,
+        LiaResult::Unsat { core: None } => tally.lia_no_core += 1,
+        LiaResult::Unknown => tally.lia_unknown += 1,
+    }
+    fold(h, &format!("box {result:?} pool left {pool}"));
+}
+
+#[test]
+fn preference_boxes_match_recorded_digest() {
+    let mut rng = TestRng::seed_from_u64(0x0062_6f78_6573);
+    let mut h = StableHasher::new();
+    let mut tally = Tally::default();
+    let keys = round_keys();
+    for _ in 0..BOX_CASES {
+        box_case(&mut rng, &keys, &mut h, &mut tally);
+    }
+    assert!(
+        tally.lia_sat >= 100
+            && tally.lia_core >= 5
+            && tally.lia_no_core >= 10
+            && tally.lia_unknown >= 10,
+        "stream no longer exercises every outcome: {tally:?}"
+    );
+    let digest = h.finish();
+    assert_eq!(
+        digest, BOXES_EXPECTED,
+        "preference-box digest moved to {digest:#018x} ({tally:?}): a box \
+         result or the nodes it spent changed"
     );
 }
