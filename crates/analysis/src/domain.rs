@@ -1,8 +1,7 @@
 //! Abstract domains for the `mini` analyses: taint sets over flat input
 //! indices, integer intervals with widening, and three-valued truth.
 //!
-//! The interval and constancy lattices are shared with the solver's
-//! abstract-interpretation backend and live in `hotg-logic`
+//! The interval and constancy lattices live in `hotg-logic`
 //! ([`hotg_logic::Interval`], [`hotg_logic::Constancy`]); this module
 //! re-exports them and adds the source-level pieces: taint, abstract
 //! scalars, and the [`BinOp`] → [`Rel`]/[`OpKind`] adapters the fixpoint
@@ -104,6 +103,14 @@ impl AbsVal {
 mod tests {
     use super::*;
 
+    /// The interval `[lo, hi]`.
+    fn itv(lo: i64, hi: i64) -> Interval {
+        Interval {
+            lo: Some(lo),
+            hi: Some(hi),
+        }
+    }
+
     #[test]
     fn constancy_algebra() {
         use Constancy::*;
@@ -118,21 +125,18 @@ mod tests {
 
     #[test]
     fn interval_arith() {
-        let a = Interval::new(1, 3);
-        let b = Interval::new(10, 20);
-        assert_eq!(a.add(b), Interval::new(11, 23));
-        assert_eq!(b.sub(a), Interval::new(7, 19));
-        assert_eq!(a.neg(), Interval::new(-3, -1));
-        assert_eq!(a.mul(b), Interval::new(10, 60));
-        assert_eq!(
-            Interval::new(-2, 3).mul(Interval::new(5, 7)),
-            Interval::new(-14, 21)
-        );
+        let a = itv(1, 3);
+        let b = itv(10, 20);
+        assert_eq!(a.add(b), itv(11, 23));
+        assert_eq!(b.sub(a), itv(7, 19));
+        assert_eq!(a.neg(), itv(-3, -1));
+        assert_eq!(a.mul(b), itv(10, 60));
+        assert_eq!(itv(-2, 3).mul(itv(5, 7)), itv(-14, 21));
         assert_eq!(
             Interval::constant(0).mul(Interval::TOP),
             Interval::constant(0)
         );
-        assert!(Interval::TOP.add(a).is_top());
+        assert_eq!(Interval::TOP.add(a), Interval::TOP);
         // Potential overflow goes unbounded, not wrapped.
         let big = Interval::constant(i64::MAX);
         assert_eq!(big.add(Interval::constant(1)).hi, None);
@@ -146,9 +150,9 @@ mod tests {
             lo: Some(0),
             hi: None,
         };
-        assert_eq!(nonneg.mul(Interval::new(2, 3)), nonneg);
+        assert_eq!(nonneg.mul(itv(2, 3)), nonneg);
         assert_eq!(
-            nonneg.mul(Interval::new(-3, -2)),
+            nonneg.mul(itv(-3, -2)),
             Interval {
                 lo: None,
                 hi: Some(0)
@@ -166,7 +170,7 @@ mod tests {
             }
         );
         // Mixed signs against ⊤ stay ⊤.
-        assert!(Interval::new(-1, 1).mul(Interval::TOP).is_top());
+        assert_eq!(itv(-1, 1).mul(Interval::TOP), Interval::TOP);
     }
 
     #[test]
@@ -179,39 +183,41 @@ mod tests {
             Interval::constant(7).div_like(div_kind_of(BinOp::Mod), Interval::constant(2)),
             Interval::constant(1)
         );
-        assert!(Interval::constant(7)
-            .div_like(div_kind_of(BinOp::Div), Interval::constant(0))
-            .is_top());
+        assert_eq!(
+            Interval::constant(7).div_like(div_kind_of(BinOp::Div), Interval::constant(0)),
+            Interval::TOP
+        );
         // Constant divisors now divide interval dividends bound-by-bound.
         assert_eq!(
-            Interval::new(1, 2).div_like(div_kind_of(BinOp::Div), Interval::constant(2)),
-            Interval::new(0, 1)
+            itv(1, 2).div_like(div_kind_of(BinOp::Div), Interval::constant(2)),
+            itv(0, 1)
         );
         assert_eq!(
-            Interval::new(-9, 9).div_like(div_kind_of(BinOp::Div), Interval::constant(-3)),
-            Interval::new(-3, 3)
+            itv(-9, 9).div_like(div_kind_of(BinOp::Div), Interval::constant(-3)),
+            itv(-3, 3)
         );
         // Remainder by a constant is bounded by the divisor's magnitude
         // and the dividend's sign.
         assert_eq!(
-            Interval::new(0, 100).div_like(div_kind_of(BinOp::Mod), Interval::constant(7)),
-            Interval::new(0, 6)
+            itv(0, 100).div_like(div_kind_of(BinOp::Mod), Interval::constant(7)),
+            itv(0, 6)
         );
         assert_eq!(
             Interval::TOP.div_like(div_kind_of(BinOp::Mod), Interval::constant(7)),
-            Interval::new(-6, 6)
+            itv(-6, 6)
         );
         // Interval divisors are still ⊤.
-        assert!(Interval::new(1, 2)
-            .div_like(div_kind_of(BinOp::Div), Interval::new(1, 2))
-            .is_top());
+        assert_eq!(
+            itv(1, 2).div_like(div_kind_of(BinOp::Div), itv(1, 2)),
+            Interval::TOP
+        );
     }
 
     #[test]
     fn interval_compare() {
         use Constancy::*;
-        let lo = Interval::new(0, 5);
-        let hi = Interval::new(6, 9);
+        let lo = itv(0, 5);
+        let hi = itv(6, 9);
         assert_eq!(Interval::compare(rel_of(BinOp::Lt), lo, hi), AlwaysTrue);
         assert_eq!(Interval::compare(rel_of(BinOp::Ge), lo, hi), AlwaysFalse);
         assert_eq!(Interval::compare(rel_of(BinOp::Eq), lo, hi), AlwaysFalse);
@@ -224,12 +230,9 @@ mod tests {
             ),
             AlwaysTrue
         );
+        assert_eq!(Interval::compare(rel_of(BinOp::Lt), lo, itv(5, 9)), Unknown);
         assert_eq!(
-            Interval::compare(rel_of(BinOp::Lt), lo, Interval::new(5, 9)),
-            Unknown
-        );
-        assert_eq!(
-            Interval::compare(rel_of(BinOp::Le), lo, Interval::new(5, 9)),
+            Interval::compare(rel_of(BinOp::Le), lo, itv(5, 9)),
             AlwaysTrue
         );
         assert_eq!(
@@ -240,42 +243,42 @@ mod tests {
 
     #[test]
     fn narrow_matches_refinement_semantics() {
-        // `x < 3` narrows to hi = 2, not hi = 3 — the strict off-by-one
-        // the fixpoint engine and the solver backend must agree on.
+        // `x < 3` narrows to hi = 2, not hi = 3: the strict off-by-one
+        // over the integers.
         let bound = Interval::constant(3);
-        let x = Interval::new(0, 10);
+        let x = itv(0, 10);
         let narrowed = x
             .intersect(Interval::narrow(rel_of(BinOp::Lt), bound).unwrap())
             .unwrap();
-        assert_eq!(narrowed, Interval::new(0, 2));
+        assert_eq!(narrowed, itv(0, 2));
         let narrowed = x
             .intersect(Interval::narrow(rel_of(BinOp::Gt), bound).unwrap())
             .unwrap();
-        assert_eq!(narrowed, Interval::new(4, 10));
+        assert_eq!(narrowed, itv(4, 10));
         assert_eq!(Interval::narrow(rel_of(BinOp::Ne), bound), None);
     }
 
     #[test]
     fn interval_join_widen_intersect() {
-        let a = Interval::new(1, 3);
-        let b = Interval::new(5, 7);
-        assert_eq!(a.join(b), Interval::new(1, 7));
+        let a = itv(1, 3);
+        let b = itv(5, 7);
+        assert_eq!(a.join(b), itv(1, 7));
         assert_eq!(
-            a.widen(Interval::new(1, 9)),
+            a.widen(itv(1, 9)),
             Interval {
                 lo: Some(1),
                 hi: None
             }
         );
         assert_eq!(
-            a.widen(Interval::new(0, 3)),
+            a.widen(itv(0, 3)),
             Interval {
                 lo: None,
                 hi: Some(3)
             }
         );
         assert_eq!(a.intersect(b), None);
-        assert_eq!(a.intersect(Interval::new(2, 9)), Some(Interval::new(2, 3)));
+        assert_eq!(a.intersect(itv(2, 9)), Some(itv(2, 3)));
         assert_eq!(Interval::TOP.intersect(a), Some(a));
     }
 
@@ -283,15 +286,15 @@ mod tests {
     fn absval_ops() {
         let x = AbsVal {
             taint: [0].into(),
-            itv: Interval::new(1, 2),
+            itv: itv(1, 2),
         };
         let y = AbsVal {
             taint: [1].into(),
-            itv: Interval::new(5, 6),
+            itv: itv(5, 6),
         };
         let j = x.join(&y);
         assert_eq!(j.taint, [0, 1].into());
-        assert_eq!(j.itv, Interval::new(1, 6));
+        assert_eq!(j.itv, itv(1, 6));
         assert_eq!(AbsVal::constant(4).itv.as_const(), Some(4));
     }
 }

@@ -791,9 +791,8 @@ fn refine_cmp(st: &mut AbsState, op: BinOp, lhs: &Expr, rhs: &Expr) {
 }
 
 /// Narrows `name` assuming `name op bound` holds. The strict-comparison
-/// tightening (`name < bound` ⇒ `name ≤ hi(bound) − 1`) lives in the
-/// shared [`Interval::narrow`], which the solver's abstract backend uses
-/// on the same facts.
+/// tightening (`name < bound` ⇒ `name ≤ hi(bound) − 1`) lives in
+/// [`Interval::narrow`].
 fn refine_var(st: &mut AbsState, name: &str, op: BinOp, bound: Interval) {
     if !op.is_comparison() {
         return;

@@ -254,7 +254,6 @@ impl DriverConfig {
             lia,
             max_rounds,
             total_node_budget,
-            pre_solve,
         } = smt;
         let LiaConfig {
             var_min,
@@ -270,8 +269,8 @@ impl DriverConfig {
              fault_plan={fault_plan:?} validity.max_cubes={max_cubes} \
              validity.max_candidates={max_candidates} validity.counter_shifts={counter_shifts:?} \
              smt.max_rounds={max_rounds} smt.total_node_budget={total_node_budget} \
-             smt.pre_solve={pre_solve} lia.var_min={var_min} \
-             lia.var_max={var_max} lia.node_budget={node_budget} lia.prefer_small={prefer_small}",
+             lia.var_min={var_min} lia.var_max={var_max} lia.node_budget={node_budget} \
+             lia.prefer_small={prefer_small}",
         );
         StableHasher::digest(rendered.as_bytes())
     }
@@ -368,7 +367,7 @@ mod tests {
     fn default_resume_digest_is_pinned() {
         assert_eq!(
             DriverConfig::default().resume_digest(),
-            0x7078_6a8e_1ebd_1f4a
+            0x2719_5c2e_9b69_3a62
         );
     }
 }

@@ -281,7 +281,7 @@ impl<'a> Cursor<'a> {
 /// The result folds ([`fold_report`](crate::fold_report)) to the same
 /// canonical report as the coordinator's stream for a campaign that ran
 /// to frontier exhaustion. Campaign-level telemetry that no shard owns
-/// (`ExecStats`, session/backend stats, trace-fault tails) is omitted —
+/// (`ExecStats`, session stats, trace-fault tails) is omitted —
 /// all of it is announcement-only or excluded from the canonical
 /// report.
 pub fn merge_shard_streams(

@@ -240,10 +240,8 @@ impl Emitter<'_> {
         };
         match TraceWriter::append(&path, end, replay.pos as u64, self.plan.clone()) {
             Ok(w) => self.durable = Durable::Writing(w),
-            Err(e) => {
-                eprintln!("hotg: cannot reopen durable trace {}: {e}", path.display());
-                self.sink_errors += 1;
-            }
+            // Counted in `Report::sink_errors`; the campaign goes on untraced.
+            Err(_) => self.sink_errors += 1,
         }
     }
 
@@ -266,8 +264,10 @@ impl Emitter<'_> {
     }
 
     /// Closes the durable trace. Best-effort: the report is final by
-    /// now (it is folded per event), so close-time errors are reported
-    /// on stderr but never mutate the report.
+    /// now (it is folded per event), so close-time errors never mutate
+    /// it. They are still reported on stderr, because no event can carry
+    /// them after `CampaignFinished` until ROADMAP item 1's telemetry
+    /// event exists.
     fn finish(&mut self) {
         if let Some(replay) = self.replay.take() {
             // The whole campaign matched the recorded prefix (complete
@@ -341,8 +341,9 @@ impl<'a> Engine<'a> {
                 };
                 match TraceWriter::create(&path, &header, self.config.fault_plan.clone()) {
                     Ok(w) => (Durable::Writing(w), None),
-                    Err(e) => {
-                        eprintln!("hotg: cannot create durable trace {}: {e}", path.display());
+                    // Counted in `Report::sink_errors`; the campaign runs
+                    // untraced.
+                    Err(_) => {
                         startup_errors = 1;
                         (Durable::Off, None)
                     }

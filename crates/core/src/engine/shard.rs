@@ -71,8 +71,8 @@
 //! test runs on the coordinator against the canonical report at the same
 //! per-target merge boundaries for every N, so a mid-generation stop
 //! truncates the canonical stream at the same block. Only the
-//! announcement-only telemetry (cache hit/miss split, query and
-//! backend counters, `ExecStats`) may vary with the schedule.
+//! announcement-only telemetry (cache hit/miss split, query counters,
+//! `ExecStats`) may vary with the schedule.
 
 use super::outcome::{Job, TargetOutcome};
 use super::state::{CampaignState, Partitioner, ShardCounters};
@@ -81,7 +81,7 @@ use crate::events::CampaignEvent;
 use crate::report::Origin;
 use crate::strategy::Strategy;
 use crate::summaries::{SummaryConfig, SummaryTable};
-use hotg_solver::{BackendStats, CacheStats, Samples, SmtSolver, ValidityChecker};
+use hotg_solver::{CacheStats, Samples, SmtSolver, ValidityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,20 +96,6 @@ struct Solvers {
 impl Solvers {
     fn cache_stats(&self) -> CacheStats {
         self.smt.cache_stats().merged(self.validity.cache_stats())
-    }
-
-    /// Pre-solver cascade totals: the SMT solver's and validity
-    /// checker's cascades are distinct (the checker wraps its own
-    /// solver), so their counters are summed.
-    fn backend_stats(&self) -> Option<BackendStats> {
-        join_backend(self.smt.backend_stats(), self.validity.backend_stats())
-    }
-}
-
-fn join_backend(a: Option<BackendStats>, b: Option<BackendStats>) -> Option<BackendStats> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.merged(b)),
-        (a, b) => a.or(b),
     }
 }
 
@@ -415,17 +401,6 @@ impl Engine<'_> {
             queries: solvers.iter().map(|s| s.smt.queries()).sum(),
             intern_hits: self.arena.stats().intern_hits,
         });
-        let backend = solvers
-            .iter()
-            .fold(None, |acc, s| join_backend(acc, s.backend_stats()));
-        if let Some(b) = backend {
-            em.emit(CampaignEvent::BackendStats {
-                queries: b.queries,
-                unsat_short_circuits: b.unsat_short_circuits,
-                valid_short_circuits: b.valid_short_circuits,
-                sat_short_circuits: b.sat_short_circuits,
-            });
-        }
         if let Some(x) = sharding {
             x.finish(&solvers, em);
         }

@@ -151,12 +151,11 @@ pub enum CampaignEvent {
         /// Term-arena intern lookups answered by an existing node.
         intern_hits: u64,
     },
-    /// Pre-solver cascade totals (SMT solver plus validity checker),
-    /// emitted once at the end of a directed campaign when pre-solving
-    /// is enabled. Announcement-only: not folded into the report — which
-    /// backend answered a query depends on cache scheduling (whichever
-    /// thread first poses it charges the backend), exactly like the
-    /// cache hit/miss split.
+    /// Totals of the deleted abstract pre-solver cascade. No campaign
+    /// emits it: the variant and its JSON arms remain only because the
+    /// benchmark harness (`perfbench/src/measure.rs`) matches on it, and
+    /// the benchmark change that brings ROADMAP item 1's single telemetry
+    /// event deletes it. Announcement-only: never folded into a report.
     BackendStats {
         /// Queries posed to the backend (solver-cache misses).
         queries: u64,

@@ -322,14 +322,11 @@ fn degradation_ladder_recovers_budget_cliff() {
 /// An exhausted node budget makes every solver query concede `Unknown`
 /// — including the ladder's own attempts — so the campaign degrades
 /// (recording unrecovered rungs) and terminates instead of hanging.
-/// The cascade is off: it could otherwise decide a query without
-/// spending a node.
 #[test]
 fn exhausted_node_budget_degrades_and_terminates() {
     let (program, natives) = corpus::obscure();
     let mut validity = ValidityConfig::default();
     validity.smt.total_node_budget = 0;
-    validity.smt.pre_solve = false;
     let config = DriverConfig {
         validity,
         max_runs: 20,

@@ -425,3 +425,28 @@ fn caller_sink_errors_are_counted_not_swallowed() {
         "a failing caller sink must not perturb the campaign"
     );
 }
+
+/// A durable trace that cannot be created (its directory does not
+/// exist) is one sink error: no file appears, and the campaign runs
+/// untraced to the same canonical report.
+#[test]
+fn uncreatable_trace_is_one_sink_error() {
+    let (program, natives) = corpus::obscure();
+    let width = program.input_width();
+    let technique = Technique::HigherOrder;
+    let clean = Driver::new(&program, &natives, small_config(width, 6)).run(technique);
+    assert_eq!(clean.sink_errors, 0);
+    let dir = tmp("no-such-dir");
+    std::fs::remove_dir_all(&dir).ok();
+    let path = dir.join("campaign.trace");
+    let mut cfg = small_config(width, 6);
+    cfg.trace = Some(TraceConfig::new(&path));
+    let r = Driver::new(&program, &natives, cfg).run(technique);
+    assert_eq!(r.sink_errors, 1, "the failed create is counted once");
+    assert!(!path.exists() && !dir.exists(), "no trace file is created");
+    assert_eq!(
+        canonical(&clean),
+        canonical(&r),
+        "an untraceable campaign must not be perturbed"
+    );
+}

@@ -1,16 +1,12 @@
-//! Shared abstract domains: integer intervals with widening and
-//! three-valued truth.
+//! Abstract domains of the static analysis (`hotg-analysis`): integer
+//! intervals with widening and three-valued truth.
 //!
-//! These lattices started life in `hotg-analysis` (static analysis over
-//! `mini` programs) and moved here so the solver's abstract-interpretation
-//! pre-backend can propagate the same facts over interned formulas: the
-//! analysis narrows on source-level comparisons, the solver backend on
-//! [`crate::LinConstraint`]s, and both must agree on what `x < c` implies
-//! about `x`. [`Interval::narrow`] is that single source of truth.
+//! [`Interval::narrow`] says what a comparison `x < c` implies about an
+//! integer `x`; the analysis narrows on source-level comparisons through
+//! it.
 
 use crate::atom::Rel;
 use crate::term::OpKind;
-use std::fmt;
 
 /// Three-valued static truth of a boolean condition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -60,16 +56,6 @@ impl Constancy {
             (Constancy::AlwaysFalse, Constancy::AlwaysFalse) => Constancy::AlwaysFalse,
             _ => Constancy::Unknown,
         }
-    }
-}
-
-impl fmt::Display for Constancy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Constancy::AlwaysTrue => "always-true",
-            Constancy::AlwaysFalse => "always-false",
-            Constancy::Unknown => "unknown",
-        })
     }
 }
 
@@ -167,26 +153,12 @@ impl Interval {
         }
     }
 
-    /// `[lo, hi]` with known bounds.
-    pub fn new(lo: i64, hi: i64) -> Interval {
-        debug_assert!(lo <= hi);
-        Interval {
-            lo: Some(lo),
-            hi: Some(hi),
-        }
-    }
-
     /// `Some(v)` iff this is the singleton `[v, v]`.
     pub fn as_const(self) -> Option<i64> {
         match (self.lo, self.hi) {
             (Some(a), Some(b)) if a == b => Some(a),
             _ => None,
         }
-    }
-
-    /// `true` iff both bounds are unknown.
-    pub fn is_top(self) -> bool {
-        self.lo.is_none() && self.hi.is_none()
     }
 
     /// Least upper bound.
@@ -443,33 +415,9 @@ impl Interval {
                 hi: None,
             }),
             Rel::Eq => Some(bound),
-            // Interval holes are not representable; see
-            // [`Interval::remove_point`] for the endpoint case.
+            // Interval holes are not representable.
             Rel::Ne => None,
         }
-    }
-
-    /// Removes a single point from the interval: endpoints shift inward,
-    /// interior points are unrepresentable (the interval is returned
-    /// unchanged), and removing the only point yields `None` (empty — the
-    /// caller has proven a contradiction).
-    pub fn remove_point(self, v: i64) -> Option<Interval> {
-        if self.as_const() == Some(v) {
-            return None;
-        }
-        if self.lo == Some(v) {
-            return Some(Interval {
-                lo: v.checked_add(1),
-                hi: self.hi,
-            });
-        }
-        if self.hi == Some(v) {
-            return Some(Interval {
-                lo: self.lo,
-                hi: v.checked_sub(1),
-            });
-        }
-        Some(self)
     }
 }
 
@@ -479,22 +427,17 @@ impl Default for Interval {
     }
 }
 
-impl fmt::Display for Interval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.lo {
-            Some(v) => write!(f, "[{v}, ")?,
-            None => write!(f, "[-inf, ")?,
-        }
-        match self.hi {
-            Some(v) => write!(f, "{v}]"),
-            None => write!(f, "+inf]"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The interval `[lo, hi]`.
+    fn itv(lo: i64, hi: i64) -> Interval {
+        Interval {
+            lo: Some(lo),
+            hi: Some(hi),
+        }
+    }
 
     #[test]
     fn mul_sign_cases_with_unbounded_sides() {
@@ -502,11 +445,11 @@ mod tests {
             lo: Some(0),
             hi: None,
         };
-        let pos = Interval::new(2, 3);
+        let pos = itv(2, 3);
         assert_eq!(nonneg.mul(pos), nonneg);
         // Negative factor flips the unbounded side.
         assert_eq!(
-            nonneg.mul(Interval::new(-3, -2)),
+            nonneg.mul(itv(-3, -2)),
             Interval {
                 lo: None,
                 hi: Some(0)
@@ -532,7 +475,7 @@ mod tests {
             }
         );
         // A mixed-sign bounded operand against an unbounded one is still ⊤.
-        assert!(Interval::new(-1, 1).mul(Interval::TOP).is_top());
+        assert_eq!(itv(-1, 1).mul(Interval::TOP), Interval::TOP);
         // Zero annihilates even ⊤.
         assert_eq!(
             Interval::constant(0).mul(Interval::TOP),
@@ -543,16 +486,16 @@ mod tests {
     #[test]
     fn div_constant_divisor_interval_result() {
         assert_eq!(
-            Interval::new(1, 7).div_like(OpKind::Div, Interval::constant(2)),
-            Interval::new(0, 3)
+            itv(1, 7).div_like(OpKind::Div, Interval::constant(2)),
+            itv(0, 3)
         );
         assert_eq!(
-            Interval::new(-7, 7).div_like(OpKind::Div, Interval::constant(2)),
-            Interval::new(-3, 3)
+            itv(-7, 7).div_like(OpKind::Div, Interval::constant(2)),
+            itv(-3, 3)
         );
         assert_eq!(
-            Interval::new(1, 7).div_like(OpKind::Div, Interval::constant(-2)),
-            Interval::new(-3, 0)
+            itv(1, 7).div_like(OpKind::Div, Interval::constant(-2)),
+            itv(-3, 0)
         );
         // Half-bounded dividends keep their finite side.
         let nonneg = Interval {
@@ -567,32 +510,31 @@ mod tests {
             }
         );
         // Zero or interval divisors stay ⊤.
-        assert!(Interval::new(1, 7)
-            .div_like(OpKind::Div, Interval::constant(0))
-            .is_top());
-        assert!(Interval::new(1, 7)
-            .div_like(OpKind::Div, Interval::new(1, 2))
-            .is_top());
+        assert_eq!(
+            itv(1, 7).div_like(OpKind::Div, Interval::constant(0)),
+            Interval::TOP
+        );
+        assert_eq!(itv(1, 7).div_like(OpKind::Div, itv(1, 2)), Interval::TOP);
     }
 
     #[test]
     fn mod_constant_divisor_bounds() {
         assert_eq!(
-            Interval::new(0, 100).div_like(OpKind::Mod, Interval::constant(5)),
-            Interval::new(0, 4)
+            itv(0, 100).div_like(OpKind::Mod, Interval::constant(5)),
+            itv(0, 4)
         );
         assert_eq!(
-            Interval::new(-100, -1).div_like(OpKind::Mod, Interval::constant(5)),
-            Interval::new(-4, 0)
+            itv(-100, -1).div_like(OpKind::Mod, Interval::constant(5)),
+            itv(-4, 0)
         );
         assert_eq!(
             Interval::TOP.div_like(OpKind::Mod, Interval::constant(-5)),
-            Interval::new(-4, 4)
+            itv(-4, 4)
         );
         // A dividend tighter than the divisor keeps its own bounds.
         assert_eq!(
-            Interval::new(1, 2).div_like(OpKind::Mod, Interval::constant(5)),
-            Interval::new(1, 2)
+            itv(1, 2).div_like(OpKind::Mod, Interval::constant(5)),
+            itv(1, 2)
         );
         assert_eq!(
             Interval::constant(7).div_like(OpKind::Mod, Interval::constant(2)),
@@ -643,23 +585,5 @@ mod tests {
             Interval::narrow(Rel::Gt, Interval::constant(i64::MAX)),
             None
         );
-    }
-
-    #[test]
-    fn remove_point_endpoints_and_empty() {
-        assert_eq!(
-            Interval::new(0, 5).remove_point(0),
-            Some(Interval::new(1, 5))
-        );
-        assert_eq!(
-            Interval::new(0, 5).remove_point(5),
-            Some(Interval::new(0, 4))
-        );
-        assert_eq!(
-            Interval::new(0, 5).remove_point(3),
-            Some(Interval::new(0, 5))
-        );
-        assert_eq!(Interval::constant(4).remove_point(4), None);
-        assert_eq!(Interval::TOP.remove_point(0), Some(Interval::TOP));
     }
 }

@@ -1,5 +1,5 @@
 //! Logic layer for higher-order test generation: sorts, terms, atoms,
-//! formulas, models, exact rationals, and linear-form extraction.
+//! formulas, models, exact rationals, and the keys of linear forms.
 //!
 //! This crate is the shared vocabulary of the workspace. The concolic
 //! engine (`hotg-concolic`) builds path constraints out of [`Formula`]s
@@ -60,7 +60,7 @@ pub use atom::{Atom, AtomDisplay, Rel};
 pub use domain::{Constancy, Interval};
 pub use formula::{Formula, FormulaDisplay};
 pub use hash::{FastHasher, FastMap, FastSet, StableHasher};
-pub use linear::{LinConstraint, LinExpr, LinKey, NonLinearError};
+pub use linear::{LinKey, NonLinearError};
 pub use model::{FuncInterp, Model, ModelDisplay};
 pub use rat::Rat;
 pub use sort::{Sort, Value};

@@ -1,18 +1,16 @@
-//! Linear-form extraction: rewriting terms into sums
-//! `c₀ + Σ cᵢ·kᵢ` where each key `kᵢ` is a symbolic variable or an opaque
-//! uninterpreted application.
+//! Keys of linear forms, and the error for terms outside the theory.
 //!
-//! This defines the decidable theory `T` of the engine: a term is "in `T`"
-//! exactly when it linearizes. Non-linear terms (`x*y`, `x/y`, `x%y`…) are
-//! the paper's "complex/unknown instructions" — the concolic engine either
+//! A linear form is a sum `c₀ + Σ cᵢ·kᵢ` where each key `kᵢ` is a
+//! symbolic variable or an opaque uninterpreted application. This
+//! defines the decidable theory `T` of the engine: a term is "in `T`"
+//! exactly when it linearizes (the solver's theory table does the
+//! linearizing). Non-linear terms (`x*y`, `x/y`, `x%y`…) are the paper's
+//! "complex/unknown instructions" — the concolic engine either
 //! concretizes them (Figure 1, line 13) or models them with fresh
 //! uninterpreted functions (Figure 3).
 
-use crate::atom::{Atom, Rel};
-use crate::rat::Rat;
 use crate::sym::Var;
-use crate::term::{OpKind, Term};
-use std::collections::BTreeMap;
+use crate::term::Term;
 use std::fmt;
 
 /// A key in a linear expression: either a symbolic variable or an opaque
@@ -50,188 +48,6 @@ impl fmt::Display for NonLinearError {
 
 impl std::error::Error for NonLinearError {}
 
-/// A linear expression `constant + Σ coeff·key`.
-///
-/// # Examples
-///
-/// ```
-/// use hotg_logic::{LinExpr, Rat, Signature, Sort, Term};
-///
-/// let mut sig = Signature::new();
-/// let x = sig.declare_var("x", Sort::Int);
-/// let e = LinExpr::linearize(&(Term::var(x) + Term::int(3))).unwrap();
-/// assert_eq!(e.constant(), Rat::from(3));
-/// assert_eq!(e.coeffs().count(), 1);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LinExpr {
-    coeffs: BTreeMap<LinKey, Rat>,
-    constant: Rat,
-}
-
-impl LinExpr {
-    /// The zero expression.
-    pub fn zero() -> LinExpr {
-        LinExpr::default()
-    }
-
-    /// A constant expression.
-    pub fn constant_expr(c: Rat) -> LinExpr {
-        LinExpr {
-            coeffs: BTreeMap::new(),
-            constant: c,
-        }
-    }
-
-    /// A single key with coefficient 1.
-    pub fn key(k: LinKey) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(k, Rat::ONE);
-        LinExpr {
-            coeffs,
-            constant: Rat::ZERO,
-        }
-    }
-
-    /// Extracts the linear form of a term.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonLinearError`] naming the first subterm outside `T`
-    /// (non-constant multiplication, division, or remainder).
-    pub fn linearize(term: &Term) -> Result<LinExpr, NonLinearError> {
-        match term {
-            Term::Var(v) => Ok(LinExpr::key(LinKey::Var(*v))),
-            Term::Int(c) => Ok(LinExpr::constant_expr(Rat::from(*c))),
-            Term::App(..) => Ok(LinExpr::key(LinKey::App(term.clone()))),
-            Term::Op(OpKind::Add, args) => {
-                let mut acc = LinExpr::zero();
-                for a in args {
-                    acc = acc.add(&LinExpr::linearize(a)?);
-                }
-                Ok(acc)
-            }
-            Term::Op(OpKind::Sub, args) => {
-                Ok(LinExpr::linearize(&args[0])?
-                    .add(&LinExpr::linearize(&args[1])?.scale(-Rat::ONE)))
-            }
-            Term::Op(OpKind::Neg, args) => Ok(LinExpr::linearize(&args[0])?.scale(-Rat::ONE)),
-            Term::Op(OpKind::Mul, args) => {
-                let l = LinExpr::linearize(&args[0])?;
-                let r = LinExpr::linearize(&args[1])?;
-                match (l.as_constant(), r.as_constant()) {
-                    (Some(c), _) => Ok(r.scale(c)),
-                    (_, Some(c)) => Ok(l.scale(c)),
-                    _ => Err(NonLinearError { term: term.clone() }),
-                }
-            }
-            Term::Op(OpKind::Div | OpKind::Mod, _) => Err(NonLinearError { term: term.clone() }),
-        }
-    }
-
-    /// Sum of two linear expressions.
-    pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (k, c) in &other.coeffs {
-            let slot = out.coeffs.entry(k.clone()).or_default();
-            *slot += *c;
-            if slot.is_zero() {
-                out.coeffs.remove(k);
-            }
-        }
-        out
-    }
-
-    /// Difference of two linear expressions.
-    pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(-Rat::ONE))
-    }
-
-    /// Scales every coefficient and the constant.
-    pub fn scale(&self, by: Rat) -> LinExpr {
-        if by.is_zero() {
-            return LinExpr::zero();
-        }
-        LinExpr {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|(k, c)| (k.clone(), *c * by))
-                .collect(),
-            constant: self.constant * by,
-        }
-    }
-
-    /// The constant part.
-    pub fn constant(&self) -> Rat {
-        self.constant
-    }
-
-    /// If the expression has no keys, its constant value.
-    pub fn as_constant(&self) -> Option<Rat> {
-        self.coeffs.is_empty().then_some(self.constant)
-    }
-
-    /// Iterates over `(key, coefficient)` pairs.
-    pub fn coeffs(&self) -> impl Iterator<Item = (&LinKey, Rat)> {
-        self.coeffs.iter().map(|(k, c)| (k, *c))
-    }
-
-    /// The coefficient of a key (zero if absent).
-    pub fn coeff(&self, k: &LinKey) -> Rat {
-        self.coeffs.get(k).copied().unwrap_or(Rat::ZERO)
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.coeffs.len()
-    }
-
-    /// `true` if the expression is the constant zero.
-    pub fn is_zero(&self) -> bool {
-        self.coeffs.is_empty() && self.constant.is_zero()
-    }
-}
-
-/// A linear constraint `expr REL 0`, the normalized form of an [`Atom`]
-/// whose sides are in `T`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LinConstraint {
-    /// Left-hand side (the right-hand side is always zero).
-    pub expr: LinExpr,
-    /// Relation against zero.
-    pub rel: Rel,
-}
-
-impl LinConstraint {
-    /// Normalizes an atom `lhs REL rhs` into `lhs - rhs REL 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonLinearError`] if either side is outside `T`.
-    pub fn from_atom(atom: &Atom) -> Result<LinConstraint, NonLinearError> {
-        let lhs = LinExpr::linearize(&atom.lhs)?;
-        let rhs = LinExpr::linearize(&atom.rhs)?;
-        Ok(LinConstraint {
-            expr: lhs.sub(&rhs),
-            rel: atom.rel,
-        })
-    }
-
-    /// If the constraint involves no keys, its truth value.
-    pub fn const_value(&self) -> Option<bool> {
-        self.expr.as_constant().map(|c| match self.rel {
-            Rel::Eq => c.is_zero(),
-            Rel::Ne => !c.is_zero(),
-            Rel::Lt => c.is_negative(),
-            Rel::Le => !c.is_positive(),
-            Rel::Gt => c.is_positive(),
-            Rel::Ge => !c.is_negative(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,94 +60,6 @@ mod tests {
         let y = sig.declare_var("y", Sort::Int);
         let h = sig.declare_func("h", 1);
         (sig, x, y, h)
-    }
-
-    #[test]
-    fn linearize_basic() {
-        let (_, x, y, _) = setup();
-        // 2*x - y + 3
-        let t = Term::int(2) * Term::var(x) - Term::var(y) + Term::int(3);
-        let e = LinExpr::linearize(&t).unwrap();
-        assert_eq!(e.constant(), Rat::from(3));
-        assert_eq!(e.coeff(&LinKey::Var(x)), Rat::from(2));
-        assert_eq!(e.coeff(&LinKey::Var(y)), Rat::from(-1));
-    }
-
-    #[test]
-    fn linearize_app_opaque() {
-        let (_, x, _, h) = setup();
-        let app = Term::app(h, vec![Term::var(x)]);
-        let t = app.clone() + app.clone();
-        let e = LinExpr::linearize(&t).unwrap();
-        assert_eq!(e.coeff(&LinKey::App(app)), Rat::from(2));
-        assert_eq!(e.key_count(), 1);
-    }
-
-    #[test]
-    fn nonlinear_rejected() {
-        let (_, x, y, _) = setup();
-        let t = Term::var(x) * Term::var(y);
-        let err = LinExpr::linearize(&t).unwrap_err();
-        assert_eq!(err.term, t);
-        let d = Term::op(OpKind::Div, vec![Term::var(x), Term::int(2)]);
-        assert!(LinExpr::linearize(&d).is_err());
-        let m = Term::op(OpKind::Mod, vec![Term::var(x), Term::int(2)]);
-        assert!(LinExpr::linearize(&m).is_err());
-    }
-
-    #[test]
-    fn cancellation_removes_keys() {
-        let (_, x, _, _) = setup();
-        let t = Term::var(x) - Term::var(x);
-        let e = LinExpr::linearize(&t).unwrap();
-        assert!(e.is_zero());
-        assert_eq!(e.as_constant(), Some(Rat::ZERO));
-    }
-
-    #[test]
-    fn scale_zero_clears() {
-        let (_, x, _, _) = setup();
-        let e = LinExpr::linearize(&Term::var(x)).unwrap().scale(Rat::ZERO);
-        assert!(e.is_zero());
-    }
-
-    #[test]
-    fn constraint_from_atom() {
-        let (_, x, y, _) = setup();
-        // x = y + 1   →   x - y - 1 = 0
-        let a = Atom::eq(Term::var(x), Term::var(y) + Term::int(1));
-        let c = LinConstraint::from_atom(&a).unwrap();
-        assert_eq!(c.rel, Rel::Eq);
-        assert_eq!(c.expr.constant(), Rat::from(-1));
-        assert_eq!(c.expr.coeff(&LinKey::Var(x)), Rat::ONE);
-        assert_eq!(c.expr.coeff(&LinKey::Var(y)), Rat::from(-1));
-    }
-
-    #[test]
-    fn constraint_constant_value() {
-        let a = Atom::new(Term::int(3), Rel::Lt, Term::int(5));
-        let c = LinConstraint::from_atom(&a).unwrap();
-        assert_eq!(c.const_value(), Some(true));
-        let (_, x, _, _) = setup();
-        let b = Atom::new(Term::var(x), Rel::Lt, Term::int(5));
-        let cb = LinConstraint::from_atom(&b).unwrap();
-        assert_eq!(cb.const_value(), None);
-        // All relations against zero.
-        for (rel, expect) in [
-            (Rel::Eq, false),
-            (Rel::Ne, true),
-            (Rel::Lt, true),
-            (Rel::Le, true),
-            (Rel::Gt, false),
-            (Rel::Ge, false),
-        ] {
-            let at = Atom::new(Term::int(-1), rel, Term::int(0));
-            assert_eq!(
-                LinConstraint::from_atom(&at).unwrap().const_value(),
-                Some(expect),
-                "{rel:?}"
-            );
-        }
     }
 
     #[test]

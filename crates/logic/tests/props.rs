@@ -1,10 +1,8 @@
-//! Property tests for the logic layer: field axioms of `Rat`,
-//! evaluation/substitution laws of terms and formulas, and agreement of
-//! linear-form extraction with direct evaluation.
+//! Property tests for the logic layer: field axioms of `Rat` and the
+//! evaluation/substitution laws of terms and formulas.
 
 use hotg_logic::{
-    Atom, Formula, InternedFormula, LinExpr, LinKey, LogicArena, Model, Rat, Rel, Signature, Sort,
-    Term, Value, Var,
+    Atom, Formula, InternedFormula, LogicArena, Model, Rat, Rel, Signature, Sort, Term, Value, Var,
 };
 use hotg_prop::prelude::*;
 
@@ -180,8 +178,7 @@ fn rat_mul_overflow_panics_in_every_shape() {
 }
 
 /// Random linear terms over two variables (no UF applications, no
-/// division), paired with a model, so that linearization can be compared
-/// against direct evaluation.
+/// division).
 fn arb_linear_term() -> impl Strategy<Value = Term> {
     let leaf = prop_oneof![
         (-50i64..=50).prop_map(Term::int),
@@ -208,37 +205,7 @@ fn two_var_model(x: i64, y: i64) -> (Signature, Model) {
     (sig, m)
 }
 
-fn eval_linexpr(e: &LinExpr, m: &Model) -> Option<Rat> {
-    let mut total = e.constant();
-    for (k, c) in e.coeffs() {
-        let v = match k {
-            LinKey::Var(v) => m.var(*v)?.int()?,
-            LinKey::App(_) => return None,
-        };
-        total += c * Rat::from(v);
-    }
-    Some(total)
-}
-
 proptest! {
-    /// Linearization preserves the value of the term.
-    #[test]
-    fn linearize_agrees_with_eval(
-        t in arb_linear_term(),
-        x in -40i64..=40,
-        y in -40i64..=40,
-    ) {
-        let (_sig, m) = two_var_model(x, y);
-        let direct = t.eval(&m);
-        let lin = LinExpr::linearize(&t).expect("term is linear");
-        let via_lin = eval_linexpr(&lin, &m).expect("model covers vars");
-        if let Some(d) = direct {
-            prop_assert_eq!(Rat::from(d), via_lin);
-        }
-        // direct == None only on i64 overflow, which the exact rationals
-        // do not have; nothing to compare then.
-    }
-
     /// Substituting a constant then evaluating equals evaluating with the
     /// variable bound to that constant.
     #[test]

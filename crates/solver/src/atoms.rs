@@ -15,7 +15,7 @@
 //!
 //! A `TableBuilder` linearizes each atom's terms straight into integer
 //! coefficients over keys borrowed from the query (`KeyRef`), so no
-//! `LinExpr` map is built and no [`LinKey`] is cloned. The coefficient
+//! [`LinKey`] is cloned. The coefficient
 //! vector `Σ aᵢ·kᵢ` of each primitive is stored once, as a row of the
 //! table's flat buffer, with its first coefficient (in `LinKey` order)
 //! positive; a primitive is a `Con`: a row index, a sign, a constant
@@ -257,8 +257,9 @@ fn mul(a: i128, b: i128) -> i128 {
 }
 
 /// Adds `scale ·` the linear form of `term` to `out` (unsorted, keys may
-/// repeat) and `constant`. Fails on the first subterm outside `T` in the
-/// order `LinExpr::linearize` visits them.
+/// repeat) and `constant`. Fails on the first subterm outside `T`,
+/// visiting operands left to right and depth first; a product of two
+/// non-constant sides fails as the whole product.
 fn linearize<'a>(
     term: &'a Term,
     scale: i128,
@@ -728,7 +729,7 @@ mod tests {
         let (p, _) = prim_of(&Atom::eq(t, Term::int(6)));
         assert_eq!(p.coeffs, vec![(LinKey::Var(x), 1), (LinKey::Var(y), -1)]);
         assert_eq!(p.constant, -1);
-        // The error names the offending product, as `LinExpr` does.
+        // The error names the offending product.
         let bad = Term::var(x) * Term::var(y);
         let err = canon(&Atom::eq(Term::int(1) + bad.clone(), Term::var(x))).unwrap_err();
         assert_eq!(err.term, bad);

@@ -18,8 +18,6 @@
 //!   the rows of one flat theory table per query;
 //! * [`euf`] — ground congruence closure (EUF);
 //! * [`smt`] — lazy DPLL(T) with Ackermann expansion of applications;
-//! * [`backend`] — abstract-interpretation pre-solver consulted by the
-//!   cascade before any DPLL(T) work;
 //! * [`validity`] — validity checking and strategy synthesis.
 //!
 //! The paper used Z3 with an ad-hoc pre-processing step because
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod atoms;
-pub mod backend;
 pub mod cache;
 pub mod euf;
 pub mod lia;
@@ -40,7 +37,6 @@ pub mod simplex;
 pub mod smt;
 pub mod validity;
 
-pub use backend::{AbstractBackend, BackendStats, Cascade, ModelVerdict, PreVerdict};
 pub use cache::{CacheStats, Keyed, QueryCache};
 pub use smt::{SmtConfig, SmtResult, SmtSolver, Verdict};
 pub use validity::{

@@ -23,7 +23,6 @@
 //! models are those the kernel contract in `DESIGN.md` pins.
 
 use crate::atoms::{Canon, Con, KeyRef, TableBuilder, TheoryTable};
-use crate::backend::{BackendStats, Cascade, ModelVerdict, PreVerdict};
 use crate::cache::{CacheStats, Keyed, QueryCache};
 use crate::lia::{solve_ids, ConKind, LiaConfig, LiaResult};
 use hotg_logic::{Atom, FastMap, Formula, LogicArena, Model, NonLinearError, Term, Value};
@@ -62,10 +61,7 @@ impl SmtResult {
 
 /// A model-free satisfiability verdict: what [`SmtSolver::verdict`]
 /// returns to callers that only test `Unsat`-ness (refutation proofs,
-/// validity certification). Because no model is materialized, the
-/// pre-solver cascade may answer `Sat` for abstractly valid formulas —
-/// which [`SmtSolver::check`] can only short-circuit in the narrower
-/// forced-model case.
+/// validity certification).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// Satisfiable (no model offered).
@@ -96,13 +92,6 @@ pub struct SmtConfig {
     /// check is bounded by `max_rounds` rounds, `total_node_budget` theory
     /// nodes, and at most 96 × 400 minimization nodes per conflict.
     pub total_node_budget: u64,
-    /// Consult the abstract-interpretation pre-solver cascade
-    /// ([`crate::backend`]) on every cache miss before any DPLL(T) work.
-    /// The cascade is sound and answers only what DPLL(T) would have
-    /// answered — verdicts by abstract refutation, models only when
-    /// narrowing *forces* the (then unique) model — so it only changes
-    /// *who* answers, never *what*. On by default.
-    pub pre_solve: bool,
 }
 
 impl SmtConfig {
@@ -112,7 +101,6 @@ impl SmtConfig {
             lia: LiaConfig::default(),
             max_rounds: 100_000,
             total_node_budget: 120_000,
-            pre_solve: true,
         }
     }
 }
@@ -161,11 +149,6 @@ pub struct SmtSolver {
     /// capture a campaign's real query stream for offline replay; it
     /// never affects verdicts.
     recorder: Option<Arc<Mutex<Vec<Formula>>>>,
-    /// The pre-solver cascade, consulted on cache misses when
-    /// [`SmtConfig::pre_solve`] is set. Shared by clones, so the
-    /// short-circuit counters aggregate across the worker threads of a
-    /// campaign.
-    pre: Option<Arc<Cascade>>,
     /// Number of [`SmtSolver::check`] calls, shared by clones like the
     /// cache.
     queries: Arc<AtomicU64>,
@@ -327,7 +310,6 @@ impl SmtSolver {
             cache: Arc::new(QueryCache::new()),
             arena: Arc::new(LogicArena::new()),
             recorder: None,
-            pre: config.pre_solve.then(|| Arc::new(Cascade::default())),
             queries: Arc::default(),
         }
     }
@@ -371,15 +353,6 @@ impl SmtSolver {
         self.cache.stats()
     }
 
-    /// Counter snapshot of the pre-solver cascade, or `None` when
-    /// pre-solving is disabled. Announcement-only: the campaign engine
-    /// publishes it as a `BackendStats` event, which is never folded into
-    /// reports (the counters depend on cache scheduling, exactly like the
-    /// cache's own hit/miss split).
-    pub fn backend_stats(&self) -> Option<BackendStats> {
-        self.pre.as_ref().map(|pre| pre.stats())
-    }
-
     /// Conjoins functional-consistency (Ackermann) clauses for every pair
     /// of same-symbol applications in `f`.
     fn ackermannize(f: &Formula) -> Formula {
@@ -419,6 +392,26 @@ impl SmtSolver {
         if let Some(log) = &self.recorder {
             log.lock().expect("recorder lock").push(formula.clone());
         }
+        self.solve(formula)
+    }
+
+    /// Decides satisfiability when the caller only needs the verdict,
+    /// never a model (refutation tests like `check(f) == Unsat`).
+    ///
+    /// Shares [`SmtSolver::check`]'s cache, so either call memoizes the
+    /// answer for the other; unlike `check`, it is neither counted by
+    /// [`SmtSolver::queries`] nor appended to the query tap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NonLinearError`] exactly as [`SmtSolver::check`] would.
+    pub fn verdict(&self, formula: &Formula) -> Result<Verdict, NonLinearError> {
+        Ok(self.solve(formula)?.verdict())
+    }
+
+    /// The one query path: normalize, look up the cache, and on a miss
+    /// Ackermannize, decide by DPLL(T) and store the result.
+    fn solve(&self, formula: &Formula) -> Result<SmtResult, NonLinearError> {
         // Normalization (flatten/dedup/fold) is a logical equivalence over
         // the same atoms, so the memoized result — including a SAT model —
         // transfers to every formula with the same normal form. The arena
@@ -429,75 +422,11 @@ impl SmtSolver {
         if let Some(cached) = self.cache.get(&key) {
             return Ok(cached);
         }
-        // Pre-solver cascade: a sound backend answering `Unsat` (abstract
-        // contradiction) or `Sat` with the formula's *forced* model (every
-        // variable pinned to a point, candidate verified by evaluation).
-        // Either answer is exactly what DPLL(T) would have returned — the
-        // forced model is unique — so both are memoized like one.
-        if let Some(pre) = &self.pre {
-            match pre.pre_check_model(key.payload()) {
-                ModelVerdict::Unsat => {
-                    self.cache.insert(key, SmtResult::Unsat);
-                    return Ok(SmtResult::Unsat);
-                }
-                ModelVerdict::Forced(model) => {
-                    let result = SmtResult::Sat(model);
-                    self.cache.insert(key, result.clone());
-                    return Ok(result);
-                }
-                ModelVerdict::Unknown => {}
-            }
-        }
         let full = Self::ackermannize(key.payload());
-
-        let result = self.check_inner(&full)?;
+        let mut query = Encoder::query(&full)?;
+        let result = self.refine(&mut query, &full);
         self.cache.insert(key, result.clone());
         Ok(result)
-    }
-
-    /// Decides satisfiability when the caller only needs the verdict,
-    /// never a model (refutation tests like `check(f) == Unsat`).
-    ///
-    /// Identical to [`SmtSolver::check`] followed by
-    /// [`SmtResult::verdict`], except that the pre-solver cascade may
-    /// additionally short-circuit abstractly *valid* formulas with
-    /// `Verdict::Sat`: sound (a valid formula is satisfiable) and
-    /// indistinguishable to a verdict-only caller, but unavailable to
-    /// `check` in general because validity names no model to hand back.
-    /// Such answers are not memoized — the shared cache stores
-    /// model-carrying results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonLinearError`] exactly as [`SmtSolver::check`] would:
-    /// the cascade stays silent on any formula containing an atom outside
-    /// the linear theory.
-    pub fn verdict(&self, formula: &Formula) -> Result<Verdict, NonLinearError> {
-        let (norm, fp) = self.arena.normal(formula);
-        let key = Keyed::new(fp, norm);
-        if let Some(cached) = self.cache.get(&key) {
-            return Ok(cached.verdict());
-        }
-        if let Some(pre) = &self.pre {
-            match pre.pre_check(key.payload(), true) {
-                PreVerdict::Unsat => {
-                    self.cache.insert(key, SmtResult::Unsat);
-                    return Ok(Verdict::Unsat);
-                }
-                PreVerdict::Valid => return Ok(Verdict::Sat),
-                PreVerdict::Unknown => {}
-            }
-        }
-        let full = Self::ackermannize(key.payload());
-        let result = self.check_inner(&full)?;
-        let verdict = result.verdict();
-        self.cache.insert(key, result);
-        Ok(verdict)
-    }
-
-    fn check_inner(&self, full: &Formula) -> Result<SmtResult, NonLinearError> {
-        let mut query = Encoder::query(full)?;
-        Ok(self.refine(&mut query, full))
     }
 
     /// The lazy CDCL(T) refinement loop over an already-encoded query:
@@ -872,9 +801,44 @@ mod tests {
         assert!(clone.check(&g).expect("linear").is_sat());
         assert_eq!((solver.queries(), clone.queries()), (3, 3));
         assert_eq!(*log.lock().expect("log"), vec![f.clone(), f.clone(), g]);
-        // `verdict` is not a `check`.
-        assert!(solver.verdict(&f).is_ok());
-        assert_eq!(solver.queries(), 3);
+        // `verdict` is not a `check`: neither counted nor tapped.
+        assert_eq!(solver.verdict(&f), Ok(Verdict::Sat));
+        assert_eq!(clone.verdict(&Formula::False), Ok(Verdict::Unsat));
+        assert_eq!((solver.queries(), clone.queries()), (3, 3));
+        assert_eq!(log.lock().expect("log").len(), 3);
+    }
+
+    #[test]
+    fn check_and_verdict_share_one_memo() {
+        let (_, x, y, _) = setup();
+        let eq = |v: Var, c: i64| Formula::atom(Atom::eq(Term::var(v), Term::int(c)));
+        let solver = SmtSolver::new();
+        let stats = |s: &SmtSolver| {
+            let c = s.cache_stats();
+            (c.hits, c.misses)
+        };
+        // A `verdict` after a `check` of an equal normal form (here: up to
+        // a duplicate conjunct) is a hit.
+        assert!(solver
+            .check(&eq(x, 3).and(eq(y, 4)))
+            .expect("linear")
+            .is_sat());
+        assert_eq!(stats(&solver), (0, 1));
+        let dup = eq(x, 3).and(eq(y, 4)).and(eq(x, 3));
+        assert_eq!(solver.verdict(&dup), Ok(Verdict::Sat));
+        assert_eq!(stats(&solver), (1, 1));
+        // A `check` after a `verdict` is a hit that returns the model, a
+        // valid formula's included.
+        let valid = Formula::atom(Atom::new(Term::var(x), Rel::Ge, Term::int(0))).or(
+            Formula::atom(Atom::new(Term::var(x), Rel::Lt, Term::int(0))),
+        );
+        assert_eq!(solver.verdict(&valid), Ok(Verdict::Sat));
+        assert_eq!(stats(&solver), (1, 2));
+        match solver.check(&valid).expect("linear") {
+            SmtResult::Sat(m) => assert_eq!(valid.eval(&m), Some(true)),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        assert_eq!(stats(&solver), (2, 2));
     }
 
     #[test]

@@ -472,12 +472,6 @@ impl ValidityChecker {
         self.memo.stats().merged(self.solver.cache_stats())
     }
 
-    /// Pre-solver cascade counters of the underlying SMT solver (`None`
-    /// when pre-solving is disabled).
-    pub fn backend_stats(&self) -> Option<crate::backend::BackendStats> {
-        self.solver.backend_stats()
-    }
-
     /// Checks validity of `POST(pc) = ∃X : A ⇒ pc` with all function
     /// symbols universally quantified, where `A` is the antecedent built
     /// from `samples` and `X` = `inputs`.
@@ -653,9 +647,7 @@ impl ValidityChecker {
             .clone()
             .and(extra_ground)
             .and(instantiated.negate());
-        // A verdict is all that is needed (and all that is used): the
-        // pre-solver cascade may refute — or, via its validity side,
-        // satisfy — the refutation query without any DPLL(T) work.
+        // A verdict is all that is needed (and all that is used).
         Ok(self.solver.verdict(&refutation)? == Verdict::Unsat)
     }
 

@@ -273,7 +273,9 @@ fn smt_case(rng: &mut TestRng, voc: &SmtVocab, h: &mut StableHasher, tally: &mut
         };
     }
     let mut config = SmtConfig::new();
-    config.pre_solve = rng.below(2) == 0;
+    // A retired configuration draw, kept so the seeded stream (and
+    // the recorded digests) do not move.
+    let _ = rng.below(2);
     config.total_node_budget = [2u64, 50, 120_000][rng.below(3) as usize];
     config.lia.node_budget = [1u64, 10, 20_000][rng.below(3) as usize];
     let result = SmtSolver::with_config(config).check(&f);
