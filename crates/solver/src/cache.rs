@@ -96,12 +96,19 @@ impl<K: Hash + Eq, V: Clone> QueryCache<K, V> {
 
     /// Looks up a memoized value, counting a hit or miss.
     pub fn get(&self, key: &K) -> Option<V> {
+        self.get_with(key, V::clone)
+    }
+
+    /// Looks up a memoized value and maps it with `read` under the shard
+    /// lock, counting a hit or miss exactly as [`QueryCache::get`] does:
+    /// a caller that needs only part of the value clones only that part.
+    pub fn get_with<R>(&self, key: &K, read: impl FnOnce(&V) -> R) -> Option<R> {
         let found = self
             .shard(key)
             .lock()
             .expect("cache lock")
             .get(key)
-            .cloned();
+            .map(read);
         match found {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -209,6 +216,11 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
+        // A mapped lookup counts exactly as `get` does.
+        assert_eq!(cache.get_with(&k, |v| v.len()), Some(1));
+        assert_eq!(cache.get_with(&Keyed::new(8, 8u32), |v| v.len()), None);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (2, 2));
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
     }

@@ -23,11 +23,14 @@
 //! core-minimization probe calls the table-keyed core directly;
 //! [`solve_int`] builds a table from its `LinKey` system first. A call
 //! gives the keys its constraints mention simplex variables `0..` in id
-//! order, which is the order of the sorted key universe, and builds one
+//! order, which is the order of the sorted key universe, and refills one
 //! full-range root tableau in one pass from the rows, which are already
-//! sorted ([`Simplex::from_rows`]). Every branch-and-bound node clones
-//! the root and asserts its own bounds: for a preference box, the box's
-//! key bounds first, then the node's branch bounds. A box that the
+//! sorted ([`Simplex::refill`]). Every branch-and-bound node resets a
+//! second, node tableau from the root and asserts its own bounds: for a
+//! preference box, the box's key bounds first, then the node's branch
+//! bounds. Both tableaux live in a per-thread workspace that every call
+//! on the thread reuses, so their buffers are overwritten in place, not
+//! allocated per call and per node. A box that the
 //! interval of one asserted row already refutes is not searched: it is
 //! charged the one node its search would spend on the infeasible root.
 //! The nodes, pivots, cores and models are exactly those of rebuilding
@@ -38,6 +41,7 @@ use crate::atoms::{Con, TheoryTable};
 use crate::simplex::{BoundKind, Simplex, SimplexResult, SlackRow};
 use hotg_logic::{LinKey, Rat};
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Relation kind of a normalized integer constraint.
@@ -213,11 +217,42 @@ pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
 ///
 /// The keys the constraints mention become simplex variables `0..` in id
 /// order, so pivots, branches, cores and models are those of the sorted
-/// `LinKey` universe. One full-range root tableau is built per call; a
-/// node of a preference box's search asserts the box's key bounds on its
-/// clone of it, which is the tableau a rebuild would produce (every key
-/// is still at 0).
+/// `LinKey` universe. The call takes this thread's [`Workspace`] for its
+/// duration and refills its root tableau once, full-range; every node
+/// resets the workspace's node tableau from it, and a node of a
+/// preference box's search asserts the box's key bounds there, which is
+/// the tableau a rebuild would produce (every key is still at 0).
 pub(crate) fn solve_ids(
+    table: &TheoryTable,
+    constraints: &[Con],
+    config: &LiaConfig,
+    budget: &mut u64,
+) -> LiaResult<IdModel> {
+    let mut workspace = WORKSPACE.take();
+    let result = solve_in(&mut workspace, table, constraints, config, budget);
+    WORKSPACE.set(workspace);
+    result
+}
+
+/// The two tableaux of one LIA call: the full-range root, refilled per
+/// call, and the node tableau every branch-and-bound node resets from it.
+/// Kept between calls only for their buffers; no state carries over.
+#[derive(Default)]
+struct Workspace {
+    root: Simplex,
+    node: Simplex,
+}
+
+thread_local! {
+    /// This thread's workspace. Shards and workers share an `SmtSolver`
+    /// through clones, possibly on several threads; one workspace per
+    /// thread needs no lock and serves every query the thread runs.
+    static WORKSPACE: Cell<Workspace> = Cell::default();
+}
+
+/// The body of [`solve_ids`], on a workspace it has taken.
+fn solve_in(
+    workspace: &mut Workspace,
     table: &TheoryTable,
     constraints: &[Con],
     config: &LiaConfig,
@@ -245,8 +280,9 @@ pub(crate) fn solve_ids(
     }
 
     let (var_of, present) = key_vars(table, constraints);
-    let root = root_tableau(table, constraints, &var_of, present.len(), config);
-    let full = branch(&root, &present, None, budget);
+    let Workspace { root, node } = workspace;
+    let root = root_tableau(root, table, constraints, &var_of, present.len(), config);
+    let full = branch(&root, node, &present, None, budget);
     if config.prefer_small {
         if let LiaResult::Sat(fallback) = &full {
             // The problem is feasible; look for a small-magnitude model
@@ -267,7 +303,7 @@ pub(crate) fn solve_ids(
                     *budget = budget.saturating_sub(1);
                     continue;
                 }
-                if let LiaResult::Sat(m) = branch(&root, &present, Some(bound), budget) {
+                if let LiaResult::Sat(m) = branch(&root, node, &present, Some(bound), budget) {
                     return LiaResult::Sat(m);
                 }
             }
@@ -319,19 +355,21 @@ fn box_refuted(table: &TheoryTable, constraints: &[Con], bound: i64) -> bool {
     })
 }
 
-/// The full-range root tableau of one LIA call, built in one pass: a
-/// variable per mentioned key under the global bounds, and a tagged
-/// slack row per constraint with keys (the rows list their keys in id
-/// order, hence in variable order). Every node starts from a clone of
-/// it, which is the same tableau a per-node rebuild would produce. `Err`
-/// carries the outcome of a tableau whose bounds already conflict.
-fn root_tableau(
+/// Refills `root` in one pass with the full-range root tableau of one
+/// LIA call: a variable per mentioned key under the global bounds, and a
+/// tagged slack row per constraint with keys (the rows list their keys
+/// in id order, hence in variable order). Every node resets its tableau
+/// from it, which is the same tableau a per-node rebuild would produce.
+/// `Err` carries the outcome of a tableau whose bounds already conflict
+/// (and leaves `root` as it was).
+fn root_tableau<'a>(
+    root: &'a mut Simplex,
     table: &TheoryTable,
     constraints: &[Con],
     var_of: &[u32],
     n_vars: usize,
     config: &LiaConfig,
-) -> Result<Simplex, NodeOutcome> {
+) -> Result<&'a Simplex, NodeOutcome> {
     if n_vars > 0 && config.var_min > config.var_max {
         return Err(NodeOutcome::Infeasible);
     }
@@ -351,28 +389,31 @@ fn root_tableau(
                 tag: Some(ci as u32),
             }
         });
-    Ok(Simplex::from_rows(
+    root.refill(
         n_vars,
         Rat::from(config.var_min),
         Rat::from(config.var_max),
         rows,
-    ))
+    );
+    Ok(root)
 }
 
 /// Branch-and-bound over the rational relaxation, depth-first with an
 /// explicit worklist: recursion depth is bounded by the node budget
 /// (20k by default), which overflows the thread stack on hard
 /// instances, so the search must not use the call stack. Simplex
-/// variable `i` is key `keys[i]`.
+/// variable `i` is key `keys[i]`; `node` is the tableau each node resets
+/// from the root.
 fn branch(
-    root: &Result<Simplex, NodeOutcome>,
+    root: &Result<&Simplex, NodeOutcome>,
+    node: &mut Simplex,
     keys: &[u32],
     box_bound: Option<i64>,
     budget: &mut u64,
 ) -> LiaResult<IdModel> {
     let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![Vec::new()];
     while let Some(bounds) = work.pop() {
-        match branch_node(root, keys, box_bound, &bounds, budget) {
+        match branch_node(root, node, keys, box_bound, &bounds, budget) {
             NodeOutcome::Done(result) => return result,
             NodeOutcome::Infeasible => {}
             NodeOutcome::Split { index, floor } => {
@@ -407,8 +448,11 @@ enum NodeOutcome {
     Split { index: usize, floor: i128 },
 }
 
+/// Evaluates one node: resets `s` from the root (into its own buffers),
+/// asserts the box's and the node's bounds on it and checks it.
 fn branch_node(
-    root: &Result<Simplex, NodeOutcome>,
+    root: &Result<&Simplex, NodeOutcome>,
+    s: &mut Simplex,
     keys: &[u32],
     box_bound: Option<i64>,
     extra_bounds: &[(usize, BoundKind, Rat)],
@@ -419,10 +463,10 @@ fn branch_node(
     }
     *budget -= 1;
 
-    let mut s = match root {
-        Ok(s) => s.clone(),
+    match root {
+        Ok(root) => s.clone_from(root),
         Err(outcome) => return outcome.clone(),
-    };
+    }
     let box_bounds = box_bound.into_iter().flat_map(|b| {
         (0..keys.len()).flat_map(move |v| {
             [
@@ -556,6 +600,39 @@ mod tests {
         Some(s)
     }
 
+    /// A random config's global key bounds, some of which exclude 0.
+    fn random_config(rng: &mut TestRng) -> LiaConfig {
+        let (var_min, var_max) =
+            [(-(1i64 << 32), 1i64 << 32), (-8, 8), (3, 40), (-40, -3)][rng.below(4) as usize];
+        LiaConfig {
+            var_min,
+            var_max,
+            ..LiaConfig::default()
+        }
+    }
+
+    /// Row counts for a chain of refills of one tableau: each in a
+    /// different band of 64, so the column stride grows (1 → 3) and
+    /// shrinks (3 → 2 → 1) along the chain.
+    fn stride_crossing_sizes(rng: &mut TestRng) -> [usize; 4] {
+        [1, 129, 65, 1].map(|start| start + rng.below(64) as usize)
+    }
+
+    /// A random system of `n` constraints that all have keys, so that
+    /// its root tableau has exactly `n` rows.
+    fn keyed_system(rng: &mut TestRng, n: usize) -> Vec<IntConstraint> {
+        let keys = six_keys();
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            out.extend(
+                random_system(rng, &keys, n - out.len())
+                    .into_iter()
+                    .filter(|c| !c.coeffs.is_empty()),
+            );
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -565,14 +642,63 @@ mod tests {
             let constraints = random_system(&mut rng, &six_keys(), n);
             let refs: Vec<&IntConstraint> = constraints.iter().collect();
             let (table, _, cons) = TheoryTable::of_constraints(&refs);
-            let (var_min, var_max) =
-                [(-(1i64 << 32), 1i64 << 32), (-8, 8), (3, 40), (-40, -3)][rng.below(4) as usize];
-            let config = LiaConfig { var_min, var_max, ..LiaConfig::default() };
+            let config = random_config(&mut rng);
             let (var_of, present) = key_vars(&table, &cons);
-            let one_pass = root_tableau(&table, &cons, &var_of, present.len(), &config);
+            let mut root = Simplex::new();
+            let one_pass = root_tableau(&mut root, &table, &cons, &var_of, present.len(), &config);
             let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
             // Rows, bounds, tags, values, column index and violated set.
-            prop_assert!(matches!((&one_pass, &by_rows), (Ok(a), Some(b)) if a == b));
+            prop_assert!(matches!((&one_pass, &by_rows), (Ok(a), Some(b)) if *a == b));
+        }
+
+        #[test]
+        fn a_dirty_root_refills_to_the_add_row_build(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            // One tableau refilled along the chain, each time after a
+            // check has pivoted what the previous refill left in it.
+            let mut root = Simplex::new();
+            for n in stride_crossing_sizes(&mut rng) {
+                let constraints = keyed_system(&mut rng, n);
+                let refs: Vec<&IntConstraint> = constraints.iter().collect();
+                let (table, _, cons) = TheoryTable::of_constraints(&refs);
+                let config = random_config(&mut rng);
+                let (var_of, present) = key_vars(&table, &cons);
+                let refilled =
+                    root_tableau(&mut root, &table, &cons, &var_of, present.len(), &config);
+                let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
+                prop_assert!(
+                    matches!((&refilled, &by_rows), (Ok(a), Some(b)) if *a == b),
+                    "{} rows", n
+                );
+                let _ = root.check();
+            }
+        }
+
+        #[test]
+        fn a_dirty_node_resets_to_a_clone_of_the_root(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            // One node tableau reset from roots along the chain, each time
+            // after box bounds and a check have pivoted the previous reset.
+            let (mut root, mut node) = (Simplex::new(), Simplex::new());
+            for n in stride_crossing_sizes(&mut rng) {
+                let constraints = keyed_system(&mut rng, n);
+                let refs: Vec<&IntConstraint> = constraints.iter().collect();
+                let (table, _, cons) = TheoryTable::of_constraints(&refs);
+                let (var_of, present) = key_vars(&table, &cons);
+                let Ok(root) =
+                    root_tableau(&mut root, &table, &cons, &var_of, present.len(), &cfg())
+                else {
+                    panic!("the default global bounds do not conflict");
+                };
+                node.clone_from(root);
+                prop_assert_eq!(&node, &root.clone(), "{} rows", n);
+                let bound = Rat::from(1i64 << (4 * (1 + rng.below(4))));
+                for v in 0..present.len() {
+                    let _ = node.assert_bound(v, BoundKind::Lower, -bound, None);
+                    let _ = node.assert_bound(v, BoundKind::Upper, bound, None);
+                }
+                let _ = node.check();
+            }
         }
 
         #[test]
@@ -595,7 +721,10 @@ mod tests {
             let (table, _, cons) = TheoryTable::of_constraints(&refs);
             let config = LiaConfig::default();
             let (var_of, present) = key_vars(&table, &cons);
-            let root = root_tableau(&table, &cons, &var_of, present.len(), &config);
+            let mut workspace = Workspace::default();
+            let root = root_tableau(
+                &mut workspace.root, &table, &cons, &var_of, present.len(), &config,
+            );
             prop_assert!(box_refuted(&table, &cons, 1 << 4));
             for p in [4u32, 8, 16] {
                 let bound = 1i64 << p;
@@ -604,7 +733,8 @@ mod tests {
                 }
                 for start in [0u64, 1, 2, 40] {
                     let mut budget = start;
-                    let result = branch(&root, &present, Some(bound), &mut budget);
+                    let result =
+                        branch(&root, &mut workspace.node, &present, Some(bound), &mut budget);
                     prop_assert!(!matches!(result, LiaResult::Sat(_)), "box {p}: {result:?}");
                     prop_assert_eq!(start - budget, start.min(1), "box {}", p);
                 }

@@ -49,7 +49,7 @@ pub enum SimplexResult {
     Unsat(Explanation),
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct VarState {
     lower: Option<(Rat, Option<u32>)>,
     upper: Option<(Rat, Option<u32>)>,
@@ -58,13 +58,28 @@ struct VarState {
     row: Option<usize>,
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 struct Row {
     /// The basic variable this row defines.
     basic: usize,
     /// `basic = Σ coeff · nonbasic` (only nonbasic vars appear), sorted
     /// by variable index, no zero coefficients.
     terms: Vec<(usize, Rat)>,
+}
+
+impl Clone for Row {
+    fn clone(&self) -> Row {
+        Row {
+            basic: self.basic,
+            terms: self.terms.clone(),
+        }
+    }
+
+    /// Copies into this row's `terms` buffer rather than a new one.
+    fn clone_from(&mut self, source: &Row) {
+        self.basic = source.basic;
+        self.terms.clone_from(&source.terms);
+    }
 }
 
 impl Row {
@@ -163,7 +178,7 @@ fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// A row of a tableau built by [`Simplex::from_rows`]: the terms of its
+/// A row of a tableau built by [`Simplex::refill`]: the terms of its
 /// slack `s = Σ coeff·var` and the slack's bounds, which carry `tag`.
 #[derive(Clone, Debug)]
 pub struct SlackRow<T> {
@@ -182,8 +197,8 @@ pub struct SlackRow<T> {
 /// Usage: allocate variables with [`Simplex::new_var`], define linear rows
 /// with [`Simplex::add_row`] (introducing slack variables upstream), assert
 /// bounds with [`Simplex::assert_bound`], then call [`Simplex::check`].
-/// [`Simplex::from_rows`] builds a bounded tableau of slack rows over
-/// fresh variables in one pass.
+/// [`Simplex::refill`] overwrites a tableau, in one pass and in its own
+/// buffers, with a bounded tableau of slack rows over fresh variables.
 ///
 /// # Examples
 ///
@@ -201,7 +216,7 @@ pub struct SlackRow<T> {
 /// s.assert_bound(y, BoundKind::Lower, Rat::from(1), Some(2)).unwrap();
 /// assert!(matches!(s.check(), SimplexResult::Sat(_)));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Simplex {
     vars: Vec<VarState>,
     rows: Vec<Row>,
@@ -215,6 +230,31 @@ pub struct Simplex {
     violated: Vec<u64>,
     /// Merge buffer of a pivot, empty between calls.
     scratch: Vec<(usize, Rat)>,
+}
+
+impl Clone for Simplex {
+    fn clone(&self) -> Simplex {
+        Simplex {
+            vars: self.vars.clone(),
+            rows: self.rows.clone(),
+            cols: self.cols.clone(),
+            stride: self.stride,
+            violated: self.violated.clone(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Copies field by field into this tableau's buffers, each row into
+    /// one of its rows, so a tableau reset from another per search node
+    /// allocates only when the source outgrows it.
+    fn clone_from(&mut self, source: &Simplex) {
+        self.vars.clone_from(&source.vars);
+        self.rows.clone_from(&source.rows);
+        self.cols.clone_from(&source.cols);
+        self.stride = source.stride;
+        self.violated.clone_from(&source.violated);
+        self.scratch.clear();
+    }
 }
 
 /// `true` if the variable's value lies outside one of its bounds.
@@ -297,21 +337,24 @@ impl Simplex {
         s
     }
 
-    /// Builds in one pass the tableau that [`Simplex::new`], `n_vars`
-    /// calls of [`Simplex::new_var`], the bounds `[lower, upper]` on each
-    /// of those variables, and then per row an [`Simplex::add_row`] of
-    /// its terms followed by its slack's bounds would build: the same
-    /// variables, values, bounds, tags, rows, column index and violated
-    /// set. The columns and the violated set are sized once, and each
-    /// row's terms take one allocation.
+    /// Overwrites this tableau, in one pass, with the tableau that
+    /// [`Simplex::new`], `n_vars` calls of [`Simplex::new_var`], the
+    /// bounds `[lower, upper]` on each of those variables, and then per
+    /// row an [`Simplex::add_row`] of its terms followed by its slack's
+    /// bounds would build: the same variables, values, bounds, tags, rows,
+    /// column index and violated set. Every buffer the tableau already
+    /// holds is reused: each row's terms are cleared and refilled in
+    /// place, surplus rows are dropped, and the columns and the violated
+    /// set are cleared and sized once, so a tableau refilled per call
+    /// allocates only when a call needs more room than any before it.
     ///
     /// Each row's terms must name variables below `n_vars` in increasing
     /// order with nonzero coefficients, and `lower ≤ upper` (with no
     /// variables any bounds do).
-    pub fn from_rows<R, T>(n_vars: usize, lower: Rat, upper: Rat, rows: R) -> Simplex
+    pub fn refill<R, T>(&mut self, n_vars: usize, lower: Rat, upper: Rat, rows: R)
     where
         R: Iterator<Item = SlackRow<T>>,
-        T: ExactSizeIterator<Item = (usize, Rat)>,
+        T: Iterator<Item = (usize, Rat)>,
     {
         debug_assert!(n_vars == 0 || lower <= upper);
         // Bounding a variable at 0 moves it to the nearer bound.
@@ -328,44 +371,46 @@ impl Simplex {
             value,
             row: None,
         };
-        let (min_rows, max_rows) = rows.size_hint();
-        let n_rows = max_rows.unwrap_or(min_rows);
-        let mut vars = Vec::with_capacity(n_vars + n_rows);
-        vars.resize(n_vars, key);
-        let mut row_list: Vec<Row> = Vec::with_capacity(n_rows);
+        self.vars.clear();
+        self.vars.resize(n_vars, key);
+        let mut n_rows = 0;
         for slack in rows {
-            let terms: Vec<(usize, Rat)> = slack.terms.collect();
-            debug_assert!(terms.windows(2).all(|w| w[0].0 < w[1].0));
-            debug_assert!(terms.iter().all(|&(v, c)| v < n_vars && !c.is_zero()));
-            let value = terms.iter().map(|&(v, c)| vars[v].value * c).sum();
-            vars.push(VarState {
+            if n_rows == self.rows.len() {
+                self.rows.push(Row {
+                    basic: 0,
+                    terms: Vec::new(),
+                });
+            }
+            let row = &mut self.rows[n_rows];
+            row.terms.clear();
+            row.terms.extend(slack.terms);
+            debug_assert!(row.terms.windows(2).all(|w| w[0].0 < w[1].0));
+            debug_assert!(row.terms.iter().all(|&(v, c)| v < n_vars && !c.is_zero()));
+            let value = row.terms.iter().map(|&(v, c)| self.vars[v].value * c).sum();
+            self.vars.push(VarState {
                 lower: slack.lower.map(|l| (l, slack.tag)),
                 upper: slack.upper.map(|u| (u, slack.tag)),
                 value,
-                row: Some(row_list.len()),
+                row: Some(n_rows),
             });
-            row_list.push(Row {
-                basic: vars.len() - 1,
-                terms,
-            });
+            row.basic = self.vars.len() - 1;
+            n_rows += 1;
         }
-        let stride = row_list.len().div_ceil(64);
-        let mut cols = vec![0; vars.len() * stride];
-        let mut violated = vec![0; vars.len().div_ceil(64)];
-        for (r, row) in row_list.iter().enumerate() {
+        self.rows.truncate(n_rows);
+        let stride = n_rows.div_ceil(64);
+        self.stride = stride;
+        self.cols.clear();
+        self.cols.resize(self.vars.len() * stride, 0);
+        self.violated.clear();
+        self.violated.resize(self.vars.len().div_ceil(64), 0);
+        for (r, row) in self.rows.iter().enumerate() {
             for &(v, _) in &row.terms {
-                set_bit(&mut cols[v * stride..], r, true);
+                set_bit(&mut self.cols[v * stride..], r, true);
             }
-            set_bit(&mut violated, row.basic, out_of_bounds(&vars[row.basic]));
+            let violated = out_of_bounds(&self.vars[row.basic]);
+            set_bit(&mut self.violated, row.basic, violated);
         }
-        Simplex {
-            vars,
-            rows: row_list,
-            cols,
-            stride,
-            violated,
-            scratch: Vec::new(),
-        }
+        self.scratch.clear();
     }
 
     /// Asserts `var ≥ c` or `var ≤ c` with a provenance tag.

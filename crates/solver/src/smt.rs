@@ -392,7 +392,7 @@ impl SmtSolver {
         if let Some(log) = &self.recorder {
             log.lock().expect("recorder lock").push(formula.clone());
         }
-        self.solve(formula)
+        self.solve(formula, SmtResult::clone)
     }
 
     /// Decides satisfiability when the caller only needs the verdict,
@@ -400,18 +400,24 @@ impl SmtSolver {
     ///
     /// Shares [`SmtSolver::check`]'s cache, so either call memoizes the
     /// answer for the other; unlike `check`, it is neither counted by
-    /// [`SmtSolver::queries`] nor appended to the query tap.
+    /// [`SmtSolver::queries`] nor appended to the query tap, and a cache
+    /// hit reads the verdict in place without copying the model.
     ///
     /// # Errors
     ///
     /// Returns [`NonLinearError`] exactly as [`SmtSolver::check`] would.
     pub fn verdict(&self, formula: &Formula) -> Result<Verdict, NonLinearError> {
-        Ok(self.solve(formula)?.verdict())
+        self.solve(formula, SmtResult::verdict)
     }
 
     /// The one query path: normalize, look up the cache, and on a miss
-    /// Ackermannize, decide by DPLL(T) and store the result.
-    fn solve(&self, formula: &Formula) -> Result<SmtResult, NonLinearError> {
+    /// Ackermannize, decide by DPLL(T) and store the result. Returns what
+    /// `read` takes from the result, read in place on a hit.
+    fn solve<R>(
+        &self,
+        formula: &Formula,
+        read: impl Fn(&SmtResult) -> R,
+    ) -> Result<R, NonLinearError> {
         // Normalization (flatten/dedup/fold) is a logical equivalence over
         // the same atoms, so the memoized result — including a SAT model —
         // transfers to every formula with the same normal form. The arena
@@ -419,14 +425,15 @@ impl SmtSolver {
         // (even by a different solver sharing the arena) skips it.
         let (norm, fp) = self.arena.normal(formula);
         let key = Keyed::new(fp, norm);
-        if let Some(cached) = self.cache.get(&key) {
+        if let Some(cached) = self.cache.get_with(&key, &read) {
             return Ok(cached);
         }
         let full = Self::ackermannize(key.payload());
         let mut query = Encoder::query(&full)?;
         let result = self.refine(&mut query, &full);
-        self.cache.insert(key, result.clone());
-        Ok(result)
+        let out = read(&result);
+        self.cache.insert(key, result);
+        Ok(out)
     }
 
     /// The lazy CDCL(T) refinement loop over an already-encoded query:
