@@ -45,7 +45,6 @@
 
 mod arena;
 mod atom;
-mod domain;
 mod formula;
 mod hash;
 mod linear;
@@ -57,7 +56,6 @@ mod term;
 
 pub use arena::{ArenaStats, InternedFormula, InternedTerm, LogicArena};
 pub use atom::{Atom, AtomDisplay, Rel};
-pub use domain::{Constancy, Interval};
 pub use formula::{Formula, FormulaDisplay};
 pub use hash::{FastHasher, FastMap, FastSet, StableHasher};
 pub use linear::{LinKey, NonLinearError};

@@ -64,6 +64,11 @@ impl TheoryTable {
         self.n_keys
     }
 
+    /// Number of rows (every row index is below it).
+    pub(crate) fn n_rows(&self) -> usize {
+        self.ends.len()
+    }
+
     fn push_row(&mut self, terms: &[(u32, i128)]) -> u32 {
         self.terms.extend_from_slice(terms);
         self.ends.push(self.terms.len() as u32);
@@ -71,9 +76,12 @@ impl TheoryTable {
     }
 
     /// The table of a system of [`IntConstraint`]s: the sorted key
-    /// universe, and one row and one `Con` per constraint, in order.
-    /// A row sums its coefficients per key (in order) and drops zeros,
-    /// as [`crate::simplex::Simplex::add_row`] does.
+    /// universe, and one `Con` per constraint, in order. A constraint's
+    /// coefficients sum per key (in order) and drop zeros, as
+    /// [`crate::simplex::Simplex::add_row`] does; the result is stored
+    /// once per distinct form, sign-normalized as `TableBuilder` stores
+    /// it (first coefficient positive), and a constraint over its
+    /// negation is a `negated` view of the row.
     pub(crate) fn of_constraints(
         constraints: &[&IntConstraint],
     ) -> (TheoryTable, Vec<LinKey>, Vec<Con>) {
@@ -87,21 +95,38 @@ impl TheoryTable {
             n_keys: keys.len(),
             ..TheoryTable::default()
         };
-        let mut row: Vec<(u32, i128)> = Vec::new();
+        let mut rows: FastMap<Vec<(u32, i128)>, u32> = FastMap::default();
         let cons = constraints
             .iter()
             .map(|con| {
-                row.clear();
-                row.extend(con.coeffs.iter().map(|(k, c)| {
-                    // Every key was collected above.
-                    let id = keys.binary_search(&k).expect("interned key");
-                    (id as u32, *c)
-                }));
+                let mut row: Vec<(u32, i128)> = con
+                    .coeffs
+                    .iter()
+                    .map(|(k, c)| {
+                        // Every key was collected above.
+                        let id = keys.binary_search(&k).expect("interned key");
+                        (id as u32, *c)
+                    })
+                    .collect();
                 row.sort_by_key(|&(id, _)| id);
                 collapse(&mut row);
+                let negated = row.first().is_some_and(|&(_, c)| c < 0);
+                if negated {
+                    for (_, c) in &mut row {
+                        *c = -*c;
+                    }
+                }
+                let row = match rows.get(&row) {
+                    Some(&r) => r,
+                    None => {
+                        let r = table.push_row(&row);
+                        rows.insert(row, r);
+                        r
+                    }
+                };
                 Con {
-                    row: table.push_row(&row),
-                    negated: false,
+                    row,
+                    negated,
                     constant: con.constant,
                     kind: con.kind,
                 }

@@ -25,17 +25,19 @@
 //! gives the keys its constraints mention simplex variables `0..` in id
 //! order, which is the order of the sorted key universe, and refills one
 //! full-range root tableau in one pass from the rows, which are already
-//! sorted ([`Simplex::refill`]). Every branch-and-bound node resets a
-//! second, node tableau from the root and asserts its own bounds: for a
-//! preference box, the box's key bounds first, then the node's branch
-//! bounds. Both tableaux live in a per-thread workspace that every call
-//! on the thread reuses, so their buffers are overwritten in place, not
-//! allocated per call and per node. A box that the
-//! interval of one asserted row already refutes is not searched: it is
-//! charged the one node its search would spend on the infeasible root.
-//! The nodes, pivots, cores and models are exactly those of rebuilding
-//! the tableau per node (the kernel contract in `DESIGN.md`, pinned by
-//! `tests/kernel_golden.rs`).
+//! sorted ([`Simplex::refill`]). The constraints over one table row (an
+//! atom's bound, its negation, both sides of an equality's split) get
+//! one slack each, and the slacks share that row's tableau row, each as
+//! ± its form. Every branch-and-bound node resets a second, node tableau
+//! from the root and asserts its own bounds: for a preference box, the
+//! box's key bounds first, then the node's branch bounds. Both tableaux
+//! live in a per-thread workspace that every call on the thread reuses,
+//! so their buffers are overwritten in place, not allocated per call and
+//! per node. A box that the interval of one asserted row already refutes
+//! is not searched: it is charged the one node its search would spend on
+//! the infeasible root. The nodes, pivots, cores and models are exactly
+//! those of rebuilding a one-row-per-slack tableau per node (the kernel
+//! contract in `DESIGN.md`, pinned by `tests/kernel_golden.rs`).
 
 use crate::atoms::{Con, TheoryTable};
 use crate::simplex::{BoundKind, Simplex, SimplexResult, SlackRow};
@@ -190,8 +192,9 @@ pub fn solve_int<C: Borrow<IntConstraint>>(constraints: &[C], config: &LiaConfig
 ///
 /// Both entry points take owned constraints or references, so a caller
 /// holding its constraints elsewhere need not clone them per call. They
-/// put the system in a `TheoryTable` and run the table-keyed core the
-/// SMT solver calls.
+/// put the system in a `TheoryTable`, where constraints over one linear
+/// form or its negation share a row as the SMT encoder's do, and run the
+/// table-keyed core the SMT solver calls.
 pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
     constraints: &[C],
     config: &LiaConfig,
@@ -235,12 +238,14 @@ pub(crate) fn solve_ids(
 }
 
 /// The two tableaux of one LIA call: the full-range root, refilled per
-/// call, and the node tableau every branch-and-bound node resets from it.
-/// Kept between calls only for their buffers; no state carries over.
+/// call, and the node tableau every branch-and-bound node resets from it;
+/// and, per table row, the first slack of the call over it. Kept between
+/// calls only for their buffers; no state carries over.
 #[derive(Default)]
 struct Workspace {
     root: Simplex,
     node: Simplex,
+    forms: Vec<(u32, bool)>,
 }
 
 thread_local! {
@@ -280,8 +285,16 @@ fn solve_in(
     }
 
     let (var_of, present) = key_vars(table, constraints);
-    let Workspace { root, node } = workspace;
-    let root = root_tableau(root, table, constraints, &var_of, present.len(), config);
+    let Workspace { root, node, forms } = workspace;
+    let root = root_tableau(
+        root,
+        forms,
+        table,
+        constraints,
+        &var_of,
+        present.len(),
+        config,
+    );
     let full = branch(&root, node, &present, None, budget);
     if config.prefer_small {
         if let LiaResult::Sat(fallback) = &full {
@@ -357,13 +370,17 @@ fn box_refuted(table: &TheoryTable, constraints: &[Con], bound: i64) -> bool {
 
 /// Refills `root` in one pass with the full-range root tableau of one
 /// LIA call: a variable per mentioned key under the global bounds, and a
-/// tagged slack row per constraint with keys (the rows list their keys
-/// in id order, hence in variable order). Every node resets its tableau
-/// from it, which is the same tableau a per-node rebuild would produce.
-/// `Err` carries the outcome of a tableau whose bounds already conflict
-/// (and leaves `root` as it was).
+/// tagged slack per constraint with keys (the rows list their keys in id
+/// order, hence in variable order). The slacks of one table row share
+/// one tableau row: the first owns it, and each later one names the first
+/// and their relative sign (`Con::negated`), found through `forms`, which
+/// maps each table row to its first slack and that slack's sign. Every
+/// node resets its tableau from the root, which is the same tableau a
+/// per-node rebuild would produce. `Err` carries the outcome of a tableau
+/// whose bounds already conflict (and leaves `root` as it was).
 fn root_tableau<'a>(
     root: &'a mut Simplex,
+    forms: &mut Vec<(u32, bool)>,
     table: &TheoryTable,
     constraints: &[Con],
     var_of: &[u32],
@@ -373,17 +390,29 @@ fn root_tableau<'a>(
     if n_vars > 0 && config.var_min > config.var_max {
         return Err(NodeOutcome::Infeasible);
     }
+    forms.clear();
+    forms.resize(table.n_rows(), (u32::MAX, false));
+    let mut slacks = 0;
     let rows = constraints
         .iter()
         .enumerate()
         // Keyless constraints were validated in solve_ids.
         .filter(|(_, con)| !table.row(con.row).is_empty())
         .map(|(ci, con)| {
+            let first = &mut forms[con.row as usize];
+            let shares = if first.0 == u32::MAX {
+                *first = (slacks, con.negated);
+                None
+            } else {
+                Some((first.0 as usize, first.1 != con.negated))
+            };
+            slacks += 1;
             let target = Rat::from(-con.constant);
             SlackRow {
                 terms: con
                     .coeffs(table)
                     .map(|(id, c)| (var_of[id as usize] as usize, Rat::from(c))),
+                shares,
                 lower: (con.kind == ConKind::Eq).then_some(target),
                 upper: Some(target),
                 tag: Some(ci as u32),
@@ -523,6 +552,7 @@ fn unsat_node(expl: &[Option<u32>]) -> NodeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplex::tests::{assert_index_exact, slack_view};
     use hotg_logic::{Signature, Sort, Var};
     use hotg_prop::prelude::*;
     use hotg_prop::TestRng;
@@ -644,11 +674,18 @@ mod tests {
             let (table, _, cons) = TheoryTable::of_constraints(&refs);
             let config = random_config(&mut rng);
             let (var_of, present) = key_vars(&table, &cons);
-            let mut root = Simplex::new();
-            let one_pass = root_tableau(&mut root, &table, &cons, &var_of, present.len(), &config);
+            let (mut root, mut forms) = (Simplex::new(), Vec::new());
+            let one_pass = root_tableau(
+                &mut root, &mut forms, &table, &cons, &var_of, present.len(), &config,
+            );
             let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
-            // Rows, bounds, tags, values, column index and violated set.
-            prop_assert!(matches!((&one_pass, &by_rows), (Ok(a), Some(b)) if *a == b));
+            // Per slack: rows, bounds, tags and values; and the violated
+            // set. The column index is exact for the shared rows.
+            let (Ok(one_pass), Some(by_rows)) = (one_pass, by_rows) else {
+                panic!("the bounds of both builds agree");
+            };
+            prop_assert_eq!(slack_view(one_pass), slack_view(&by_rows));
+            assert_index_exact(one_pass);
         }
 
         #[test]
@@ -656,20 +693,22 @@ mod tests {
             let mut rng = TestRng::seed_from_u64(seed);
             // One tableau refilled along the chain, each time after a
             // check has pivoted what the previous refill left in it.
-            let mut root = Simplex::new();
+            let (mut root, mut forms) = (Simplex::new(), Vec::new());
             for n in stride_crossing_sizes(&mut rng) {
                 let constraints = keyed_system(&mut rng, n);
                 let refs: Vec<&IntConstraint> = constraints.iter().collect();
                 let (table, _, cons) = TheoryTable::of_constraints(&refs);
                 let config = random_config(&mut rng);
                 let (var_of, present) = key_vars(&table, &cons);
-                let refilled =
-                    root_tableau(&mut root, &table, &cons, &var_of, present.len(), &config);
-                let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
-                prop_assert!(
-                    matches!((&refilled, &by_rows), (Ok(a), Some(b)) if *a == b),
-                    "{} rows", n
+                let refilled = root_tableau(
+                    &mut root, &mut forms, &table, &cons, &var_of, present.len(), &config,
                 );
+                let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
+                let (Ok(refilled), Some(by_rows)) = (refilled, by_rows) else {
+                    panic!("the bounds of both builds agree");
+                };
+                prop_assert_eq!(slack_view(refilled), slack_view(&by_rows), "{} rows", n);
+                assert_index_exact(refilled);
                 let _ = root.check();
             }
         }
@@ -679,19 +718,20 @@ mod tests {
             let mut rng = TestRng::seed_from_u64(seed);
             // One node tableau reset from roots along the chain, each time
             // after box bounds and a check have pivoted the previous reset.
-            let (mut root, mut node) = (Simplex::new(), Simplex::new());
+            let Workspace { mut root, mut node, mut forms } = Workspace::default();
             for n in stride_crossing_sizes(&mut rng) {
                 let constraints = keyed_system(&mut rng, n);
                 let refs: Vec<&IntConstraint> = constraints.iter().collect();
                 let (table, _, cons) = TheoryTable::of_constraints(&refs);
                 let (var_of, present) = key_vars(&table, &cons);
-                let Ok(root) =
-                    root_tableau(&mut root, &table, &cons, &var_of, present.len(), &cfg())
-                else {
+                let Ok(root) = root_tableau(
+                    &mut root, &mut forms, &table, &cons, &var_of, present.len(), &cfg(),
+                ) else {
                     panic!("the default global bounds do not conflict");
                 };
                 node.clone_from(root);
-                prop_assert_eq!(&node, &root.clone(), "{} rows", n);
+                prop_assert_eq!(slack_view(&node), slack_view(&root.clone()), "{} rows", n);
+                assert_index_exact(&node);
                 let bound = Rat::from(1i64 << (4 * (1 + rng.below(4))));
                 for v in 0..present.len() {
                     let _ = node.assert_bound(v, BoundKind::Lower, -bound, None);
@@ -723,7 +763,13 @@ mod tests {
             let (var_of, present) = key_vars(&table, &cons);
             let mut workspace = Workspace::default();
             let root = root_tableau(
-                &mut workspace.root, &table, &cons, &var_of, present.len(), &config,
+                &mut workspace.root,
+                &mut workspace.forms,
+                &table,
+                &cons,
+                &var_of,
+                present.len(),
+                &config,
             );
             prop_assert!(box_refuted(&table, &cons, 1 << 4));
             for p in [4u32, 8, 16] {
