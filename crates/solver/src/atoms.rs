@@ -253,7 +253,7 @@ pub(crate) enum Canon {
     },
 }
 
-fn gcd128(mut a: i128, mut b: i128) -> i128 {
+pub(crate) fn gcd128(mut a: i128, mut b: i128) -> i128 {
     a = a.abs();
     b = b.abs();
     while b != 0 {

@@ -3,9 +3,9 @@
 //!
 //! The paper's Section 5.3 shows that higher-order test generation can
 //! exploit EUF axioms (Example 5: `∀f ∃x,y: f(x) = f(y)` via `x := y`).
-//! This module provides the ground EUF engine used by the validity checker
-//! to certify such strategies and by tests to cross-check the Ackermannized
-//! SMT encoding.
+//! The solver decides EUF by Ackermann expansion (see [`crate::smt`]);
+//! this module is the ground congruence-closure engine that
+//! `tests/euf_cross.rs` holds that encoding to, as a reference oracle.
 
 use hotg_logic::{FuncSym, Term};
 use std::collections::HashMap;

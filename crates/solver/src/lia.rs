@@ -10,17 +10,17 @@
 //! workloads in this workspace; a search that exceeds its node budget
 //! reports [`LiaResult::Unknown`] rather than guessing.
 //!
-//! On infeasibility the solver returns a *core*: indices of a subset of
-//! the input constraints that is itself infeasible. A core is produced
-//! whenever the simplex explanation involves only tagged constraint
-//! bounds (no artificial global bounds, no branch splits); otherwise
-//! `core` is `None` and callers fall back to weaker conflict clauses.
+//! On infeasibility the solver returns a *core*: the indices of input
+//! constraints that are infeasible within the window on their own. It is
+//! a node's simplex explanation if that names only tagged constraints;
+//! otherwise, once every leaf is refuted, it is the union of the leaves'
+//! tagged constraints, as their branch bounds cover every integer point.
 //!
 //! The solver works on constraints over the rows of a
 //! `TheoryTable`: each `Con` names a row by index plus a sign, a
 //! constant and a kind. The SMT encoder builds one table per query, its
-//! keys ranked in `LinKey` order, and every refinement round and
-//! core-minimization probe calls the table-keyed core directly;
+//! keys ranked in `LinKey` order, and every refinement round calls the
+//! table-keyed core directly;
 //! [`solve_int`] builds a table from its `LinKey` system first. A call
 //! gives the keys its constraints mention simplex variables `0..` in id
 //! order, which is the order of the sorted key universe, and refills one
@@ -39,7 +39,7 @@
 //! those of rebuilding a one-row-per-slack tableau per node (the kernel
 //! contract in `DESIGN.md`, pinned by `tests/kernel_golden.rs`).
 
-use crate::atoms::{Con, TheoryTable};
+use crate::atoms::{gcd128, Con, TheoryTable};
 use crate::simplex::{BoundKind, Simplex, SimplexResult, SlackRow};
 use hotg_logic::{LinKey, Rat};
 use std::borrow::Borrow;
@@ -89,21 +89,15 @@ impl IntConstraint {
 pub enum LiaResult<M = BTreeMap<LinKey, i64>> {
     /// Feasible, with an integer value per key.
     Sat(M),
-    /// Infeasible. `core` lists the indices of an infeasible subset of
-    /// the input constraints when one could be derived soundly.
+    /// Infeasible within the window.
     Unsat {
-        /// Sound infeasible subset, if available.
-        core: Option<Vec<usize>>,
+        /// The sorted indices of a subset of the input constraints that
+        /// is infeasible within the window on its own; empty only for an
+        /// inverted window.
+        core: Vec<usize>,
     },
     /// Budget exhausted before a definitive answer.
     Unknown,
-}
-
-impl<M> LiaResult<M> {
-    /// `true` for any `Unsat`.
-    pub fn is_unsat(&self) -> bool {
-        matches!(self, LiaResult::Unsat { .. })
-    }
 }
 
 /// The model of an id-keyed system: `(key id, value)` for every key the
@@ -140,28 +134,6 @@ impl Default for LiaConfig {
     }
 }
 
-fn gcd128(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-fn core_from_explanation(expl: &[Option<u32>]) -> Option<Vec<usize>> {
-    expl.iter()
-        .map(|t| t.map(|x| x as usize))
-        .collect::<Option<Vec<usize>>>()
-        .map(|mut v| {
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
-}
-
 /// Decides integer feasibility of a conjunction of constraints.
 ///
 /// # Examples
@@ -178,7 +150,10 @@ fn core_from_explanation(expl: &[Option<u32>]) -> Option<Vec<usize>> {
 ///     constant: -1,
 ///     kind: ConKind::Eq,
 /// };
-/// assert!(solve_int(&[c], &LiaConfig::default()).is_unsat());
+/// assert!(matches!(
+///     solve_int(&[c], &LiaConfig::default()),
+///     LiaResult::Unsat { .. }
+/// ));
 /// ```
 pub fn solve_int<C: Borrow<IntConstraint>>(constraints: &[C], config: &LiaConfig) -> LiaResult {
     let mut budget = config.node_budget;
@@ -216,7 +191,7 @@ pub fn solve_int_budgeted<C: Borrow<IntConstraint>>(
 
 /// Decides integer feasibility of constraints over the rows of `table`:
 /// the core of [`solve_int_budgeted`], and what the SMT solver calls each
-/// refinement round and each core-minimization probe.
+/// refinement round.
 ///
 /// The keys the constraints mention become simplex variables `0..` in id
 /// order, so pivots, branches, cores and models are those of the sorted
@@ -278,9 +253,7 @@ fn solve_in(
             true
         };
         if !ok {
-            return LiaResult::Unsat {
-                core: Some(vec![i]),
-            };
+            return LiaResult::Unsat { core: vec![i] };
         }
     }
 
@@ -295,7 +268,7 @@ fn solve_in(
         present.len(),
         config,
     );
-    let full = branch(&root, node, &present, None, budget);
+    let full = branch(root, node, &present, None, budget);
     if config.prefer_small {
         if let LiaResult::Sat(fallback) = &full {
             // The problem is feasible; look for a small-magnitude model
@@ -316,7 +289,7 @@ fn solve_in(
                     *budget = budget.saturating_sub(1);
                     continue;
                 }
-                if let LiaResult::Sat(m) = branch(&root, node, &present, Some(bound), budget) {
+                if let LiaResult::Sat(m) = branch(root, node, &present, Some(bound), budget) {
                     return LiaResult::Sat(m);
                 }
             }
@@ -376,8 +349,8 @@ fn box_refuted(table: &TheoryTable, constraints: &[Con], bound: i64) -> bool {
 /// and their relative sign (`Con::negated`), found through `forms`, which
 /// maps each table row to its first slack and that slack's sign. Every
 /// node resets its tableau from the root, which is the same tableau a
-/// per-node rebuild would produce. `Err` carries the outcome of a tableau
-/// whose bounds already conflict (and leaves `root` as it was).
+/// per-node rebuild would produce. `None` for an inverted window, whose
+/// bounds already conflict (and leaves `root` as it was).
 fn root_tableau<'a>(
     root: &'a mut Simplex,
     forms: &mut Vec<(u32, bool)>,
@@ -386,9 +359,9 @@ fn root_tableau<'a>(
     var_of: &[u32],
     n_vars: usize,
     config: &LiaConfig,
-) -> Result<&'a Simplex, NodeOutcome> {
+) -> Option<&'a Simplex> {
     if n_vars > 0 && config.var_min > config.var_max {
-        return Err(NodeOutcome::Infeasible);
+        return None;
     }
     forms.clear();
     forms.resize(table.n_rows(), (u32::MAX, false));
@@ -424,7 +397,7 @@ fn root_tableau<'a>(
         Rat::from(config.var_max),
         rows,
     );
-    Ok(root)
+    Some(root)
 }
 
 /// Branch-and-bound over the rational relaxation, depth-first with an
@@ -434,17 +407,18 @@ fn root_tableau<'a>(
 /// variable `i` is key `keys[i]`; `node` is the tableau each node resets
 /// from the root.
 fn branch(
-    root: &Result<&Simplex, NodeOutcome>,
+    root: Option<&Simplex>,
     node: &mut Simplex,
     keys: &[u32],
     box_bound: Option<i64>,
     budget: &mut u64,
 ) -> LiaResult<IdModel> {
     let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![Vec::new()];
+    let mut core: Vec<usize> = Vec::new();
     while let Some(bounds) = work.pop() {
         match branch_node(root, node, keys, box_bound, &bounds, budget) {
             NodeOutcome::Done(result) => return result,
-            NodeOutcome::Infeasible => {}
+            NodeOutcome::Infeasible(tags) => core.extend(tags),
             NodeOutcome::Split { index, floor } => {
                 // Left branch (key ≤ floor) explored first: push right, then
                 // left, so the stack pops left first.
@@ -457,21 +431,22 @@ fn branch(
             }
         }
     }
-    // Every leaf was an integrality conflict: infeasible, but no sound
-    // core can be named at this level (the conflicts involved branch
-    // bounds).
-    LiaResult::Unsat { core: None }
+    // Every leaf is infeasible, and their branch bounds cover every
+    // integer point of the window: the union of their tags is a core.
+    core.sort_unstable();
+    core.dedup();
+    LiaResult::Unsat { core }
 }
 
 /// Outcome of evaluating a single branch-and-bound node.
-#[derive(Clone)]
 enum NodeOutcome {
     /// The whole search is decided: Sat, Unknown, or Unsat with a core
     /// independent of the branch bounds (hence sound globally).
     Done(LiaResult<IdModel>),
-    /// This node is infeasible only together with its branch bounds;
-    /// sibling nodes must still be explored.
-    Infeasible,
+    /// This node is infeasible only with its branch bounds or the window
+    /// (both untagged); sibling nodes must still be explored. Carries the
+    /// tagged constraints of its explanation, its share of the core.
+    Infeasible(Vec<usize>),
     /// Relaxation is feasible but key variable `index` took a fractional
     /// value with the given floor: split into two child nodes.
     Split { index: usize, floor: i128 },
@@ -480,7 +455,7 @@ enum NodeOutcome {
 /// Evaluates one node: resets `s` from the root (into its own buffers),
 /// asserts the box's and the node's bounds on it and checks it.
 fn branch_node(
-    root: &Result<&Simplex, NodeOutcome>,
+    root: Option<&Simplex>,
     s: &mut Simplex,
     keys: &[u32],
     box_bound: Option<i64>,
@@ -493,8 +468,9 @@ fn branch_node(
     *budget -= 1;
 
     match root {
-        Ok(root) => s.clone_from(root),
-        Err(outcome) => return outcome.clone(),
+        Some(root) => s.clone_from(root),
+        // An inverted window: a leaf that only the window refutes.
+        None => return NodeOutcome::Infeasible(Vec::new()),
     }
     let box_bounds = box_bound.into_iter().flat_map(|b| {
         (0..keys.len()).flat_map(move |v| {
@@ -538,15 +514,17 @@ fn branch_node(
     }
 }
 
-/// Maps a simplex infeasibility explanation to a node outcome: a core
-/// naming only original constraints is sound independently of the branch
-/// bounds (the whole problem is infeasible); otherwise only this node is
-/// dead and its siblings must still be explored.
+/// Maps a simplex infeasibility explanation to a node outcome: one naming
+/// only original constraints is a core of the whole problem; otherwise
+/// only this node is dead, and its tags go to the union.
 fn unsat_node(expl: &[Option<u32>]) -> NodeOutcome {
-    match core_from_explanation(expl) {
-        Some(core) => NodeOutcome::Done(LiaResult::Unsat { core: Some(core) }),
-        None => NodeOutcome::Infeasible,
+    let mut tags: Vec<usize> = expl.iter().flatten().map(|&t| t as usize).collect();
+    if expl.contains(&None) {
+        return NodeOutcome::Infeasible(tags);
     }
+    tags.sort_unstable();
+    tags.dedup();
+    NodeOutcome::Done(LiaResult::Unsat { core: tags })
 }
 
 #[cfg(test)]
@@ -681,7 +659,7 @@ mod tests {
             let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
             // Per slack: rows, bounds, tags and values; and the violated
             // set. The column index is exact for the shared rows.
-            let (Ok(one_pass), Some(by_rows)) = (one_pass, by_rows) else {
+            let (Some(one_pass), Some(by_rows)) = (one_pass, by_rows) else {
                 panic!("the bounds of both builds agree");
             };
             prop_assert_eq!(slack_view(one_pass), slack_view(&by_rows));
@@ -704,7 +682,7 @@ mod tests {
                     &mut root, &mut forms, &table, &cons, &var_of, present.len(), &config,
                 );
                 let by_rows = root_by_add_row(&table, &cons, &var_of, present.len(), &config);
-                let (Ok(refilled), Some(by_rows)) = (refilled, by_rows) else {
+                let (Some(refilled), Some(by_rows)) = (refilled, by_rows) else {
                     panic!("the bounds of both builds agree");
                 };
                 prop_assert_eq!(slack_view(refilled), slack_view(&by_rows), "{} rows", n);
@@ -724,7 +702,7 @@ mod tests {
                 let refs: Vec<&IntConstraint> = constraints.iter().collect();
                 let (table, _, cons) = TheoryTable::of_constraints(&refs);
                 let (var_of, present) = key_vars(&table, &cons);
-                let Ok(root) = root_tableau(
+                let Some(root) = root_tableau(
                     &mut root, &mut forms, &table, &cons, &var_of, present.len(), &cfg(),
                 ) else {
                     panic!("the default global bounds do not conflict");
@@ -780,11 +758,52 @@ mod tests {
                 for start in [0u64, 1, 2, 40] {
                     let mut budget = start;
                     let result =
-                        branch(&root, &mut workspace.node, &present, Some(bound), &mut budget);
+                        branch(root, &mut workspace.node, &present, Some(bound), &mut budget);
                     prop_assert!(!matches!(result, LiaResult::Sat(_)), "box {p}: {result:?}");
                     prop_assert_eq!(start - budget, start.min(1), "box {}", p);
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn every_core_is_infeasible_alone(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let keys = six_keys();
+            let n = 1 + rng.below(8) as usize;
+            let mut constraints = random_system(&mut rng, &keys, n);
+            // Slabs `lo ≤ g·form ≤ lo + g - 2` between two multiples of `g`
+            // hold at no integer point: refuting one takes branching.
+            for _ in 0..rng.below(3) {
+                let (g, mut form) = (2 + rng.in_span(0, 2), Vec::new());
+                for k in &keys {
+                    if rng.below(3) == 0 {
+                        form.push((k.clone(), g * [1, -1, 2, -2][rng.below(4) as usize]));
+                    }
+                }
+                let lo = g * rng.in_span(-50, 50) + 1;
+                let negated = form.iter().map(|(k, c)| (k.clone(), -c)).collect();
+                constraints.extend([le(form, 2 - g - lo), le(negated, lo)]);
+            }
+            let mut config = random_config(&mut rng);
+            if rng.below(8) == 0 {
+                (config.var_min, config.var_max) = (config.var_max, config.var_min);
+            }
+            (config.node_budget, config.prefer_small) = (2_000, rng.below(2) == 0);
+            let LiaResult::Unsat { core } = solve_int(&constraints, &config) else {
+                return Ok(());
+            };
+            let inverted = config.var_min > config.var_max;
+            prop_assert!(!core.is_empty() || inverted, "empty core: {constraints:?}");
+            let alone: Vec<&IntConstraint> = core.iter().map(|&i| &constraints[i]).collect();
+            (config.node_budget, config.prefer_small) = (100_000, false);
+            let result = solve_int(&alone, &config);
+            prop_assert!(
+                core.is_empty() || !matches!(result, LiaResult::Sat(_)),
+                "core {core:?} of {constraints:?} under {config:?}: {result:?}"
+            );
         }
     }
 
@@ -827,11 +846,12 @@ mod tests {
         // 0·x + 1 = 0
         assert_eq!(
             solve_int(&[eq(vec![], 1)], &cfg()),
-            LiaResult::Unsat {
-                core: Some(vec![0])
-            }
+            LiaResult::Unsat { core: vec![0] }
         );
-        assert!(solve_int(&[le(vec![], 1)], &cfg()).is_unsat());
+        assert!(matches!(
+            solve_int(&[le(vec![], 1)], &cfg()),
+            LiaResult::Unsat { .. }
+        ));
         assert!(matches!(
             solve_int(&[le(vec![], 0)], &cfg()),
             LiaResult::Sat(_)
@@ -854,12 +874,7 @@ mod tests {
         let (x, y, _) = keys3();
         // 3x - 3y = 1
         let r = solve_int(&[eq(vec![(x, 3), (y, -3)], -1)], &cfg());
-        assert_eq!(
-            r,
-            LiaResult::Unsat {
-                core: Some(vec![0])
-            }
-        );
+        assert_eq!(r, LiaResult::Unsat { core: vec![0] });
     }
 
     #[test]
@@ -873,7 +888,7 @@ mod tests {
             le(vec![(y.clone(), 1)], 0),
         ];
         match solve_int(&cons, &cfg()) {
-            LiaResult::Unsat { core: Some(core) } => {
+            LiaResult::Unsat { core } => {
                 assert!(core.contains(&1) && core.contains(&2), "{core:?}");
                 assert!(!core.contains(&0), "irrelevant z in core: {core:?}");
             }
@@ -906,7 +921,7 @@ mod tests {
             le(vec![(x.clone(), -2)], 1), // -2x + 1 ≤ 0  ⇒ 2x ≥ 1
             le(vec![(x.clone(), 2)], -1), // 2x - 1 ≤ 0  ⇒ 2x ≤ 1
         ];
-        assert!(solve_int(&cons, &cfg()).is_unsat());
+        assert!(matches!(solve_int(&cons, &cfg()), LiaResult::Unsat { .. }));
     }
 
     #[test]
@@ -937,10 +952,10 @@ mod tests {
             node_budget: 100,
             prefer_small: false,
         };
-        // x ≥ 6 within ±5 bounds: UNSAT but the artificial bound is part
-        // of the conflict, so no sound core is claimed.
+        // x ≥ 6 within ±5 bounds: only the window refutes it, and the
+        // window is the solver's semantics, so the constraint is a core.
         let r = solve_int(&[le(vec![(x, -1)], 6)], &config);
-        assert_eq!(r, LiaResult::Unsat { core: None });
+        assert_eq!(r, LiaResult::Unsat { core: vec![0] });
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`lia`] — integer layer: GCD pre-test + branch-and-bound;
 //! * [`atoms`] — canonicalization of atoms into `Eq`/`Le` primitives over
 //!   the rows of one flat theory table per query;
-//! * [`euf`] — ground congruence closure (EUF);
+//! * [`euf`] — ground congruence closure (EUF), the reference oracle for
+//!   the Ackermann encoding;
 //! * [`smt`] — lazy DPLL(T) with Ackermann expansion of applications;
 //! * [`validity`] — validity checking and strategy synthesis.
 //!

@@ -48,8 +48,9 @@ pub enum BoundKind {
 
 /// Explanation of an infeasibility: provenance tags of the participating
 /// bounds. `None` appears when an untagged bound (e.g. an artificial
-/// global bound or a branch-and-bound split) participated — such
-/// explanations are not usable as theory cores.
+/// global bound or a branch-and-bound split) participated — such an
+/// explanation refutes one branch-and-bound leaf, and its tags are that
+/// leaf's share of a core.
 pub type Explanation = Vec<Option<u32>>;
 
 /// Outcome of a simplex feasibility check.

@@ -86,11 +86,9 @@ pub struct SmtConfig {
     /// `Unknown`. Every preference-box attempt of a round draws at least
     /// one node from it while it lasts, a box skipped because one
     /// asserted row already refutes it included
-    /// ([`LiaConfig::prefer_small`]). Core minimization does not draw
-    /// from it: each deletion probe gets its own `min(lia.node_budget,
-    /// 400)` allowance, and a conflict runs at most 96 probes. So one
-    /// check is bounded by `max_rounds` rounds, `total_node_budget` theory
-    /// nodes, and at most 96 × 400 minimization nodes per conflict.
+    /// ([`LiaConfig::prefer_small`]). A conflict's core comes out of the
+    /// round's own check, so one check is bounded by `max_rounds` rounds
+    /// and `total_node_budget` theory nodes.
     pub total_node_budget: u64,
 }
 
@@ -442,8 +440,7 @@ impl SmtSolver {
     fn refine(&self, q: &mut Query<'_>, full: &Formula) -> SmtResult {
         // One node pool for the whole check: every per-round theory query
         // draws from it, so total work is bounded even when individual
-        // rounds are hard. Core minimization probes carry their own capped
-        // allowance (see `minimize_core`), not a share of this pool.
+        // rounds are hard.
         let mut pool = self.config.total_node_budget;
 
         for _round in 0..self.config.max_rounds {
@@ -484,16 +481,9 @@ impl SmtSolver {
                         }
                         LiaResult::Unknown => return SmtResult::Unknown,
                         LiaResult::Unsat { core } => {
-                            // Prefer the provenance core from the theory
-                            // solver; fall back to deletion-based
-                            // minimization when branching or artificial
-                            // bounds were involved. (An empty constraint
-                            // list is always feasible, so `asserting` is
-                            // never empty here.)
-                            let core = match core {
-                                Some(c) => c,
-                                None => self.minimize_core(&q.table, &constraints),
-                            };
+                            // Block the core's assignment. The core is
+                            // empty only under an inverted window, and the
+                            // empty clause makes the next solve `Unsat`.
                             q.sat.add_clause(core.iter().map(|&i| asserting[i]));
                         }
                     }
@@ -501,45 +491,6 @@ impl SmtSolver {
             }
         }
         SmtResult::Unknown
-    }
-
-    /// Deletion-based unsat-core minimization: returns indices of a
-    /// (locally minimal) subset of `constraints` that is still
-    /// unsatisfiable. Small cores make the blocking clauses strong, which
-    /// keeps the lazy refinement loop from enumerating exponentially many
-    /// boolean assignments.
-    fn minimize_core(&self, table: &TheoryTable, constraints: &[Con]) -> Vec<usize> {
-        let mut core: Vec<usize> = (0..constraints.len()).collect();
-        // Cap the minimization work on very large assertion sets.
-        if constraints.len() > 96 {
-            return core;
-        }
-        // Feasibility checks only — no need to polish models. The node
-        // budget is capped hard: minimization is a best-effort heuristic
-        // running up to ~96 solves per conflict, and a deletion probe that
-        // comes back Unknown under the cap simply keeps its constraint
-        // (sound — the core stays unsatisfiable, just less minimal).
-        let lia = LiaConfig {
-            prefer_small: false,
-            node_budget: self.config.lia.node_budget.min(400),
-            ..self.config.lia
-        };
-        let mut i = 0;
-        while i < core.len() {
-            let candidate: Vec<Con> = core
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &k)| constraints[k])
-                .collect();
-            let mut budget = lia.node_budget;
-            if solve_ids(table, &candidate, &lia, &mut budget).is_unsat() {
-                core.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        core
     }
 
     /// Builds a [`Model`] from a LIA assignment: variables first, then
@@ -846,6 +797,27 @@ mod tests {
             other => panic!("expected SAT, got {other:?}"),
         }
         assert_eq!(stats(&solver), (2, 2));
+    }
+
+    #[test]
+    fn window_only_conflict_decides_in_few_rounds() {
+        // `x ≥ 2³³`, which only the ±2³² window refutes, and 120 free
+        // choices: every round asserts 241 constraints, and a blocking
+        // clause over all of them would enumerate 2¹²⁰ assignments.
+        let mut sig = Signature::new();
+        let x = Term::var(sig.declare_var("x", Sort::Int));
+        let mut f = Formula::atom(Atom::new(x, Rel::Ge, Term::int(1 << 33)));
+        for i in 0..120 {
+            let y = Term::var(sig.declare_var(format!("y{i}"), Sort::Int));
+            let le = Formula::atom(Atom::new(y.clone(), Rel::Le, Term::int(0)));
+            f = f.and(le.or(Formula::atom(Atom::new(y, Rel::Ge, Term::int(1)))));
+        }
+        let mut config = SmtConfig::new();
+        config.max_rounds = 10;
+        assert_eq!(
+            SmtSolver::with_config(config).check(&f),
+            Ok(SmtResult::Unsat)
+        );
     }
 
     #[test]
